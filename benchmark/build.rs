@@ -1,0 +1,18 @@
+//! Captures the compiler version for the provenance block of every run
+//! record (`rustc` is not guaranteed to be on `PATH` when the benchmark
+//! runs, but it is when it builds).
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=MDL_BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
