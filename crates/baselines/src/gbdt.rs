@@ -12,16 +12,15 @@ use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RegNode {
     Leaf { weight: f32 },
     Split { feature: usize, threshold: f32, left: usize, right: usize },
 }
 
 /// One regression tree over `(gradient, hessian)` targets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct RegTree {
     nodes: Vec<RegNode>,
 }

@@ -5,17 +5,16 @@ use mdl_data::Dataset;
 use mdl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Tree nodes stored in a flat arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum Node {
     Leaf { class: usize },
     Split { feature: usize, threshold: f32, left: usize, right: usize },
 }
 
 /// A CART-style classification tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     /// Maximum tree depth.
     pub max_depth: usize,

@@ -1,7 +1,6 @@
 //! Canonical Huffman codec — the final stage of Deep Compression
 //! (reference [28]), squeezing the skewed quantization-index stream.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// A Huffman code table plus an encoded bitstream.
@@ -16,7 +15,7 @@ use std::collections::BinaryHeap;
 /// assert_eq!(encoded.decode(), data);
 /// assert!(encoded.storage_bytes() < data.len() as u64 + 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HuffmanEncoded {
     /// Canonical code lengths per symbol (0 = symbol absent).
     code_lengths: Vec<u8>,

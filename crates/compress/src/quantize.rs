@@ -4,13 +4,12 @@
 
 use mdl_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A matrix stored as per-entry codebook indices plus a shared codebook.
 ///
 /// Zero entries (pruned weights) are kept exactly zero via a reserved
 /// codebook slot so quantization composes with pruning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

@@ -1,10 +1,9 @@
 //! Compressed sparse row storage for pruned weight matrices.
 
 use mdl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A CSR (compressed sparse row) matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

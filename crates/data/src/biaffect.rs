@@ -13,13 +13,12 @@ use crate::typing::{featurize_session, TypingProfile, TypingSession, FEATURE_DIM
 use mdl_tensor::init::gaussian;
 use mdl_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Mood classes predicted by DeepMood in this reproduction.
 pub const MOOD_CLASSES: usize = 2;
 
 /// Configuration of the synthetic BiAffect cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiAffectConfig {
     /// Number of study participants (the study enrolled 40).
     pub participants: usize,
@@ -45,7 +44,7 @@ impl Default for BiAffectConfig {
 }
 
 /// One labelled phone-usage session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoodSession {
     /// Participant index in `0..participants`.
     pub participant: usize,
@@ -56,7 +55,7 @@ pub struct MoodSession {
 }
 
 /// The generated cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiAffectDataset {
     /// All sessions across all participants, participant-major order.
     pub sessions: Vec<MoodSession>,

@@ -3,10 +3,9 @@
 use mdl_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A tabular classification dataset: one example per row of `x`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature matrix, `n × d`.
     pub x: Matrix,

@@ -13,10 +13,9 @@ use crate::typing::{featurize_session, TypingProfile, TypingSession, FEATURE_DIM
 use mdl_tensor::init::gaussian;
 use mdl_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic keystroke cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeystrokeConfig {
     /// Number of users to enrol (Table I evaluates 10 and 26).
     pub users: usize,
@@ -33,7 +32,7 @@ impl Default for KeystrokeConfig {
 }
 
 /// One session labelled with its author.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserSession {
     /// User index in `0..users`.
     pub user: usize,
@@ -42,7 +41,7 @@ pub struct UserSession {
 }
 
 /// The generated cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeystrokeDataset {
     /// All sessions, user-major order.
     pub sessions: Vec<UserSession>,

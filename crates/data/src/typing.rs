@@ -11,7 +11,6 @@ use mdl_tensor::init::gaussian;
 use mdl_tensor::stats::pearson;
 use mdl_tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of special-key categories (paper §IV-A): auto-correct, backspace,
 /// space, suggestion, switching-keyboard, other.
@@ -25,7 +24,7 @@ pub const ALPHANUMERIC_CHANNELS: usize = 4;
 pub const ACCEL_CHANNELS: usize = 3;
 
 /// Generative parameters for one person's typing behaviour in one state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypingProfile {
     /// Mean key-hold duration in seconds.
     pub mean_duration: f32,
@@ -77,7 +76,7 @@ impl Default for TypingProfile {
 }
 
 /// One phone-usage session of multi-view typing metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypingSession {
     /// `T_a × 4` alphanumeric keypress features.
     pub alphanumeric: Matrix,

@@ -7,10 +7,9 @@
 use mdl_nn::{Activation, Dense, ParamVector, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Architecture of a multilayer perceptron classifier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpSpec {
     /// Layer widths, input first, classes last, e.g. `[64, 128, 10]`.
     pub dims: Vec<usize>,

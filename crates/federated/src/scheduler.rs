@@ -7,10 +7,9 @@
 //! clients can be selected.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous device state relevant to federated participation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceState {
     /// Screen off, no foreground interaction.
     pub idle: bool,
@@ -40,7 +39,7 @@ impl DeviceState {
 /// let eligible = model.sample_eligible(&mut rng);
 /// assert!(eligible.len() < 100, "not everyone is idle+charging+Wi-Fi");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilityModel {
     /// Probability of being idle at a check-in.
     pub p_idle: f64,

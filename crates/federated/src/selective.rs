@@ -238,11 +238,11 @@ pub fn run_selective_sgd_over(
             let members = wave.iter().enumerate().zip(wave_locals.iter_mut()).zip(wave_draws);
             let refreshed = &refreshed;
             let outcomes: Vec<SparseUpdate> = if spawn_threads {
-                crossbeam::thread::scope(|s| {
+                std::thread::scope(|s| {
                     let global = &global;
                     let handles: Vec<_> = members
                         .map(|(((off, data), local), (coords, batches))| {
-                            s.spawn(move |_| {
+                            s.spawn(move || {
                                 let coords =
                                     if refreshed[wave_start + off] { &coords[..] } else { &[] };
                                 local_phase(spec, config, global, data, local, coords, &batches)
@@ -251,7 +251,6 @@ pub fn run_selective_sgd_over(
                         .collect();
                     handles.into_iter().map(|h| h.join().expect("participant thread")).collect()
                 })
-                .expect("participant scope")
             } else {
                 members
                     .map(|(((off, data), local), (coords, batches))| {

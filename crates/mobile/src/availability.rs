@@ -17,12 +17,11 @@
 //! seeds walk identical state trajectories.
 
 use crate::device::DeviceProfile;
-use serde::{Deserialize, Serialize};
 
 /// Mean dwell times (seconds) of the three §II-B eligibility attributes,
 /// each modelled as an alternating ON/OFF renewal process with
 /// exponentially distributed sojourns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilityProfile {
     /// Human-readable name.
     pub name: String,

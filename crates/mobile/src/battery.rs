@@ -1,7 +1,5 @@
 //! Battery accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple energy budget with drain tracking.
 ///
 /// # Examples
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// battery.drain(5_500.0); // joules
 /// assert!((battery.remaining_fraction() - 0.9).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     drained_j: f64,

@@ -9,10 +9,9 @@
 //! numbers are indicative, orderings are what the experiments rely on.
 
 use mdl_nn::LayerInfo;
-use serde::{Deserialize, Serialize};
 
 /// Energy/latency estimate of one inference (or transfer).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostEstimate {
     /// Wall-clock seconds.
     pub latency_s: f64,
@@ -48,7 +47,7 @@ impl CostEstimate {
 /// let cost = DeviceProfile::midrange_phone().inference_cost(&[layer], 4.0);
 /// assert!(cost.latency_s > 0.0 && cost.energy_j > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,

@@ -4,10 +4,9 @@
 use crate::device::{CostEstimate, DeviceProfile};
 use crate::radio::NetworkProfile;
 use mdl_nn::LayerInfo;
-use serde::{Deserialize, Serialize};
 
 /// Where an inference executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Entire model on the device (Fig. 2's alternative).
     OnDevice,

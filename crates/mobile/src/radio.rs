@@ -4,10 +4,9 @@
 //! moving a byte over LTE costs orders of magnitude more energy than a MAC.
 
 use crate::device::CostEstimate;
-use serde::{Deserialize, Serialize};
 
 /// A network link profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkProfile {
     /// Human-readable name.
     pub name: String,

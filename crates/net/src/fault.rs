@@ -5,11 +5,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A transient partition: the listed clients are unreachable for every
 /// round in `[from_round, until_round)` (1-based rounds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionWindow {
     /// First affected round (1-based, inclusive).
     pub from_round: usize,
@@ -29,7 +28,7 @@ impl PartitionWindow {
 }
 
 /// Per-round fault probabilities for a cohort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability a client vanishes mid-round (never uploads; its
     /// in-flight traffic is abandoned).

@@ -14,10 +14,9 @@ use crate::retry::RetryPolicy;
 use mdl_mobile::NetworkProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of one link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Bandwidth / latency / energy profile (from `mdl-mobile`).
     pub profile: NetworkProfile,

@@ -5,13 +5,11 @@
 //! truth: delivered traffic lives in the ledger, while attempts, retries,
 //! timeouts and wasted bytes only exist at the transport layer.
 
-use serde::{Deserialize, Serialize};
-
 /// Running totals of bytes and messages exchanged with the server.
 ///
 /// All counters use saturating arithmetic: a long-running simulation can
 /// never wrap a ledger, only pin it at `u64::MAX`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommLedger {
     /// Bytes uploaded from clients to the server.
     pub bytes_up: u64,
@@ -73,7 +71,7 @@ impl CommLedger {
 /// the simulated clock, which is computed from the same deterministic
 /// draws — so this struct doubles as the reproducibility witness of a
 /// faulty run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransportMetrics {
     /// Send attempts (first tries and retries alike).
     pub attempts: u64,

@@ -1,9 +1,7 @@
 //! Retry policy: timeout + capped exponential backoff + bounded attempts.
 
-use serde::{Deserialize, Serialize};
-
 /// How a sender reacts to a failed attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Seconds the sender waits for an acknowledgement before declaring an
     /// attempt dead. A transfer slower than this *always* times out.

@@ -1,10 +1,16 @@
 //! Element-wise activation functions and their derivatives.
 
 use mdl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+
+/// Logistic sigmoid `1 / (1 + e^{-x})` — the one definition the dense
+/// activations and the GRU/LSTM gates (f32 and int8) share.
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
 
 /// Element-wise nonlinearity applied after a layer's affine transform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// `f(x) = x`.
     Identity,
@@ -35,7 +41,7 @@ impl Activation {
                     a * x
                 }
             }
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => sigmoid(x),
             Activation::Tanh => x.tanh(),
         }
     }
@@ -60,7 +66,7 @@ impl Activation {
                 }
             }
             Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
+                let s = sigmoid(x);
                 s * (1.0 - s)
             }
             Activation::Tanh => {

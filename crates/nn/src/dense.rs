@@ -5,7 +5,6 @@ use crate::layer::{Layer, LayerInfo, Mode};
 use mdl_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A dense layer: `y = act(x · W + b)` with `W: in × out`, `b: 1 × out`.
 ///
@@ -21,17 +20,15 @@ use serde::{Deserialize, Serialize};
 /// let y = layer.forward(&Matrix::ones(4, 3), Mode::Eval);
 /// assert_eq!(y.shape(), (4, 2));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Dense {
     weight: Matrix,
     bias: Matrix,
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    #[serde(skip)]
     cache: Option<DenseCache>,
-    /// Reused `dpre` buffer for backward; skipped in serde and clones.
-    #[serde(skip)]
+    /// Reused `dpre` buffer for backward.
     scratch: Matrix,
 }
 
@@ -120,52 +117,34 @@ impl Dense {
 
     /// Slice-level eval shared by [`Layer::forward_eval`] and the plan
     /// executor: `out = act(x · W + b)` with `x: rows × in`, `out: rows ×
-    /// out`, no allocation. `fuse` selects the fused GEMM epilogue
-    /// (activation applied inside the kernel drain) over the classic
-    /// two-pass form; both produce bit-identical results.
-    pub(crate) fn eval_slice_into(&self, rows: usize, x: &[f32], out: &mut [f32], fuse: bool) {
+    /// out`, no allocation. The activation runs inside the GEMM kernel's
+    /// drain ([`mdl_tensor::kernel::gemm_bias_act`]'s epilogue).
+    pub(crate) fn eval_slice_into(&self, rows: usize, x: &[f32], out: &mut [f32]) {
+        use mdl_tensor::kernel::{gemm_bias_act, NO_EPI};
         let (in_dim, out_dim) = self.weight.shape();
         assert_eq!(x.len(), rows * in_dim, "dense eval input length mismatch");
         assert_eq!(out.len(), rows * out_dim, "dense eval output length mismatch");
         let (w, b) = (self.weight.as_slice(), self.bias.as_slice());
-        let act = self.activation;
-        if fuse {
-            // One arm per activation so each epilogue monomorphizes with
-            // the variant constant-folded: the kernel's per-element call
-            // inlines to the bare max/exp, not a match.
-            use mdl_tensor::kernel::{gemm_bias_act, NO_EPI};
-            match act {
-                Activation::Identity => gemm_bias_act(rows, out_dim, in_dim, x, w, b, NO_EPI, out),
-                Activation::Relu => {
-                    let epi = |v: f32| Activation::Relu.apply(v);
-                    gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
-                }
-                Activation::LeakyRelu(alpha) => {
-                    let epi = move |v: f32| Activation::LeakyRelu(alpha).apply(v);
-                    gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
-                }
-                Activation::Sigmoid => {
-                    let epi = |v: f32| Activation::Sigmoid.apply(v);
-                    gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
-                }
-                Activation::Tanh => {
-                    let epi = |v: f32| Activation::Tanh.apply(v);
-                    gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
-                }
+        // One arm per activation so each epilogue monomorphizes with the
+        // variant constant-folded: the kernel's per-element call inlines
+        // to the bare max/exp, not a match.
+        match self.activation {
+            Activation::Identity => gemm_bias_act(rows, out_dim, in_dim, x, w, b, NO_EPI, out),
+            Activation::Relu => {
+                let epi = |v: f32| Activation::Relu.apply(v);
+                gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
             }
-        } else {
-            mdl_tensor::kernel::gemm_bias_act(
-                rows,
-                out_dim,
-                in_dim,
-                x,
-                w,
-                b,
-                mdl_tensor::kernel::NO_EPI,
-                out,
-            );
-            for v in out.iter_mut() {
-                *v = act.apply(*v);
+            Activation::LeakyRelu(alpha) => {
+                let epi = move |v: f32| Activation::LeakyRelu(alpha).apply(v);
+                gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
+            }
+            Activation::Sigmoid => {
+                let epi = |v: f32| Activation::Sigmoid.apply(v);
+                gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
+            }
+            Activation::Tanh => {
+                let epi = |v: f32| Activation::Tanh.apply(v);
+                gemm_bias_act(rows, out_dim, in_dim, x, w, b, Some(&epi), out);
             }
         }
     }
@@ -194,7 +173,7 @@ impl Layer for Dense {
     fn forward_eval(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         out.resize_to(x.rows(), self.weight.cols());
-        self.eval_slice_into(x.rows(), x.as_slice(), out.as_mut_slice(), false);
+        self.eval_slice_into(x.rows(), x.as_slice(), out.as_mut_slice());
         out
     }
 

@@ -12,11 +12,11 @@
 //! where the update gate `z` keeps the *previous* state — note this is the
 //! paper's convention (some libraries swap `z` and `1 - z`).
 
+use crate::activation::sigmoid;
 use crate::layer::{Layer, LayerInfo, Mode};
 use mdl_tensor::kernel::{self, Trans};
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single-direction GRU over one sequence.
 ///
@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// let states = gru.forward(&sequence, Mode::Eval);
 /// assert_eq!(states.shape(), (10, 8));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Gru {
     w_r: Matrix,
     w_z: Matrix,
@@ -57,9 +57,7 @@ pub struct Gru {
     g_b_r: Matrix,
     g_b_z: Matrix,
     g_b_h: Matrix,
-    #[serde(skip)]
     cache: Option<GruCache>,
-    #[serde(skip)]
     scratch: GruScratch,
 }
 
@@ -99,10 +97,6 @@ impl std::fmt::Debug for Gru {
             .field("hidden_dim", &self.w_r.cols())
             .finish()
     }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl Gru {
@@ -492,7 +486,7 @@ impl Layer for Gru {
 
 /// Bidirectional GRU: concatenates a forward pass and a reversed-input pass,
 /// giving `T × 2h` outputs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BiGru {
     fwd: Gru,
     bwd: Gru,

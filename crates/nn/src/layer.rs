@@ -77,7 +77,7 @@ pub trait Layer: Send + Sync {
     /// behind an `Arc` (where `as_any_mut` is unreachable). Layers the
     /// planner supports override this to return `Some(self)`; the
     /// default `None` makes the planner report the layer as unsupported,
-    /// so callers fall back to the dynamic eval path.
+    /// so callers fall back to per-layer `forward_eval`.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

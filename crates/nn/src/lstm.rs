@@ -13,6 +13,7 @@
 //! h_t = o_t ⊙ tanh(c_t)
 //! ```
 
+use crate::activation::sigmoid;
 use crate::layer::{Layer, LayerInfo, Mode};
 use mdl_tensor::kernel::{self, Trans};
 use mdl_tensor::{Init, Matrix};
@@ -74,10 +75,6 @@ impl std::fmt::Debug for Lstm {
             .field("hidden_dim", &self.hidden_dim())
             .finish()
     }
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 impl Lstm {

@@ -1,32 +1,30 @@
 //! Shape-specialized execution plans: compile once, run many.
 //!
-//! The dynamic eval paths ([`Sequential::forward_eval`],
-//! [`QuantizedModel::forward_eval`]) re-derive every shape and allocate
-//! every temporary on each call. On a serving hot path the same model
-//! runs the same batch shape thousands of times, so all of that work is
-//! invariant. A [`Plan`] hoists it to *compile* time, once per
-//! `(model, rows, width, precision)`:
+//! On a serving hot path the same model runs the same batch shape
+//! thousands of times, so every shape check, buffer size and layer
+//! downcast is invariant. A [`Plan`] hoists that work to *compile* time,
+//! once per `(model, rows, width, precision)`:
 //!
 //! - the layer walk is specialized into a flat op list (one downcast per
 //!   op per run, no virtual dispatch through `Box<dyn Layer>`);
 //! - every inter-layer activation is laid into a shared
 //!   [`mdl_tensor::Arena`] by buffer liveness (first-fit with reuse), so
 //!   steady-state runs perform **zero heap allocation**;
-//! - GEMM + bias + activation collapse into fused kernels: the f32 path
-//!   uses [`mdl_tensor::kernel::gemm_bias_act`]'s epilogue hook, the
-//!   int8 path folds bias, dequantize and activation into the
-//!   accumulator drain ([`mdl_tensor::quant::Int8Matrix::gemm_row_drain`])
-//!   so no full-size `i32` accumulator exists;
-//! - recurrent layers scan through plan-owned pre-sliced workspaces
-//!   (the same code the dynamic path runs, minus the per-call
-//!   allocation and input copy).
+//! - a Dense op is one GEMM with its epilogue fused: f32 applies bias and
+//!   activation inside [`mdl_tensor::kernel::gemm_bias_act`]'s drain;
+//!   int8 runs one full-batch [`mdl_tensor::quant::Int8Matrix::gemm_into`]
+//!   into the op's `rows × out` `i32` accumulator, then one drain pass
+//!   that folds the bias, dequantizes, applies the activation and tracks
+//!   the max-abs the next layer's requantization needs;
+//! - recurrent layers scan through plan-owned pre-sliced workspaces.
 //!
-//! Planned results are bit-identical to the dynamic path for both
-//! precisions, any layer stack and any thread count — the fused epilogue
-//! applies the same activation to the same accumulated values in the
-//! same order, and the int8 drain replays the exact integer
-//! accumulation. Fusion can be disabled via [`PlanOptions`] to measure
-//! its contribution in isolation.
+//! For int8 the plan is the only evaluator:
+//! [`QuantizedModel::forward_eval`] compiles a plan for its input's shape
+//! and runs it once. For f32, [`Sequential::forward_eval`] still walks
+//! `Layer::forward_eval` per layer (it must, for the layer kinds the
+//! planner rejects), but Dense/GRU/LSTM route to the same slice-level
+//! routines the plan ops call, so planned results are bit-identical to
+//! it for any layer stack and any thread count.
 //!
 //! # Examples
 //!
@@ -67,23 +65,13 @@ pub enum PlanModel<'a> {
     Int8(&'a QuantizedModel),
 }
 
-/// Compile-time knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOptions {
-    /// Fuse bias + activation into the GEMM kernels (f32 epilogue hook /
-    /// int8 accumulator drain). On by default; turn off to measure the
-    /// fusion win — results are bit-identical either way.
-    pub fuse: bool,
-}
+/// Compile-time knobs — none today. The type (and [`Plan::compile`]'s
+/// fourth parameter) stays because `benchmark/src/probes.rs` names it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlanOptions {}
 
-impl Default for PlanOptions {
-    fn default() -> Self {
-        Self { fuse: true }
-    }
-}
-
-/// Why a model can't be planned. All cases leave the dynamic path as the
-/// correct fallback.
+/// Why a model can't be planned. For f32 models every case leaves
+/// per-layer [`Sequential::forward_eval`] as the correct fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The model has no layers.
@@ -122,7 +110,7 @@ impl std::error::Error for PlanError {}
 pub struct PlanStats {
     /// Executable ops in the plan (including the int8 input quantize).
     pub ops: usize,
-    /// Ops running a fused kernel (0 when compiled with `fuse: false`).
+    /// Dense ops, each one GEMM with a fused epilogue.
     pub fused_ops: usize,
     /// Bytes of shared arena backing all inter-layer activations.
     pub arena_bytes: usize,
@@ -164,7 +152,7 @@ enum OpI8 {
         bq: Vec<i32>,
         /// Full `rows × out` integer accumulator.
         acc: Vec<i32>,
-        /// Fused mode's single-pass value buffer (`rows × out`).
+        /// The drain's f32 values (`rows × out`), requantized into `dst`.
         values: Vec<f32>,
     },
     /// Final quantized dense: int8 in, f32 logits out.
@@ -192,7 +180,6 @@ pub struct Plan {
     rows: usize,
     in_cols: usize,
     out_cols: usize,
-    fuse: bool,
     body: Body,
     stats: PlanStats,
 }
@@ -203,7 +190,6 @@ impl std::fmt::Debug for Plan {
             .field("rows", &self.rows)
             .field("in_cols", &self.in_cols)
             .field("out_cols", &self.out_cols)
-            .field("fuse", &self.fuse)
             .field("stats", &self.stats)
             .finish()
     }
@@ -217,26 +203,21 @@ impl Plan {
     /// arena by liveness. The f32 path supports Dense, Dropout
     /// (eval-mode identity), GRU and LSTM; anything else (e.g. `BiGru`,
     /// nested containers) returns [`PlanError::Unsupported`] and the
-    /// caller keeps the dynamic path.
+    /// caller keeps per-layer `forward_eval`.
     pub fn compile(
         model: PlanModel<'_>,
         rows: usize,
         cols: usize,
-        opts: PlanOptions,
+        _opts: PlanOptions,
     ) -> Result<Plan, PlanError> {
         assert!(rows > 0 && cols > 0, "plan shape must be non-empty");
         match model {
-            PlanModel::F32(seq) => Self::compile_f32(seq, rows, cols, opts),
-            PlanModel::Int8(q) => Self::compile_i8(q, rows, cols, opts),
+            PlanModel::F32(seq) => Self::compile_f32(seq, rows, cols),
+            PlanModel::Int8(q) => Self::compile_i8(q, rows, cols),
         }
     }
 
-    fn compile_f32(
-        seq: &Sequential,
-        rows: usize,
-        cols: usize,
-        opts: PlanOptions,
-    ) -> Result<Plan, PlanError> {
+    fn compile_f32(seq: &Sequential, rows: usize, cols: usize) -> Result<Plan, PlanError> {
         let layers = seq.layers();
         if layers.is_empty() {
             return Err(PlanError::Empty);
@@ -259,9 +240,7 @@ impl Plan {
             }
             let dst = if last { Loc::Output } else { Loc::Buf(b.alloc(rows * info.out_dim)) };
             if any.downcast_ref::<Dense>().is_some() {
-                if opts.fuse {
-                    fused_ops += 1;
-                }
+                fused_ops += 1;
                 ops.push(OpF32::Dense { layer: i, src: cur, dst });
             } else if let Some(g) = any.downcast_ref::<Gru>() {
                 ops.push(OpF32::Gru { layer: i, src: cur, dst, cache: g.plan_cache(rows) });
@@ -282,22 +261,10 @@ impl Plan {
         }
         let arena = b.build::<f32>();
         let stats = PlanStats { ops: ops.len(), fused_ops, arena_bytes: arena.size_bytes() };
-        Ok(Plan {
-            rows,
-            in_cols: cols,
-            out_cols: cur_cols,
-            fuse: opts.fuse,
-            body: Body::F32 { ops, arena },
-            stats,
-        })
+        Ok(Plan { rows, in_cols: cols, out_cols: cur_cols, body: Body::F32 { ops, arena }, stats })
     }
 
-    fn compile_i8(
-        q: &QuantizedModel,
-        rows: usize,
-        cols: usize,
-        opts: PlanOptions,
-    ) -> Result<Plan, PlanError> {
+    fn compile_i8(q: &QuantizedModel, rows: usize, cols: usize) -> Result<Plan, PlanError> {
         let layers = q.layers();
         if layers.is_empty() {
             return Err(PlanError::Empty);
@@ -331,15 +298,11 @@ impl Plan {
                 QLayer::Dense(_) => {
                     let bq = vec![0i32; out_dim];
                     let acc = vec![0i32; rows * out_dim];
-                    if opts.fuse {
-                        fused_ops += 1;
-                    }
+                    fused_ops += 1;
                     if last {
                         ops.push(OpI8::DenseLast { layer: i, src: cur, sin: cur_slot, bq, acc });
                     } else {
-                        // size only the buffers the compiled mode touches
-                        let values =
-                            if opts.fuse { vec![0.0f32; rows * out_dim] } else { Vec::new() };
+                        let values = vec![0.0f32; rows * out_dim];
                         let dst = b.alloc(rows * out_dim);
                         let sout = next_slot();
                         ops.push(OpI8::Dense {
@@ -404,7 +367,6 @@ impl Plan {
             rows,
             in_cols: cols,
             out_cols: cur_cols,
-            fuse: opts.fuse,
             body: Body::Int8 { ops, arena, scales: vec![0.0; slots] },
             stats,
         })
@@ -430,10 +392,9 @@ impl Plan {
         self.stats
     }
 
-    /// Executes the plan: `out` becomes exactly what the dynamic path
-    /// (`forward_eval`) would return for `x`, bit for bit. Steady-state
-    /// calls perform no heap allocation (`out` is resized on first use
-    /// and reused after).
+    /// Executes the plan: `out` becomes exactly what `forward_eval`
+    /// returns for `x`, bit for bit. Steady-state calls perform no heap
+    /// allocation (`out` is resized on first use and reused after).
     ///
     /// # Panics
     ///
@@ -449,10 +410,10 @@ impl Plan {
         out.resize_to(self.rows, self.out_cols);
         match (&mut self.body, model) {
             (Body::F32 { ops, arena }, PlanModel::F32(seq)) => {
-                run_f32(ops, arena, seq, self.rows, self.fuse, x, out);
+                run_f32(ops, arena, seq, self.rows, x, out);
             }
             (Body::Int8 { ops, arena, scales }, PlanModel::Int8(q)) => {
-                run_i8(ops, arena, scales, q, self.rows, self.fuse, x, out);
+                run_i8(ops, arena, scales, q, self.rows, x, out);
             }
             _ => panic!("plan precision does not match the model"),
         }
@@ -489,7 +450,6 @@ fn run_f32(
     arena: &mut Arena<f32>,
     seq: &Sequential,
     rows: usize,
-    fuse: bool,
     x: &Matrix,
     out: &mut Matrix,
 ) {
@@ -498,7 +458,7 @@ fn run_f32(
             OpF32::Dense { layer, src, dst } => {
                 let d: &Dense = expect_layer(seq, *layer, "dense");
                 let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), *src, *dst);
-                d.eval_slice_into(rows, xs, os, fuse);
+                d.eval_slice_into(rows, xs, os);
             }
             OpF32::Gru { layer, src, dst, cache } => {
                 let g: &Gru = expect_layer(seq, *layer, "gru");
@@ -520,14 +480,12 @@ fn run_f32(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_i8(
     ops: &mut [OpI8],
     arena: &mut Arena<i8>,
     scales: &mut [f32],
     q: &QuantizedModel,
     rows: usize,
-    fuse: bool,
     x: &Matrix,
     out: &mut Matrix,
 ) {
@@ -539,7 +497,6 @@ fn run_i8(
     for op in ops.iter_mut() {
         match op {
             OpI8::Quantize { dst, slot } => {
-                // same arithmetic as the dynamic path's QAct::quantize
                 let scale = symmetric_scale(x.max_abs());
                 scales[*slot] = scale;
                 for (b, &v) in arena.slice_mut(*dst).iter_mut().zip(x.as_slice()) {
@@ -548,25 +505,18 @@ fn run_i8(
             }
             OpI8::Dense { layer, src, dst, sin, sout, bq, acc, values } => {
                 let d = dense_at(*layer);
-                let x_scale = scales[*sin];
-                d.fill_bias_acc(x_scale, bq);
                 let (xs, os) = arena.read_write(*src, *dst);
-                scales[*sout] = if fuse {
-                    d.forward_q_fused(rows, xs, x_scale, bq, acc, values, os)
-                } else {
-                    d.forward_q_into(rows, xs, x_scale, bq, acc, os)
-                };
+                let max_abs = d.eval_into(rows, xs, scales[*sin], bq, acc, values);
+                let scale = symmetric_scale(max_abs);
+                for (slot, &v) in os.iter_mut().zip(values.iter()) {
+                    *slot = quantize_value(v, scale);
+                }
+                scales[*sout] = scale;
             }
             OpI8::DenseLast { layer, src, sin, bq, acc } => {
                 let d = dense_at(*layer);
-                let x_scale = scales[*sin];
-                d.fill_bias_acc(x_scale, bq);
                 let xs = arena.slice(*src);
-                if fuse {
-                    d.forward_f32_fused(rows, xs, x_scale, bq, acc, out.as_mut_slice());
-                } else {
-                    d.forward_f32_into(rows, xs, x_scale, bq, acc, out.as_mut_slice());
-                }
+                d.eval_into(rows, xs, scales[*sin], bq, acc, out.as_mut_slice());
             }
             OpI8::Gru { layer, src, sin, dst, ws } => {
                 let g = match &layers[*layer] {
@@ -719,7 +669,7 @@ impl PlanCache {
     /// Runs `x` through the cached plan for `(version, x.shape())`,
     /// compiling one on first sight. Returns what happened; on
     /// [`PlanLookup::Rejected`] nothing ran and the caller falls back to
-    /// the dynamic path. `retain` is consulted only on eviction: entries
+    /// `forward_eval`. `retain` is consulted only on eviction: entries
     /// whose version it rejects are dropped to make room.
     pub fn run(
         &mut self,
@@ -727,7 +677,6 @@ impl PlanCache {
         model: PlanModel<'_>,
         x: &Matrix,
         out: &mut Matrix,
-        opts: PlanOptions,
         retain: impl Fn(u64) -> bool,
     ) -> PlanLookup {
         let key = (version, x.rows(), x.cols());
@@ -743,7 +692,7 @@ impl PlanCache {
         if self.plans.len() >= self.cap {
             self.plans.retain(|&(v, _, _), _| v == version || retain(v));
         }
-        let compiled = Plan::compile(model, x.rows(), x.cols(), opts).ok();
+        let compiled = Plan::compile(model, x.rows(), x.cols(), PlanOptions::default()).ok();
         match self.plans.entry(key).or_insert(compiled) {
             Some(plan) => {
                 plan.run(model, x, out);

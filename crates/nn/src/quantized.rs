@@ -26,45 +26,25 @@
 //! scale × weight scale vs. hidden scale × recurrent scale), so there is
 //! no single integer domain to fold the bias into.
 
-use crate::activation::Activation;
+use crate::activation::{sigmoid, Activation};
 use crate::dense::Dense;
 use crate::gru::Gru;
 use crate::layer::LayerInfo;
 use crate::lstm::Lstm;
+use crate::plan::{Plan, PlanModel, PlanOptions};
 use crate::sequential::Sequential;
-use mdl_tensor::quant::{quantize_value, symmetric_scale, Int8Matrix};
+use mdl_tensor::quant::{quantize_value, Int8Matrix};
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
 
 /// Fixed quantization scale for recurrent hidden states (`|h| ≤ 1`).
 pub(crate) const H_SCALE: f32 = 1.0 / 127.0;
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// A per-tensor-quantized activation flowing between quantized layers.
-pub(crate) struct QAct {
-    rows: usize,
-    cols: usize,
-    data: Vec<i8>,
-    scale: f32,
-}
-
-impl QAct {
-    fn quantize(x: &Matrix) -> Self {
-        let scale = symmetric_scale(x.max_abs());
-        let data = x.as_slice().iter().map(|&v| quantize_value(v, scale)).collect();
-        Self { rows: x.rows(), cols: x.cols(), data, scale }
-    }
-}
-
 /// One pass over freshly-drained integer accumulators: folds the
 /// accumulator-domain bias, dequantizes through `x_scale` and the
 /// per-channel weight scales, applies the (monomorphized) activation
-/// into `values`, and returns the running max-abs — exactly the
-/// per-element chain of [`QDense::forward_q_into`]'s two passes, done
-/// once, in the same row-major order.
+/// into `values`, and returns the running max-abs, folded in row-major
+/// order.
 fn drain_values<F: Fn(f32) -> f32>(
     acc: &[i32],
     bq: &[i32],
@@ -102,174 +82,45 @@ impl QDense {
         }
     }
 
-    /// Folds the f32 bias into the accumulator domain for an input scale:
-    /// `bq_j = round(b_j / (s_x · s_w_j))`. `bq` must be `out_dim` long.
-    pub(crate) fn fill_bias_acc(&self, x_scale: f32, bq: &mut [i32]) {
-        for ((slot, &b), &sw) in bq.iter_mut().zip(&self.bias).zip(self.w.scales()) {
-            *slot = (b / (x_scale * sw)).round() as i32;
-        }
-    }
-
-    /// Integer accumulators with the bias already folded in:
-    /// `acc[i][j] = Σ_t xq · wq + bq_j`, so the value domain is recovered
-    /// as `acc · s_x · s_w_j`.
-    fn accumulate_into(&self, rows: usize, x: &[i8], bq: &[i32], acc: &mut [i32]) {
-        let out_dim = self.w.out_dim();
-        self.w.gemm_into(rows, x, acc, false);
-        for row in acc.chunks_mut(out_dim) {
-            for (slot, &b) in row.iter_mut().zip(bq) {
-                *slot = slot.saturating_add(b);
-            }
-        }
-    }
-
-    #[inline]
-    fn value(&self, acc: i32, j: usize, x_scale: f32) -> f32 {
-        self.activation.apply(acc as f32 * x_scale * self.w.scales()[j])
-    }
-
-    /// Unfused quantized forward over raw slices: full GEMM into `acc`,
-    /// then two value passes (scale search, then saturated bytes into
-    /// `out`). Returns the output's dynamic scale. Bit-identical to the
-    /// historical two-pass path; the plan's unfused mode and
-    /// [`QDense::forward_q`] both route here.
-    pub(crate) fn forward_q_into(
+    /// The layer's whole forward pass over raw slices: folds the f32 bias
+    /// into the accumulator domain for this input scale
+    /// (`bq_j = round(b_j / (s_x · s_w_j))`), fills `acc` with one
+    /// dispatched full-batch GEMM, then a single drain pass writes
+    /// `act((acc + bq_j) · s_x · s_w_j)` into `values` (`rows × out`).
+    /// Returns the values' max-abs — what a mid-stack caller requantizes
+    /// by; the final layer's `values` are the model's f32 logits.
+    pub(crate) fn eval_into(
         &self,
         rows: usize,
         x: &[i8],
         x_scale: f32,
-        bq: &[i32],
-        acc: &mut [i32],
-        out: &mut [i8],
-    ) -> f32 {
-        let out_dim = self.w.out_dim();
-        self.accumulate_into(rows, x, bq, acc);
-        let mut max_abs = 0.0f32;
-        for (idx, &a) in acc.iter().enumerate() {
-            max_abs = max_abs.max(self.value(a, idx % out_dim, x_scale).abs());
-        }
-        let scale = symmetric_scale(max_abs);
-        for ((slot, &a), idx) in out.iter_mut().zip(acc.iter()).zip(0..) {
-            *slot = quantize_value(self.value(a, idx % out_dim, x_scale), scale);
-        }
-        scale
-    }
-
-    /// Fused quantized forward: one dispatched GEMM fills the integer
-    /// accumulators, then a single monomorphized drain pass folds the
-    /// bias, dequantizes, applies the activation and tracks the running
-    /// max — the dequant+activation happen in the accumulator drain, with
-    /// no separate bias pass and no value recompute. Bit-identical to
-    /// [`QDense::forward_q_into`]: identical integer accumulation,
-    /// identical f32 value chain, identical row-major max fold.
-    #[allow(clippy::too_many_arguments)] // mirrors `forward_q_into` plus the drain buffer
-    pub(crate) fn forward_q_fused(
-        &self,
-        rows: usize,
-        x: &[i8],
-        x_scale: f32,
-        bq: &[i32],
+        bq: &mut [i32],
         acc: &mut [i32],
         values: &mut [f32],
-        out: &mut [i8],
     ) -> f32 {
-        let out_dim = self.w.out_dim();
+        let (out_dim, scales) = (self.w.out_dim(), self.w.scales());
+        for ((slot, &b), &sw) in bq.iter_mut().zip(&self.bias).zip(scales) {
+            *slot = (b / (x_scale * sw)).round() as i32;
+        }
         self.w.gemm_into(rows, x, acc, false);
         // one arm per activation so the per-element apply constant-folds
-        let max_abs = match self.activation {
-            Activation::Identity => {
-                drain_values(acc, bq, self.w.scales(), x_scale, out_dim, values, |v| v)
-            }
-            Activation::Relu => {
-                drain_values(acc, bq, self.w.scales(), x_scale, out_dim, values, |v| {
-                    Activation::Relu.apply(v)
-                })
-            }
+        match self.activation {
+            Activation::Identity => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| v),
+            Activation::Relu => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| {
+                Activation::Relu.apply(v)
+            }),
             Activation::LeakyRelu(alpha) => {
-                drain_values(acc, bq, self.w.scales(), x_scale, out_dim, values, move |v| {
+                drain_values(acc, bq, scales, x_scale, out_dim, values, move |v| {
                     Activation::LeakyRelu(alpha).apply(v)
                 })
             }
-            Activation::Sigmoid => {
-                drain_values(acc, bq, self.w.scales(), x_scale, out_dim, values, |v| {
-                    Activation::Sigmoid.apply(v)
-                })
-            }
-            Activation::Tanh => {
-                drain_values(acc, bq, self.w.scales(), x_scale, out_dim, values, |v| {
-                    Activation::Tanh.apply(v)
-                })
-            }
-        };
-        let scale = symmetric_scale(max_abs);
-        for (slot, &v) in out.iter_mut().zip(values.iter()) {
-            *slot = quantize_value(v, scale);
+            Activation::Sigmoid => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| {
+                Activation::Sigmoid.apply(v)
+            }),
+            Activation::Tanh => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| {
+                Activation::Tanh.apply(v)
+            }),
         }
-        scale
-    }
-
-    /// Unfused final-layer forward: rescales straight to f32 logits.
-    pub(crate) fn forward_f32_into(
-        &self,
-        rows: usize,
-        x: &[i8],
-        x_scale: f32,
-        bq: &[i32],
-        acc: &mut [i32],
-        out: &mut [f32],
-    ) {
-        let out_dim = self.w.out_dim();
-        self.accumulate_into(rows, x, bq, acc);
-        for ((slot, &a), idx) in out.iter_mut().zip(acc.iter()).zip(0..) {
-            *slot = self.value(a, idx % out_dim, x_scale);
-        }
-    }
-
-    /// Fused final-layer forward: one dispatched GEMM, then a single
-    /// drain pass writes dequantized, activated logits straight into
-    /// `out` — no separate bias pass, no second value pass.
-    pub(crate) fn forward_f32_fused(
-        &self,
-        rows: usize,
-        x: &[i8],
-        x_scale: f32,
-        bq: &[i32],
-        acc: &mut [i32],
-        out: &mut [f32],
-    ) {
-        let out_dim = self.w.out_dim();
-        self.w.gemm_into(rows, x, acc, false);
-        for (row, orow) in acc.chunks_exact(out_dim).zip(out.chunks_exact_mut(out_dim)) {
-            for ((&a, o), (&bqj, j)) in row.iter().zip(orow).zip(bq.iter().zip(0..)) {
-                *o = self.value(a.saturating_add(bqj), j, x_scale);
-            }
-        }
-    }
-
-    /// Two passes over the accumulators: pass 1 finds the output's
-    /// dynamic scale, pass 2 writes the saturated bytes. No f32 matrix
-    /// is ever materialized.
-    fn forward_q(&self, x: &QAct) -> QAct {
-        assert_eq!(x.cols, self.w.in_dim(), "quantized dense input width mismatch");
-        let out_dim = self.w.out_dim();
-        let mut bq = vec![0i32; out_dim];
-        self.fill_bias_acc(x.scale, &mut bq);
-        let mut acc = vec![0i32; x.rows * out_dim];
-        let mut data = vec![0i8; x.rows * out_dim];
-        let scale = self.forward_q_into(x.rows, &x.data, x.scale, &bq, &mut acc, &mut data);
-        QAct { rows: x.rows, cols: out_dim, data, scale }
-    }
-
-    /// Final-layer variant: rescales straight to f32 logits.
-    fn forward_f32(&self, x: &QAct) -> Matrix {
-        assert_eq!(x.cols, self.w.in_dim(), "quantized dense input width mismatch");
-        let out_dim = self.w.out_dim();
-        let mut bq = vec![0i32; out_dim];
-        self.fill_bias_acc(x.scale, &mut bq);
-        let mut acc = vec![0i32; x.rows * out_dim];
-        let mut out = Matrix::zeros(x.rows, out_dim);
-        self.forward_f32_into(x.rows, &x.data, x.scale, &bq, &mut acc, out.as_mut_slice());
-        out
     }
 
     fn info(&self) -> LayerInfo {
@@ -289,8 +140,7 @@ impl QDense {
 }
 
 /// Reusable workspace for [`QGru::scan_ws`]: the pre-sliced per-sequence
-/// buffers the recurrence runs in, owned by the caller (the dynamic path
-/// allocates one per call, the plan executor keeps one per op).
+/// buffers the recurrence runs in, owned by the plan op that scans.
 #[derive(Default)]
 pub(crate) struct QGruWs {
     /// Whole-sequence gate bases `[r, z, h̃]`, each `T × h`.
@@ -368,9 +218,7 @@ impl QGru {
 
     /// Runs the recurrence in a caller-owned workspace, writing the f32
     /// hidden states (`T × h`) into `states` and/or the fixed-scale int8
-    /// states into `states_q` when provided. Both the dynamic
-    /// [`QGru::scan`] and the plan executor route here, so the two paths
-    /// are one implementation (and bit-identical by construction).
+    /// states into `states_q` when provided.
     pub(crate) fn scan_ws(
         &self,
         t_len: usize,
@@ -423,25 +271,6 @@ impl QGru {
                 sq[t * h_dim..(t + 1) * h_dim].copy_from_slice(h_q);
             }
         }
-    }
-
-    /// Runs the recurrence; returns the f32 hidden states (`T × h`) and
-    /// the same states as the fixed-scale int8 tensor fed onward.
-    fn scan(&self, x: &QAct) -> (Matrix, QAct) {
-        assert_eq!(x.cols, self.wx[0].in_dim(), "quantized GRU input width mismatch");
-        let (t_len, h_dim) = (x.rows, self.wx[0].out_dim());
-        let mut ws = QGruWs::default();
-        let mut states = Matrix::zeros(t_len, h_dim);
-        let mut states_q = vec![0i8; t_len * h_dim];
-        self.scan_ws(
-            t_len,
-            &x.data,
-            x.scale,
-            &mut ws,
-            Some(states.as_mut_slice()),
-            Some(&mut states_q),
-        );
-        (states, QAct { rows: t_len, cols: h_dim, data: states_q, scale: H_SCALE })
     }
 
     fn info(&self) -> LayerInfo {
@@ -531,8 +360,7 @@ impl QLstm {
     }
 
     /// Runs the recurrence in a caller-owned workspace — the LSTM
-    /// counterpart of [`QGru::scan_ws`], shared by the dynamic and plan
-    /// paths.
+    /// counterpart of [`QGru::scan_ws`].
     pub(crate) fn scan_ws(
         &self,
         t_len: usize,
@@ -582,23 +410,6 @@ impl QLstm {
         }
     }
 
-    fn scan(&self, x: &QAct) -> (Matrix, QAct) {
-        assert_eq!(x.cols, self.wx[0].in_dim(), "quantized LSTM input width mismatch");
-        let (t_len, h_dim) = (x.rows, self.wx[0].out_dim());
-        let mut ws = QLstmWs::default();
-        let mut states = Matrix::zeros(t_len, h_dim);
-        let mut states_q = vec![0i8; t_len * h_dim];
-        self.scan_ws(
-            t_len,
-            &x.data,
-            x.scale,
-            &mut ws,
-            Some(states.as_mut_slice()),
-            Some(&mut states_q),
-        );
-        (states, QAct { rows: t_len, cols: h_dim, data: states_q, scale: H_SCALE })
-    }
-
     fn info(&self) -> LayerInfo {
         let (d, h) = (self.wx[0].in_dim(), self.wx[0].out_dim());
         LayerInfo {
@@ -625,22 +436,6 @@ pub(crate) enum QLayer {
 }
 
 impl QLayer {
-    fn forward_q(&self, x: &QAct) -> QAct {
-        match self {
-            QLayer::Dense(d) => d.forward_q(x),
-            QLayer::Gru(g) => g.scan(x).1,
-            QLayer::Lstm(l) => l.scan(x).1,
-        }
-    }
-
-    fn forward_f32(&self, x: &QAct) -> Matrix {
-        match self {
-            QLayer::Dense(d) => d.forward_f32(x),
-            QLayer::Gru(g) => g.scan(x).0,
-            QLayer::Lstm(l) => l.scan(x).0,
-        }
-    }
-
     pub(crate) fn info(&self) -> LayerInfo {
         match self {
             QLayer::Dense(d) => d.info(),
@@ -728,14 +523,27 @@ impl QuantizedModel {
         Self { layers }
     }
 
-    /// Read-only quantized forward pass; returns f32 logits.
+    /// Read-only quantized forward pass; returns f32 logits. Compiles a
+    /// [`Plan`] for `x`'s shape and runs it once, so this is the same
+    /// code a cached serving plan replays; callers with a stable shape
+    /// keep their own plan to skip the per-call compile.
+    ///
+    /// A zero-row input yields an empty `0 × out_dim` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`'s width is not [`QuantizedModel::input_dim`].
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
-        let (last, head) = self.layers.split_last().expect("non-empty model");
-        let mut act = QAct::quantize(x);
-        for layer in head {
-            act = layer.forward_q(&act);
+        if x.rows() == 0 {
+            let out_dim = self.layers.last().expect("non-empty model").info().out_dim;
+            return Matrix::zeros(0, out_dim);
         }
-        last.forward_f32(&act)
+        let model = PlanModel::Int8(self);
+        let mut plan = Plan::compile(model, x.rows(), x.cols(), PlanOptions::default())
+            .unwrap_or_else(|e| panic!("quantized model input width mismatch: {e}"));
+        let mut out = Matrix::default();
+        plan.run(model, x, &mut out);
+        out
     }
 
     /// Class probabilities (softmax over the final layer's outputs).
@@ -870,6 +678,24 @@ mod tests {
         let a = q.forward_eval(&x);
         let b = q.forward_eval(&x);
         assert!(a.as_slice().iter().zip(b.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+
+    #[test]
+    fn zero_row_input_yields_an_empty_output() {
+        let mut net = dense_net(3);
+        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let empty = Matrix::zeros(0, 12);
+        assert_eq!(q.forward_eval(&empty).shape(), (0, 4));
+        assert!(q.predict(&empty).is_empty());
+        assert_eq!(q.accuracy(&empty, &[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "input width mismatch: layer 0 expects width 12, plan feeds 5")]
+    fn wrong_input_width_panics_with_expected_and_got() {
+        let mut net = dense_net(3);
+        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let _ = q.forward_eval(&probe(2, 5));
     }
 
     #[test]

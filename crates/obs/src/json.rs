@@ -1,9 +1,8 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The workspace vendors a marker-only `serde` stub (derives expand to
-//! nothing), so snapshots serialize through this module instead. It is
-//! deliberately small: objects preserve insertion order, numbers are
-//! written with Rust's shortest round-trip `f64` formatting (so
+//! The workspace carries no serialization framework, so snapshots
+//! serialize through this module. It is deliberately small: objects
+//! preserve insertion order, numbers are written with Rust's shortest round-trip `f64` formatting (so
 //! format→parse restores the exact bits for finite values), and the
 //! parser accepts exactly the subset the writer emits plus ordinary
 //! whitespace. Non-finite numbers are rejected at write time — snapshots

@@ -38,7 +38,7 @@
 
 use crate::loadgen::RequestRecord;
 use crate::slo::SloClass;
-use mdl_nn::{negotiated_rows, Layer, PlanCache, PlanLookup, PlanModel, PlanOptions, Sequential};
+use mdl_nn::{negotiated_rows, Layer, PlanCache, PlanLookup, PlanModel, Sequential};
 use mdl_obs::{Buckets, Obs};
 use mdl_tensor::Matrix;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -510,7 +510,6 @@ impl<'a> FleetEngine<'a> {
             PlanModel::F32(self.model),
             batch_x,
             batch_out,
-            PlanOptions::default(),
             |_| true,
         );
         if lookup.ran() {

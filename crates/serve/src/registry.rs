@@ -13,14 +13,15 @@ use mdl_tensor::Matrix;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// The executable form a registry version holds: the f32 eval path or
-/// the int8 quantized path. Both are read-only at inference time, so a
+/// The executable form a registry version holds: an f32 network or its
+/// int8 quantization. Both are read-only at inference time, so a
 /// registry can hot-swap freely between precisions of the same model.
 pub enum ModelVariant {
     /// Full-precision network on the [`mdl_nn::Layer::forward_eval`] path.
     F32(Sequential),
-    /// Int8 network on the [`mdl_nn::QuantizedModel`] path: every matrix
-    /// product runs in the int8 SIMD kernel, no f32 weight round-trip.
+    /// Int8 network evaluated through [`mdl_nn::Plan`] (cached by the
+    /// workers, compiled per call by `forward_eval`): every matrix product
+    /// runs in the int8 SIMD kernel, no f32 weight round-trip.
     Int8(QuantizedModel),
 }
 

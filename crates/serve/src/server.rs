@@ -24,7 +24,7 @@ use crate::slo::SloClass;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mdl_compress::CompressedModel;
 use mdl_nn::saved::LoadModelError;
-use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, PlanOptions, QuantizedModel, Sequential};
+use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, QuantizedModel, Sequential};
 use mdl_obs::Obs;
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
@@ -489,7 +489,7 @@ fn plan_model(model: &ModelVariant) -> PlanModel<'_> {
 /// `(version, shape)`, compiling one on first sight (see
 /// [`mdl_nn::PlanCache`] — rejections are cached too, so the planner
 /// runs once per key, not once per batch). Returns `false` when the
-/// model can't be planned and the caller falls back to the dynamic path.
+/// model can't be planned and the caller falls back to `forward_eval`.
 fn run_planned(
     plans: &mut PlanCache,
     out: &mut Matrix,
@@ -498,14 +498,8 @@ fn run_planned(
     shared: &Shared,
 ) -> bool {
     let pinned = shared.registry.pinned_version();
-    let lookup = plans.run(
-        snapshot.version,
-        plan_model(&snapshot.model),
-        x,
-        out,
-        PlanOptions::default(),
-        |v| Some(v) == pinned,
-    );
+    let lookup =
+        plans.run(snapshot.version, plan_model(&snapshot.model), x, out, |v| Some(v) == pinned);
     match lookup {
         PlanLookup::Hit => shared.metrics.record_plan_hit(),
         PlanLookup::Compiled(stats) => shared.metrics.record_plan_miss(Some(stats)),
@@ -545,16 +539,16 @@ fn worker_loop(batches: Receiver<Batch>, shared: Arc<Shared>) {
             // Whole-model batches run on a shape-specialized plan
             // (compiled once per version × batch shape, zero-alloc and
             // kernel-fused thereafter); mid-network resume and unplannable
-            // models keep the dynamic path. Results are bit-identical.
+            // models evaluate per layer. Results are bit-identical.
             let planned = batch.entry_layer == 0
                 && width > 0
                 && run_planned(&mut plans, &mut planned_out, &snapshot, &x, &shared);
-            let dynamic;
+            let unplanned;
             let scores = if planned {
                 &planned_out
             } else {
-                dynamic = variant_eval_from(&snapshot.model, &x, batch.entry_layer);
-                &dynamic
+                unplanned = variant_eval_from(&snapshot.model, &x, batch.entry_layer);
+                &unplanned
             };
             let probs = softmax_rows(scores);
             for (r, job) in batch.jobs.into_iter().enumerate() {

@@ -12,13 +12,12 @@
 //!   `[min_size, max_size]` and the eligible count.
 
 use crate::seed::keyed_hash;
-use serde::{Deserialize, Serialize};
 
 /// Domain separator so cohort ranks never alias fault or training draws.
 const COHORT_DOMAIN: u64 = 0xC0_0847_0000_0000;
 
 /// How many eligible clients to select each round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortSpec {
     /// Fraction `C` of the eligible set to select.
     pub fraction: f64,

@@ -29,7 +29,6 @@ use mdl_obs::{Counter, Obs, Span};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 // Domain separators: link jitter, local-training seeds and edge
 // assignment must never alias each other or the fault/cohort streams.
@@ -126,12 +125,12 @@ where
             .collect();
         let params_ref = &params;
         let train_ref = &train;
-        let results: Vec<Option<LocalUpdate>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Option<LocalUpdate>> = std::thread::scope(|scope| {
             let handles: Vec<_> = selected
                 .iter()
                 .zip(fates.iter().zip(reached.iter()))
                 .map(|(&c, (&(seed, fails), &reached))| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         if fails || !reached {
                             return None;
                         }
@@ -140,8 +139,7 @@ where
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-        })
-        .expect("client scope");
+        });
 
         let mut agg = BufferedAggregator::new();
         for (&c, update) in selected.iter().zip(results) {
@@ -182,7 +180,7 @@ where
 }
 
 /// How cohort traffic reaches the server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Topology {
     /// Every client talks to the server directly.
     Flat,
@@ -199,7 +197,7 @@ pub enum Topology {
 }
 
 /// Parameters of a population-scale simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Federation rounds to run.
     pub rounds: usize,
@@ -316,7 +314,7 @@ where
 }
 
 /// One round of a population run, as observed by the server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundOutcome {
     /// Round index (1-based).
     pub round: usize,
@@ -542,20 +540,19 @@ pub fn run_population<T: ClientTrainer>(
                 let wave = cfg.wave.max(1);
                 let params_ref = &params;
                 for (w, chunk) in delivered.chunks(wave).enumerate() {
-                    let results: Vec<Vec<f32>> = crossbeam::thread::scope(|scope| {
+                    let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
                         let handles: Vec<_> = chunk
                             .iter()
                             .map(|&(id, _)| {
                                 let seed = keyed_hash(cfg.seed ^ TRAIN_DOMAIN, round as u64, id);
-                                scope.spawn(move |_| trainer.train(id, seed, params_ref))
+                                scope.spawn(move || trainer.train(id, seed, params_ref))
                             })
                             .collect();
                         handles
                             .into_iter()
                             .map(|h| h.join().expect("client thread panicked"))
                             .collect()
-                    })
-                    .expect("client scope");
+                    });
                     for (i, (values, &(id, _))) in results.iter().zip(chunk.iter()).enumerate() {
                         agg.accumulate(w * wave + i, values, trainer.num_examples(id));
                     }

@@ -12,7 +12,6 @@
 
 use crate::seed::SeedStream;
 use mdl_mobile::{AvailabilityProfile, DeviceProfile, NetworkProfile};
-use serde::{Deserialize, Serialize};
 
 /// Domain separators for the per-client draw streams.
 const CLASS_DOMAIN: u64 = 0xC1A5_5000_0000_0000;
@@ -25,7 +24,7 @@ const MIN_DWELL_NS: u64 = 1_000_000; // 1 ms
 
 /// One stratum of the population: a device tier, its availability
 /// dynamics and its radio, weighted by prevalence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientClass {
     /// Relative prevalence (normalised over the spec's classes).
     pub weight: f64,
@@ -38,7 +37,7 @@ pub struct ClientClass {
 }
 
 /// Declarative description of a population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationSpec {
     /// Number of clients.
     pub size: u64,

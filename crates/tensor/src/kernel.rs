@@ -47,7 +47,7 @@
 //! # Threading model
 //!
 //! Row panels are split into contiguous chunks, one per worker, spawned
-//! on vendored crossbeam scoped threads. The worker count comes from
+//! on `std::thread::scope` threads. The worker count comes from
 //! [`threads`] (the `MDL_THREADS` environment variable, defaulting to the
 //! machine's available parallelism) and can be overridden at runtime with
 //! [`set_threads`]. Products smaller than a fixed flop threshold, and all
@@ -211,9 +211,9 @@ pub fn gemm(
 /// The bias *seeds* each output row before accumulation — the exact
 /// protocol of `Matrix::matmul_bias_into` — and the optional epilogue
 /// (the activation) is applied to each row right after its accumulation
-/// completes, replacing the separate `map_mut` sweep of the dynamic
-/// path. Both choices keep the result **bit-identical** to the unfused
-/// `matmul_bias_into` + elementwise-activation sequence: the dispatch
+/// completes, replacing a separate `map_mut` sweep. Both choices keep
+/// the result **bit-identical** to the unfused `matmul_bias_into` +
+/// elementwise-activation sequence: the dispatch
 /// between the small and blocked paths depends only on the shapes (the
 /// same rule as [`gemm`]), the accumulation order per element is
 /// unchanged, and the epilogue touches each element exactly once after
@@ -534,7 +534,7 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
         // performed for a panel, so any split gives identical bits.
         let per = panels.div_ceil(nt);
         let pb_ref: &[f32] = pb;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut rest: &mut [f32] = out;
             let mut row0 = 0usize;
             for t in 0..nt {
@@ -547,13 +547,12 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
                 let (mine, tail) = rest.split_at_mut((rows_end - row0) * n);
                 rest = tail;
                 row0 = rows_end;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ap = Vec::new();
                     run_row_panels(ta, m, n, k, a, pb_ref, mine, p_lo, p_hi, acc, &mut ap, epi);
                 });
             }
-        })
-        .expect("gemm worker scope");
+        });
     });
 }
 
@@ -647,7 +646,7 @@ mod tests {
     }
 
     /// The fused bias-seed + epilogue entry must be bit-identical to the
-    /// dynamic three-step sequence (seed bias rows, accumulate, map) on
+    /// unfused three-step sequence (seed bias rows, accumulate, map) on
     /// both the small and the blocked/threaded dispatch paths.
     #[test]
     fn fused_bias_act_matches_unfused_bitwise() {

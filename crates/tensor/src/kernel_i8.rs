@@ -126,41 +126,6 @@ pub fn gemm_i8(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut [i32
     scalar_loop(m, n, k, a, bt, out, acc)
 }
 
-/// Fused-epilogue drive: computes one output row of `i32` accumulators
-/// at a time into the caller's `row_acc` scratch (length `n`) and hands
-/// each completed row to `drain(i, row_acc)` while it is still
-/// cache-hot, instead of materialising the full `m × n` accumulator
-/// matrix. This is how planned execution folds the int8 bias-add,
-/// dequantize and activation into the accumulator drain with no extra
-/// pass over an `m × n` intermediate.
-///
-/// Each row is produced by the same dispatched kernel as [`gemm_i8`]
-/// with `m = 1`, and integer accumulation is exact, so the values handed
-/// to `drain` are bit-identical to the corresponding row of a full
-/// [`gemm_i8`] call.
-///
-/// # Panics
-///
-/// Panics on slice/shape mismatches or `k >` [`MAX_K`].
-pub fn gemm_i8_row_drain(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    bt: &[i8],
-    row_acc: &mut [i32],
-    mut drain: impl FnMut(usize, &mut [i32]),
-) {
-    assert!(k <= MAX_K, "int8 GEMM depth {k} could overflow i32 (max {MAX_K})");
-    assert_eq!(a.len(), m * k, "A must be m×k");
-    assert_eq!(bt.len(), n * k, "Bᵀ must be n×k");
-    assert_eq!(row_acc.len(), n, "row scratch must be n wide");
-    for i in 0..m {
-        gemm_i8(1, n, k, &a[i * k..(i + 1) * k], bt, row_acc, false);
-        drain(i, row_acc);
-    }
-}
-
 /// The pinned scalar path: identical shape contract to [`gemm_i8`],
 /// guaranteed to use no SIMD dispatch. Public so the equality tests (and
 /// the CI `quantized` job) can compare it against the dispatched path
@@ -476,22 +441,6 @@ mod tests {
         gemm_i8_scalar(m, n, k, &a, &bt, &mut scalar, false);
         gemm_i8_ref(m, n, k, &a, &bt, &mut reference, false);
         assert_eq!(scalar, reference);
-    }
-
-    #[test]
-    fn row_drain_matches_full_gemm_bitwise() {
-        for &(m, n, k) in &[(1, 1, 1), (3, 5, 7), (4, 16, 33), (7, 13, 65)] {
-            let a = fill(m * k, 51 + k as u64);
-            let bt = fill(n * k, 77 + m as u64);
-            let mut full = vec![0i32; m * n];
-            gemm_i8(m, n, k, &a, &bt, &mut full, false);
-            let mut row_acc = vec![0i32; n];
-            let mut drained = vec![0i32; m * n];
-            gemm_i8_row_drain(m, n, k, &a, &bt, &mut row_acc, |i, row| {
-                drained[i * n..(i + 1) * n].copy_from_slice(row);
-            });
-            assert_eq!(drained, full, "drained rows != full gemm at {m}x{n}x{k}");
-        }
     }
 
     #[test]

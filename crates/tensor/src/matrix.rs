@@ -7,7 +7,6 @@
 //! message rather than being silently broadcast.
 
 use crate::kernel::{self, Trans};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major matrix of `f32` values.
@@ -21,7 +20,7 @@ use std::fmt;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -153,27 +153,6 @@ impl Int8Matrix {
         int8::gemm_i8(m, self.out_dim, self.in_dim, x, &self.data, out, acc);
     }
 
-    /// Row-streaming variant of [`Int8Matrix::gemm_into`]: each input
-    /// row's accumulators land in the `out_dim`-wide `row_acc` scratch and
-    /// are handed to `drain(i, row_acc)` before the next row is computed,
-    /// so bias fold / dequantize / activation fuse into the drain and no
-    /// `m × out_dim` `i32` buffer ever exists. Accumulators are
-    /// bit-identical to the full GEMM
-    /// ([`crate::kernel::int8::gemm_i8_row_drain`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `m × in_dim` or `row_acc` is not `out_dim`.
-    pub fn gemm_row_drain(
-        &self,
-        m: usize,
-        x: &[i8],
-        row_acc: &mut [i32],
-        drain: impl FnMut(usize, &mut [i32]),
-    ) {
-        int8::gemm_i8_row_drain(m, self.out_dim, self.in_dim, x, &self.data, row_acc, drain);
-    }
-
     /// Reconstructs the `in × out` f32 matrix (diagnostics only — the
     /// inference path never calls this).
     pub fn dequantize(&self) -> Matrix {

@@ -1,14 +1,17 @@
-//! Planned-executor correctness: a compiled [`Plan`] must be
-//! **bit-identical** to the dynamic eval path — for arbitrary
-//! Dense/Dropout/GRU/LSTM stacks, batch shapes, fusion settings, kernel
-//! thread counts, and both precisions — and the serving tier's
-//! per-version plan cache must recompile across hot swaps so swapped-in
-//! models are served exactly.
+//! Planned-executor correctness: a compiled f32 [`Plan`] must be
+//! **bit-identical** to per-layer `forward_eval` for arbitrary
+//! Dense/Dropout/GRU/LSTM stacks, batch shapes and kernel thread counts;
+//! the int8 plan — the only int8 evaluator — must match a naive
+//! triple-loop reference written here from public pieces; and the
+//! serving tier's per-version plan cache must recompile across hot swaps
+//! so swapped-in models are served exactly.
 
 use mdl_core::nn::{Dropout, Lstm};
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel;
+use mdl_core::tensor::quant::{quantize_value, symmetric_scale};
 use proptest::prelude::*;
+use rand::Rng;
 use std::sync::Mutex;
 
 /// `kernel::set_threads` is process-global; tests that touch it serialize.
@@ -47,19 +50,6 @@ fn kind_strategy() -> impl Strategy<Value = LayerKind> {
     (0u64..1_000_000).prop_map(decode_kind)
 }
 
-/// Dense/GRU/LSTM only — the quantizable subset.
-fn quant_kind_strategy() -> impl Strategy<Value = LayerKind> {
-    (0u64..1_000_000).prop_map(|code| {
-        let w = 1 + (code / 16 % 9) as usize;
-        let h = 1 + (code / 16 % 6) as usize;
-        match code % 3 {
-            0 => LayerKind::Dense(w, Activation::Relu),
-            1 => LayerKind::Gru(h),
-            _ => LayerKind::Lstm(h),
-        }
-    })
-}
-
 fn build(stack: &[LayerKind], in_dim: usize, seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = Sequential::new();
@@ -94,25 +84,80 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+type DenseParts = Vec<(Int8Matrix, Vec<f32>, Activation)>;
+
+/// Random all-Dense int8 stack over `widths` (input width first).
+fn int8_parts(widths: &[usize], acts: &[u8], seed: u64) -> DenseParts {
+    let mut rng = StdRng::seed_from_u64(seed);
+    widths
+        .windows(2)
+        .zip(acts)
+        .map(|(w, &act)| {
+            let (k, n) = (w[0], w[1]);
+            let data = (0..n * k).map(|_| rng.gen_range(-127i8..=127)).collect();
+            let scales = (0..n).map(|_| rng.gen_range(0.001f32..0.05)).collect();
+            let bias = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let act = match act {
+                0 => Activation::Identity,
+                1 => Activation::Relu,
+                2 => Activation::LeakyRelu(0.1),
+                3 => Activation::Sigmoid,
+                _ => Activation::Tanh,
+            };
+            (Int8Matrix::from_channel_rows(n, k, data, scales), bias, act)
+        })
+        .collect()
+}
+
+/// The int8 dense forward pass spelled out naively: quantize the input
+/// per tensor, then per layer accumulate in `i32`, fold the bias into
+/// the accumulator domain (saturating), dequantize, activate, and
+/// requantize by the row-major max-abs. Returns the last layer's values.
+fn naive_int8(parts: &DenseParts, x: &Matrix) -> Vec<f32> {
+    let rows = x.rows();
+    let mut scale = symmetric_scale(x.max_abs());
+    let mut q: Vec<i8> = x.as_slice().iter().map(|&v| quantize_value(v, scale)).collect();
+    let mut values = Vec::new();
+    for (w, bias, act) in parts {
+        let k = w.in_dim();
+        values.clear();
+        let mut max_abs = 0.0f32;
+        for i in 0..rows {
+            for (j, (&b_j, &s_j)) in bias.iter().zip(w.scales()).enumerate() {
+                let mut acc = 0i32;
+                for t in 0..k {
+                    acc += i32::from(q[i * k + t]) * i32::from(w.data()[j * k + t]);
+                }
+                let bq = (b_j / (scale * s_j)).round() as i32;
+                let v = act.apply(acc.saturating_add(bq) as f32 * scale * s_j);
+                max_abs = max_abs.max(v.abs());
+                values.push(v);
+            }
+        }
+        scale = symmetric_scale(max_abs);
+        q = values.iter().map(|&v| quantize_value(v, scale)).collect();
+    }
+    values
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// f32: planned execution (fused and unfused) is bit-for-bit the
-    /// dynamic `forward_eval` result for any supported stack and shape.
+    /// f32: planned execution is bit-for-bit the per-layer `forward_eval`
+    /// result for any supported stack and shape.
     #[test]
     fn planned_f32_matches_dynamic_bitwise(
         stack in prop::collection::vec(kind_strategy(), 1..=4),
         in_dim in 1usize..=7,
         rows in 1usize..=5,
         seed in 0u64..500,
-        fuse in any::<bool>(),
     ) {
         let _guard = KERNEL_LOCK.lock().unwrap();
         kernel::set_threads(1);
         let net = build(&stack, in_dim, seed);
         let x = input(rows, in_dim, seed);
         let dynamic = net.forward_eval(&x);
-        let mut plan = Plan::compile(PlanModel::F32(&net), rows, in_dim, PlanOptions { fuse })
+        let mut plan = Plan::compile(PlanModel::F32(&net), rows, in_dim, PlanOptions::default())
             .expect("supported stack plans");
         let mut out = Matrix::default();
         // run twice: the second pass reuses warmed buffers and must not drift
@@ -121,34 +166,34 @@ proptest! {
         prop_assert_eq!(bits(&dynamic), bits(&out));
     }
 
-    /// int8: the planned quantized path (single-pass fused drain included)
-    /// reproduces the dynamic quantized path exactly.
+    /// int8: the plan reproduces the naive reference exactly, for every
+    /// activation, on a first run and on warmed buffers, and
+    /// `forward_eval` (compile + one run) lands on the same bits.
     #[test]
-    fn planned_int8_matches_dynamic_bitwise(
-        stack in prop::collection::vec(quant_kind_strategy(), 1..=3),
-        in_dim in 1usize..=7,
+    fn planned_int8_matches_naive_reference_bitwise(
+        widths in prop::collection::vec(1usize..=9, 2..=4),
+        acts in prop::collection::vec(0u8..5, 3),
         rows in 1usize..=5,
         seed in 0u64..500,
-        fuse in any::<bool>(),
     ) {
-        let _guard = KERNEL_LOCK.lock().unwrap();
-        kernel::set_threads(1);
-        let mut net = build(&stack, in_dim, seed);
-        let qm = QuantizedModel::from_model(&mut net).expect("quantizable stack");
-        let x = input(rows, in_dim, seed);
-        let dynamic = qm.forward_eval(&x);
-        let mut plan = Plan::compile(PlanModel::Int8(&qm), rows, in_dim, PlanOptions { fuse })
-            .expect("supported stack plans");
+        let parts = int8_parts(&widths, &acts, seed);
+        let x = input(rows, widths[0], seed);
+        let expected: Vec<u32> = naive_int8(&parts, &x).iter().map(|v| v.to_bits()).collect();
+        let qm = QuantizedModel::from_dense_parts(parts);
+        let mut plan = Plan::compile(PlanModel::Int8(&qm), rows, widths[0], PlanOptions::default())
+            .expect("dense stack plans");
         let mut out = Matrix::default();
         plan.run(PlanModel::Int8(&qm), &x, &mut out);
+        prop_assert_eq!(&bits(&out), &expected);
         plan.run(PlanModel::Int8(&qm), &x, &mut out);
-        prop_assert_eq!(bits(&dynamic), bits(&out));
+        prop_assert_eq!(&bits(&out), &expected);
+        prop_assert_eq!(&bits(&qm.forward_eval(&x)), &expected);
     }
 }
 
 /// Large enough (8 × 1024 × 192 ≈ 1.6M MACs) to cross the kernel's
 /// parallel threshold, so the threaded GEMM path actually runs: the plan
-/// must stay bit-identical to the dynamic path at every thread count.
+/// must stay bit-identical to `forward_eval` at every thread count.
 #[test]
 fn planned_matches_dynamic_across_thread_counts() {
     let _guard = KERNEL_LOCK.lock().unwrap();
@@ -163,18 +208,12 @@ fn planned_matches_dynamic_across_thread_counts() {
     for threads in [1, 2, 4, 8] {
         kernel::set_threads(threads);
         let dynamic = net.forward_eval(&x);
-        assert_eq!(bits(&dynamic), reference.clone(), "dynamic diverged at {threads} threads");
-        for fuse in [false, true] {
-            let mut plan =
-                Plan::compile(PlanModel::F32(&net), 8, 192, PlanOptions { fuse }).expect("plans");
-            let mut out = Matrix::default();
-            plan.run(PlanModel::F32(&net), &x, &mut out);
-            assert_eq!(
-                bits(&out),
-                reference.clone(),
-                "plan (fuse={fuse}) diverged at {threads} threads"
-            );
-        }
+        assert_eq!(bits(&dynamic), reference, "forward_eval diverged at {threads} threads");
+        let mut plan =
+            Plan::compile(PlanModel::F32(&net), 8, 192, PlanOptions::default()).expect("plans");
+        let mut out = Matrix::default();
+        plan.run(PlanModel::F32(&net), &x, &mut out);
+        assert_eq!(bits(&out), reference, "plan diverged at {threads} threads");
     }
     kernel::set_threads(1);
 }
