@@ -8,7 +8,7 @@ use mdl_serve::{run_load, InferenceServer, LoadGenConfig, LoadMode, ServeConfig}
 use std::time::Duration;
 
 /// ~9.6M MACs: big enough that a wearable on Wi-Fi routes to the cloud,
-/// so requests exercise the queue/scheduler/worker path.
+/// so requests exercise the queue/worker path.
 fn cloud_model(rng: &mut StdRng) -> Sequential {
     let mut net = Sequential::new();
     net.push(Dense::new(32, 3072, Activation::Relu, rng));
@@ -29,7 +29,7 @@ fn bench_round_trip(c: &mut Criterion) {
     let server = InferenceServer::start(
         cloud_model(&mut rng),
         None,
-        ServeConfig { workers: 2, max_wait: Duration::from_micros(200), ..Default::default() },
+        ServeConfig { workers: 2, ..Default::default() },
     );
     let client = server.client();
     let input = [0.25f32; 32];

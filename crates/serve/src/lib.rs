@@ -10,10 +10,11 @@
 //!   current model lives behind an `Arc`; a swap installs a new version
 //!   without interrupting in-flight work, so models can be updated
 //!   "without shipping a new app".
-//! * **Dynamic micro-batching** ([`server`]) — queued requests are
-//!   coalesced into matrix batches under a size cap and a wait deadline,
-//!   trading a bounded amount of latency for amortised matrix-matrix
-//!   throughput on the worker pool.
+//! * **Work-conserving micro-batching** ([`server`]) — a free worker
+//!   pulls up to a size cap of same-class, same-shape requests the moment
+//!   any are queued: a lone request on an idle pool runs at once, and
+//!   matrix batches (amortised matrix-matrix throughput) form by
+//!   themselves exactly when every worker is busy.
 //! * **Placement-aware routing** ([`router`]) — each request carries a
 //!   device/network profile; the `mdl-mobile` cost model decides whether
 //!   it should run on-device, in the cloud, or split across both, and

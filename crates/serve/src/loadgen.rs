@@ -5,7 +5,10 @@
 //! * **Open loop** — requests arrive on a seeded Poisson process at a
 //!   configured offered rate, regardless of how fast the server answers.
 //!   This is the honest way to measure latency under load: a slow server
-//!   cannot slow the arrival of work.
+//!   cannot slow the arrival of work — and when it slows the *generator*
+//!   (a `submit` blocked on a full queue), each request is still timed
+//!   from the instant it was due, with the generator's lateness reported
+//!   beside it ([`LoadReport::gen_late_p99`]).
 //! * **Closed loop** — a fixed set of workers each keep exactly one
 //!   request outstanding, which measures best-case per-request latency
 //!   and natural throughput.
@@ -21,6 +24,7 @@
 use crate::router::{ClientProfile, Route};
 use crate::server::{InferenceResponse, ServeClient};
 use crate::slo::SloClass;
+use crossbeam::channel::Receiver;
 use mdl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,7 +160,10 @@ pub struct LoadReport {
     /// Exact client-observed latencies of **served** responses (every
     /// route except the shed fallback), sorted ascending. Shed responses
     /// return in microseconds and would drag every percentile toward
-    /// zero if mixed in, so they live in `shed_latencies`.
+    /// zero if mixed in, so they live in `shed_latencies`. An open loop
+    /// times each request from the instant it was *due* on the
+    /// [`arrival_schedule`], so a stall the generator sat through is
+    /// charged to the requests it delayed.
     pub latencies: Vec<Duration>,
     /// Client-observed latencies of shed responses, sorted ascending.
     pub shed_latencies: Vec<Duration>,
@@ -179,6 +186,12 @@ pub struct LoadReport {
     pub class_shed: [usize; SloClass::COUNT],
     /// Mean worker-pool batch size observed across batched responses.
     pub mean_batch_size: f64,
+    /// Median open-loop generator lateness: how long after its due
+    /// instant a request entered `submit` (backpressure on an earlier
+    /// `submit`, timer oversleep). Zero for a closed loop.
+    pub gen_late_p50: Duration,
+    /// 99th-percentile generator lateness.
+    pub gen_late_p99: Duration,
 }
 
 impl LoadReport {
@@ -219,7 +232,12 @@ impl LoadReport {
         }
     }
 
-    fn from_responses(responses: Vec<InferenceResponse>, elapsed: Duration) -> Self {
+    fn from_responses(
+        responses: Vec<InferenceResponse>,
+        mut late: Vec<Duration>,
+        elapsed: Duration,
+    ) -> Self {
+        late.sort();
         let mut latencies = Vec::with_capacity(responses.len());
         let mut shed_latencies = Vec::new();
         let (mut local, mut cloud, mut split, mut shed) = (0usize, 0, 0, 0);
@@ -261,6 +279,8 @@ impl LoadReport {
             class_served,
             class_shed,
             mean_batch_size: if batched == 0 { 0.0 } else { batch_sum as f64 / batched as f64 },
+            gen_late_p50: Self::exact_percentile(&late, 50.0),
+            gen_late_p99: Self::exact_percentile(&late, 99.0),
         }
     }
 }
@@ -276,11 +296,17 @@ pub fn run_load(client: &ServeClient, inputs: &Matrix, config: &LoadGenConfig) -
     assert!(!config.profiles.is_empty(), "need at least one client profile");
     assert!(inputs.rows() > 0, "need at least one input row");
     let started = Instant::now();
-    let responses = match config.mode {
-        LoadMode::Open { rps } => run_open(client, inputs, config, rps),
-        LoadMode::Closed { concurrency } => run_closed(client, inputs, config, concurrency),
+    let (responses, late) = match config.mode {
+        LoadMode::Open { rps } => {
+            run_open(&arrival_schedule(config.seed, rps, config.requests), |i| {
+                submit_indexed(client, inputs, config, i).ok()
+            })
+        }
+        LoadMode::Closed { concurrency } => {
+            (run_closed(client, inputs, config, concurrency), Vec::new())
+        }
     };
-    LoadReport::from_responses(responses, started.elapsed())
+    LoadReport::from_responses(responses, late, started.elapsed())
 }
 
 fn pick<'a>(
@@ -296,7 +322,7 @@ fn submit_indexed(
     inputs: &Matrix,
     config: &LoadGenConfig,
     index: usize,
-) -> Result<crossbeam::channel::Receiver<InferenceResponse>, crate::server::SubmitError> {
+) -> Result<Receiver<InferenceResponse>, crate::server::SubmitError> {
     let (input, profile) = pick(inputs, config, index);
     if config.classes.is_empty() {
         client.submit(input, profile)
@@ -305,31 +331,49 @@ fn submit_indexed(
     }
 }
 
+/// Offers request `i` at `schedule[i]` nanoseconds after the start and
+/// returns the responses, each timed **from its due instant**, plus every
+/// request's generator lateness. `submit` returns `None` once the server
+/// is gone, which ends the run.
+///
+/// The server stamps latency from the start of `submit` (time blocked on
+/// a full queue included), so what it cannot see is how late the
+/// generator *entered* `submit` — because the previous `submit` blocked,
+/// or the timer overslept. Reporting its number alone is coordinated
+/// omission: everything queued up in the generator behind a stall looks
+/// fast. Adding the lateness charges the stall to the requests it delayed.
 fn run_open(
-    client: &ServeClient,
-    inputs: &Matrix,
-    config: &LoadGenConfig,
-    rps: f64,
-) -> Vec<InferenceResponse> {
-    let mut receivers = Vec::with_capacity(config.requests);
+    schedule: &[u64],
+    mut submit: impl FnMut(usize) -> Option<Receiver<InferenceResponse>>,
+) -> (Vec<InferenceResponse>, Vec<Duration>) {
+    let mut in_flight = Vec::with_capacity(schedule.len());
     // Absolute-deadline pacing: each arrival is scheduled on the Poisson
     // timeline computed up front, so oversleeping one gap (timer
     // granularity) is recovered on the next instead of compounding into
     // a lower offered rate.
-    let schedule = arrival_schedule(config.seed, rps, config.requests);
     let started = Instant::now();
     for (i, &offset_ns) in schedule.iter().enumerate() {
-        let target = started + Duration::from_nanos(offset_ns);
+        let due = started + Duration::from_nanos(offset_ns);
         let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+        if due > now {
+            std::thread::sleep(due - now);
         }
-        match submit_indexed(client, inputs, config, i) {
-            Ok(rx) => receivers.push(rx),
-            Err(_) => break,
+        let late = Instant::now().saturating_duration_since(due);
+        match submit(i) {
+            Some(rx) => in_flight.push((rx, late)),
+            None => break,
         }
     }
-    receivers.into_iter().filter_map(|rx| rx.recv().ok()).collect()
+    let late = in_flight.iter().map(|&(_, late)| late).collect();
+    let responses = in_flight
+        .into_iter()
+        .filter_map(|(rx, late)| {
+            let mut response = rx.recv().ok()?;
+            response.latency += late;
+            Some(response)
+        })
+        .collect();
+    (responses, late)
 }
 
 fn run_closed(
@@ -460,12 +504,48 @@ mod tests {
             class_served: [0, 100, 0],
             class_shed: [0, 0, 10],
             mean_batch_size: 1.0,
+            gen_late_p50: Duration::ZERO,
+            gen_late_p99: Duration::ZERO,
         };
         assert_eq!(report.percentile(50.0), Duration::from_micros(50));
         assert_eq!(report.percentile(99.0), Duration::from_micros(99));
         assert_eq!(report.percentile(100.0), Duration::from_micros(100));
         assert_eq!(report.shed_percentile(100.0), Duration::from_micros(10));
         assert!((report.throughput_rps() - 110.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn open_loop_charges_a_stalled_submit_to_the_requests_it_delayed() {
+        // One request per millisecond into a sink that answers at once
+        // with zero server-side latency, except that submit #20 blocks for
+        // 60 ms (a full admission queue would do this).
+        let schedule: Vec<u64> = (0..200).map(|i| i * 1_000_000).collect();
+        let (responses, late) = run_open(&schedule, |i| {
+            if i == 20 {
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            let (tx, rx) = crossbeam::channel::bounded(1);
+            let response = InferenceResponse {
+                probs: vec![1.0],
+                argmax: 0,
+                model_version: 1,
+                route: Route::Cloud,
+                class: None,
+                batch_size: 1,
+                latency: Duration::ZERO,
+            };
+            tx.send(response).expect("receiver held");
+            Some(rx)
+        });
+        assert_eq!(responses.len(), 200, "nothing is skipped to catch up");
+        // the sink saw every request as instantaneous; timed from the due
+        // instant, the ~60 requests due during the stall carry it
+        let delayed = responses.iter().filter(|r| r.latency >= Duration::from_millis(20)).count();
+        assert!(delayed >= 30, "only {delayed} requests show the 60 ms stall");
+        let report = LoadReport::from_responses(responses, late, Duration::from_millis(260));
+        assert!(report.gen_late_p99 >= Duration::from_millis(40), "{:?}", report.gen_late_p99);
+        assert!(report.gen_late_p50 < Duration::from_millis(20), "the generator catches up");
+        assert!(report.percentile(99.0) >= report.gen_late_p99);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! | `serve.completed`        | counter                  | responses served                |
 //! | `serve.shed`             | counter                  | answered by the early-exit path |
 //! | `serve.local`            | counter                  | answered on-device              |
-//! | `serve.batches`          | counter                  | batches dispatched              |
+//! | `serve.batches`          | counter                  | batches pulled by workers       |
 //! | `serve.batched_requests` | counter                  | requests inside those batches   |
-//! | `serve.queue_depth`      | gauge                    | instantaneous admission depth   |
+//! | `serve.queue_depth`      | gauge                    | admitted-but-unrun jobs         |
 //! | `serve.swaps`            | counter (lazy)           | completed hot swaps             |
 //! | `serve.reverts`          | counter (lazy)           | rollbacks to a pinned version   |
 //! | `serve.class.<c>.completed`  | counter (lazy)       | served responses in class `<c>` |
@@ -52,7 +52,7 @@ use std::time::Duration;
 /// Largest tracked batch size; bigger batches land in the last bucket.
 const BATCH_BUCKETS: usize = 64;
 
-/// Shared handles updated by the scheduler, workers and client handles.
+/// Shared handles updated by the workers and client handles.
 ///
 /// Cloning is cheap; clones observe and record into the same registry
 /// instruments.
@@ -98,7 +98,7 @@ impl ServerMetrics {
         self.clock.now_ns()
     }
 
-    /// Records a dispatched batch of `size` requests.
+    /// Records a batch of `size` requests pulled by a worker.
     pub fn record_batch(&self, size: usize) {
         self.batch_size.record(size as u64);
         self.batches.inc();
@@ -148,7 +148,7 @@ impl ServerMetrics {
         self.local.inc();
     }
 
-    /// Publishes the instantaneous request-queue depth.
+    /// Publishes the backlog depth: every admitted-but-unrun job.
     pub fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as f64);
     }
@@ -235,9 +235,9 @@ pub struct MetricsSnapshot {
     pub shed: u64,
     /// Requests answered on-device without queueing.
     pub local: u64,
-    /// Batches dispatched to the worker pool.
+    /// Batches pulled by the worker pool.
     pub batches: u64,
-    /// Mean requests per dispatched batch.
+    /// Mean requests per batch.
     pub mean_batch_size: f64,
     /// `(batch size, count)` pairs, ascending, zero counts omitted.
     pub batch_histogram: Vec<(usize, u64)>,

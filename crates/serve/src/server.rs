@@ -1,18 +1,22 @@
-//! The serving runtime: a bounded admission queue feeding a dynamic
-//! micro-batching scheduler and a pool of inference workers that share
-//! the current model snapshot behind an `Arc`.
+//! The serving runtime: a bounded admission queue and a pool of inference
+//! workers that pull their own batches from it and share the current model
+//! snapshot behind an `Arc`.
 //!
 //! Request lifecycle:
 //!
 //! ```text
 //! submit ──router──▶ Local: answered inline (simulated on-device run)
-//!                 ─▶ Cloud / Split: bounded queue ─▶ scheduler coalesces
-//!                    into batches (≤ max_batch, ≤ max_wait) ─▶ workers
-//!                 ─▶ queue too deep: shed to the early-exit fallback
+//!                 ─▶ Cloud / Split: bounded queue ─▶ the next free worker
+//!                    sorts what was admitted into per-class FIFOs and takes
+//!                    ≤ max_batch same-shape jobs of the highest class
+//!                 ─▶ backlog too deep: shed to the early-exit fallback
 //! ```
 //!
+//! Work-conserving, like [`crate::fleet`]: a request that finds a worker idle
+//! runs at once, alone; batches form only behind busy workers, never on a timer.
+//!
 //! Hot swap: [`InferenceServer::swap_artifact`] atomically replaces the
-//! registry's model. Batches already dispatched finish on the snapshot
+//! registry's model. Batches already running finish on the snapshot
 //! they grabbed; a batch whose input no longer matches the new
 //! architecture at its entry layer falls back to the version the request
 //! was admitted under, so in-flight requests are never dropped.
@@ -21,35 +25,38 @@ use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::registry::{ModelRegistry, ModelVariant, VersionedModel};
 use crate::router::{ClientProfile, Route, Router};
 use crate::slo::SloClass;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use mdl_compress::CompressedModel;
 use mdl_nn::saved::LoadModelError;
 use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, QuantizedModel, Sequential};
 use mdl_obs::Obs;
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Inference worker threads.
     pub workers: usize,
-    /// Largest batch the scheduler will coalesce.
+    /// Largest batch a worker will take in one pull.
     pub max_batch: usize,
-    /// Longest a request may wait for co-batching before dispatch.
+    /// No longer read — a free worker pulls at once, there is no window — but
+    /// frozen in place: `benchmark/src/models.rs` builds `ServeConfig` with a
+    /// full struct literal, so only a benchmark PR can remove (or add) a field.
     pub max_wait: Duration,
     /// Capacity of the admission queue; senders block when it is full
-    /// (backpressure).
+    /// (backpressure). Workers hold at most this many more jobs sorted.
     pub queue_capacity: usize,
-    /// Queue depth above which cloud-bound requests are shed to the
-    /// early-exit fallback (when one is installed). This is the
-    /// [`SloClass::Standard`] threshold; classed submissions scale it by
-    /// class ([`SloClass::shed_depth`]): `BestEffort` sheds at a quarter
-    /// of this depth, `Interactive` at four times it.
+    /// Depth (every admitted-but-unrun job, queued or already sorted) above
+    /// which cloud-bound requests are shed to the early-exit fallback (when
+    /// one is installed). This is the [`SloClass::Standard`] threshold;
+    /// classed submissions scale it ([`SloClass::shed_depth`]): `BestEffort`
+    /// sheds at a quarter of this depth, `Interactive` at four times it.
     pub shed_queue_depth: usize,
     /// GEMM kernel threads for the batch forward pass (`None` keeps the
     /// process default). Workers already run in parallel, so this stays
@@ -67,7 +74,7 @@ impl Default for ServeConfig {
         Self {
             workers: 4,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::ZERO, // unread, see the field
             queue_capacity: 256,
             shed_queue_depth: 64,
             kernel_threads: None,
@@ -114,9 +121,11 @@ struct Job {
     submitted_ns: u64,
 }
 
-struct Batch {
-    entry_layer: usize,
-    jobs: Vec<Job>,
+impl Job {
+    /// Only identical shapes can share a batch matrix.
+    fn shape(&self) -> (usize, usize) {
+        (self.entry_layer, self.input.len())
+    }
 }
 
 struct Shared {
@@ -127,6 +136,24 @@ struct Shared {
     /// Early-exit model (raw input → class scores) used for shedding.
     fallback: Option<Sequential>,
     config: ServeConfig,
+    /// Jobs pulled off the admission channel and not yet run, one FIFO per
+    /// class rank (unclassed at Standard). Locked to pull and pick, and by an
+    /// idle worker awaiting the next arrival — never while a batch runs.
+    backlog: Mutex<[VecDeque<Job>; SloClass::COUNT]>,
+    /// Jobs in `backlog`, readable without its lock.
+    pulled: AtomicUsize,
+}
+
+impl Shared {
+    /// Every admitted-but-unrun job: `in_channel` still on the admission
+    /// channel plus those pulled into the backlog. Shedding and the
+    /// `serve.queue_depth` gauge both read depth here and nowhere else.
+    fn depth(&self, in_channel: usize) -> usize {
+        // Relaxed: a statistic that publishes no other data
+        let depth = in_channel + self.pulled.load(Ordering::Relaxed);
+        self.metrics.set_queue_depth(depth);
+        depth
+    }
 }
 
 /// Runs `model` from layer `from` onwards through the read-only path.
@@ -217,7 +244,7 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Shutdown`] once the server's scheduler has exited,
+    /// [`SubmitError::Shutdown`] once the server's workers have exited,
     /// or [`SubmitError::WidthMismatch`] when the row does not fit the
     /// current model (a hot swap may have changed the input width).
     pub fn submit(
@@ -234,9 +261,9 @@ impl ServeClient {
     /// strictly class-ordered one (see [`SloClass::shed_depth`]): as the
     /// queue deepens, `BestEffort` requests shed first, `Standard` at the
     /// configured depth, and `Interactive` holds out four times longer.
-    /// The scheduler also dispatches coalesced batches in class-priority
-    /// order, so interactive work overtakes best-effort work that is
-    /// still waiting for a batch.
+    /// A free worker also takes its next batch from the highest waiting
+    /// class, so interactive work overtakes best-effort work that is
+    /// still waiting for a worker.
     ///
     /// # Errors
     ///
@@ -265,8 +292,7 @@ impl ServeClient {
         let route = self.shared.router.decide(&snapshot, profile);
         let (resp_tx, resp_rx) = bounded(1);
 
-        let depth = self.jobs.len();
-        self.shared.metrics.set_queue_depth(depth);
+        let depth = self.shared.depth(self.jobs.len());
         let cloud_bound = matches!(route, Route::Cloud | Route::Split { .. });
 
         // Overload: answer immediately from the local early-exit head.
@@ -401,75 +427,54 @@ impl ServeClient {
     }
 }
 
-/// How long the scheduler sleeps when no requests are pending.
-const IDLE_WAIT: Duration = Duration::from_millis(20);
-
-fn scheduler_loop(jobs: Receiver<Job>, batches: Sender<Batch>, shared: Arc<Shared>) {
-    // Groups keyed by (class rank, entry layer, input width): only
-    // identical shapes can share a matrix, and a class never co-batches
-    // with another — otherwise a best-effort arrival could ride an
-    // interactive batch past its own shed threshold. Unclassed jobs
-    // group at Standard rank. The Instant is the oldest member's arrival.
-    let mut pending: HashMap<(usize, usize, usize), (Instant, Vec<Job>)> = HashMap::new();
-    let max_wait = shared.config.max_wait;
-    let max_batch = shared.config.max_batch.max(1);
-
-    loop {
-        shared.metrics.set_queue_depth(jobs.len());
-        let now = Instant::now();
-        let timeout = pending
-            .values()
-            .map(|(first, _)| (*first + max_wait).saturating_duration_since(now))
-            .min()
-            .unwrap_or(IDLE_WAIT);
-        match jobs.recv_timeout(timeout) {
-            Ok(job) => {
-                let rank = job.class.unwrap_or(SloClass::Standard).rank();
-                let key = (rank, job.entry_layer, job.input.len());
-                let group = pending.entry(key).or_insert_with(|| (Instant::now(), Vec::new()));
-                group.1.push(job);
-                if group.1.len() >= max_batch {
-                    let (_, ready) = pending.remove(&key).expect("group exists");
-                    dispatch(&batches, key.1, ready, &shared);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let now = Instant::now();
-                let mut expired: Vec<_> = pending
-                    .iter()
-                    .filter(|(_, (first, _))| now.duration_since(*first) >= max_wait)
-                    .map(|(k, _)| *k)
-                    .collect();
-                // Strict class order: interactive batches enter the
-                // worker channel before standard, standard before
-                // best-effort — the key sorts by class rank first.
-                expired.sort_unstable();
-                for key in expired {
-                    let (_, ready) = pending.remove(&key).expect("group exists");
-                    dispatch(&batches, key.1, ready, &shared);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // all clients and the server handle are gone: drain &
-                // stop, still in class order
-                let mut keys: Vec<_> = pending.keys().copied().collect();
-                keys.sort_unstable();
-                for key in keys {
-                    let (_, ready) = pending.remove(&key).expect("group exists");
-                    dispatch(&batches, key.1, ready, &shared);
-                }
-                break;
-            }
+/// Picks the next batch out of the per-class FIFOs (`queues[rank]`): the
+/// oldest job of the highest non-empty class plus, in arrival order, later
+/// jobs of that class and `shape`, up to `max_batch`. Classes never mix, or a
+/// best-effort arrival could ride an interactive batch past its shed threshold.
+fn take_batch<T, K: PartialEq>(
+    queues: &mut [VecDeque<T>],
+    max_batch: usize,
+    shape: impl Fn(&T) -> K,
+) -> Vec<T> {
+    let Some(queue) = queues.iter_mut().find(|q| !q.is_empty()) else { return Vec::new() };
+    let key = shape(&queue[0]);
+    let mut batch = Vec::with_capacity(max_batch.min(queue.len()));
+    let mut i = 0;
+    while i < queue.len() && batch.len() < max_batch {
+        if shape(&queue[i]) == key {
+            batch.extend(queue.remove(i));
+        } else {
+            i += 1;
         }
     }
+    batch
 }
 
-fn dispatch(batches: &Sender<Batch>, entry_layer: usize, jobs: Vec<Job>, shared: &Shared) {
-    if jobs.is_empty() {
-        return;
+/// Blocks until there is work and returns this worker's next batch; `None`
+/// once all clients and the server handle are gone and the queue is drained.
+fn next_batch(jobs: &Receiver<Job>, shared: &Shared) -> Option<Vec<Job>> {
+    let rank = |job: &Job| job.class.unwrap_or(SloClass::Standard).rank();
+    let mut backlog = shared.backlog.lock().expect("no batch runs under the backlog lock");
+    let mut pulled = shared.pulled.load(Ordering::Relaxed); // written only under this lock
+    if pulled == 0 {
+        // Wait for the next arrival *holding* the lock: other workers queue
+        // up behind this one instead of pulling aside jobs it would not see.
+        let job = jobs.recv().ok()?;
+        backlog[rank(&job)].push_back(job);
+        pulled = 1;
     }
-    shared.metrics.record_batch(jobs.len());
-    let _ = batches.send(Batch { entry_layer, jobs });
+    // Sort in everything else admitted so the pick sees every class; the
+    // cap keeps `queue_capacity` a bound on memory.
+    while pulled < shared.config.queue_capacity {
+        let Ok(job) = jobs.try_recv() else { break };
+        backlog[rank(&job)].push_back(job);
+        pulled += 1;
+    }
+    let batch = take_batch(&mut *backlog, shared.config.max_batch.max(1), Job::shape);
+    shared.pulled.store(pulled - batch.len(), Ordering::Relaxed);
+    shared.depth(jobs.len());
+    shared.metrics.record_batch(batch.len());
+    Some(batch)
 }
 
 /// Worker-local plan-cache capacity. When exceeded, entries for versions
@@ -509,49 +514,49 @@ fn run_planned(
     lookup.ran()
 }
 
-fn worker_loop(batches: Receiver<Batch>, shared: Arc<Shared>) {
+fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
     // Plans are worker-local: no locking, and each worker converges on
     // the few (version, batch shape) keys its batches actually repeat.
     let mut plans = PlanCache::new(PLAN_CACHE_CAP);
     let mut planned_out = Matrix::default();
-    while let Ok(batch) = batches.recv() {
+    while let Some(batch) = next_batch(&jobs, &shared) {
         let _span = shared.obs.root_span("serve.batch");
-        let n = batch.jobs.len();
-        let width = batch.jobs[0].input.len();
+        let n = batch.len();
+        let (entry_layer, width) = batch[0].shape();
         let snapshot = shared.registry.current();
         // A swap may have changed the architecture (or precision) after
         // the client ran its trunk; serve on the current model only when
         // the entry layer still accepts this width. Mid-network resume
         // additionally requires the current snapshot to be f32 — an int8
         // model has no layer-boundary f32 representation to resume from.
-        let compatible = if batch.entry_layer == 0 {
+        let compatible = if entry_layer == 0 {
             snapshot.model.input_dim() == width
         } else {
             snapshot
                 .model
                 .as_f32()
-                .and_then(|m| m.layers().get(batch.entry_layer))
+                .and_then(|m| m.layers().get(entry_layer))
                 .map(|l| l.info().in_dim == width)
                 .unwrap_or(false)
         };
         if compatible {
-            let x = Matrix::from_fn(n, width, |r, c| batch.jobs[r].input[c]);
+            let x = Matrix::from_fn(n, width, |r, c| batch[r].input[c]);
             // Whole-model batches run on a shape-specialized plan
             // (compiled once per version × batch shape, zero-alloc and
             // kernel-fused thereafter); mid-network resume and unplannable
             // models evaluate per layer. Results are bit-identical.
-            let planned = batch.entry_layer == 0
+            let planned = entry_layer == 0
                 && width > 0
                 && run_planned(&mut plans, &mut planned_out, &snapshot, &x, &shared);
             let unplanned;
             let scores = if planned {
                 &planned_out
             } else {
-                unplanned = variant_eval_from(&snapshot.model, &x, batch.entry_layer);
+                unplanned = variant_eval_from(&snapshot.model, &x, entry_layer);
                 &unplanned
             };
             let probs = softmax_rows(scores);
-            for (r, job) in batch.jobs.into_iter().enumerate() {
+            for (r, job) in batch.into_iter().enumerate() {
                 ServeClient::deliver(
                     &shared,
                     job.resp,
@@ -565,7 +570,7 @@ fn worker_loop(batches: Receiver<Batch>, shared: Arc<Shared>) {
             }
         } else {
             // finish each request on the version it was admitted under
-            for job in batch.jobs {
+            for job in batch {
                 let x = Matrix::row_vector(&job.input);
                 let probs =
                     softmax_rows(&variant_eval_from(&job.pinned.model, &x, job.entry_layer));
@@ -598,7 +603,7 @@ pub struct InferenceServer {
 }
 
 impl InferenceServer {
-    /// Starts scheduler and workers around an initial model (f32
+    /// Starts the workers around an initial model (f32
     /// [`Sequential`] or int8 [`QuantizedModel`]). `fallback` is the
     /// optional early-exit network used for load shedding; without one,
     /// overload falls back to queue backpressure only.
@@ -619,23 +624,16 @@ impl InferenceServer {
             metrics,
             fallback,
             config,
+            backlog: Mutex::default(),
+            pulled: AtomicUsize::new(0),
         });
         let (jobs_tx, jobs_rx) = bounded(shared.config.queue_capacity);
-        let (batch_tx, batch_rx) = bounded(shared.config.workers.max(1) * 2);
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                scheduler_loop(jobs_rx, batch_tx, shared);
-            }));
-        }
-        for _ in 0..shared.config.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let rx = batch_rx.clone();
-            threads.push(std::thread::spawn(move || worker_loop(rx, shared)));
-        }
-        drop(batch_rx);
+        let threads = (0..shared.config.workers.max(1))
+            .map(|_| {
+                let (rx, shared) = (jobs_rx.clone(), Arc::clone(&shared));
+                std::thread::spawn(move || worker_loop(rx, shared))
+            })
+            .collect();
         let started_ns = shared.metrics.now_ns();
         Self { shared, jobs_tx: Some(jobs_tx), threads, started_ns }
     }
@@ -853,6 +851,52 @@ mod tests {
         assert_eq!(server.swap_count(), 1);
         drop(client);
         server.shutdown();
+    }
+
+    proptest::proptest! {
+        /// Batch selection over arbitrary pending jobs: highest class
+        /// first, FIFO within a class, one (class, entry layer, width) per
+        /// batch, never more than `max_batch`, and jobs in = jobs out.
+        #[test]
+        fn take_batch_is_class_ordered_fifo_and_conserving(
+            codes in proptest::collection::vec(0usize..18, 0..48),
+            max_batch in 1usize..10,
+        ) {
+            // job = (arrival seq, class rank, (entry layer, width))
+            let jobs: Vec<(usize, usize, (usize, usize))> = codes
+                .iter()
+                .enumerate()
+                .map(|(seq, &c)| (seq, c % 3, (c / 3 % 3, c / 9)))
+                .collect();
+            let mut queues: [VecDeque<_>; SloClass::COUNT] = Default::default();
+            for &job in &jobs {
+                queues[job.1].push_back(job);
+            }
+            let mut left = jobs.clone();
+            loop {
+                let batch = take_batch(&mut queues, max_batch, |job| job.2);
+                if batch.is_empty() {
+                    break;
+                }
+                proptest::prop_assert!(batch.len() <= max_batch);
+                let (_, rank, shape) = batch[0];
+                let highest = left.iter().map(|j| j.1).min();
+                proptest::prop_assert_eq!(highest, Some(rank), "highest class first");
+                // exactly the oldest waiting jobs of that class and shape,
+                // led by the class's oldest job whatever its shape
+                proptest::prop_assert_eq!(left.iter().find(|j| j.1 == rank), Some(&batch[0]));
+                let expected: Vec<_> = left
+                    .iter()
+                    .filter(|j| j.1 == rank && j.2 == shape)
+                    .take(max_batch)
+                    .copied()
+                    .collect();
+                proptest::prop_assert_eq!(&batch, &expected);
+                left.retain(|j| !batch.contains(j));
+            }
+            proptest::prop_assert!(left.is_empty(), "jobs never handed out: {:?}", left);
+            proptest::prop_assert!(queues.iter().all(VecDeque::is_empty));
+        }
     }
 
     #[test]

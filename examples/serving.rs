@@ -10,7 +10,6 @@
 use mdl_core::nn::save_model;
 use mdl_core::prelude::*;
 use mdl_core::serve::LoadReport;
-use std::time::Duration;
 
 /// ~9.6M MACs per example: big enough that a wearable on Wi-Fi offloads
 /// it to the cloud path. The weights are seeded random — the serving
@@ -56,12 +55,7 @@ fn main() {
     let server = InferenceServer::from_artifact(
         &artifact,
         Some(exit_head()),
-        ServeConfig {
-            workers: 4,
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
-            ..Default::default()
-        },
+        ServeConfig { workers: 4, max_batch: 8, ..Default::default() },
     )
     .expect("artifact decodes");
     let client = server.client();

@@ -40,7 +40,7 @@ fn tiny_train(obs: &Obs) {
 }
 
 /// Big enough that a wearable on Wi-Fi offloads to the cloud, so the
-/// requests actually traverse the queue → scheduler → worker path.
+/// requests actually traverse the queue → worker path.
 fn cloud_model(seed: u64) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = Sequential::new();

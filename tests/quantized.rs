@@ -8,7 +8,6 @@
 use mdl_core::nn::Gru;
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel::int8;
-use std::time::Duration;
 
 /// Trains the small digits MLP every compression test uses.
 fn trained_digits_model() -> (Sequential, Matrix, Vec<usize>) {
@@ -105,11 +104,7 @@ fn server_hot_swaps_between_f32_and_int8_under_a_live_client() {
     let net = build();
     let qm = QuantizedModel::from_model(&mut build()).expect("all-Dense model quantizes");
 
-    let server = InferenceServer::start(
-        net,
-        None,
-        ServeConfig { max_wait: Duration::from_millis(1), ..Default::default() },
-    );
+    let server = InferenceServer::start(net, None, ServeConfig::default());
     let client = server.client();
     let profile = ClientProfile { device: DeviceClass::Flagship, network: NetworkClass::Wifi };
     let input: Vec<f32> = (0..16).map(|i| (i as f32 * 0.3).sin()).collect();
