@@ -7,22 +7,37 @@
 //!
 //! # Blocking scheme
 //!
-//! The kernel follows the classic panel-packing decomposition:
+//! Three levels of blocking, each sized for one level of cache:
 //!
-//! - **B packing**: the right-hand operand is repacked once per call into
-//!   column panels of [`NR`] contiguous lanes, grouped by k-blocks of
-//!   [`KC`] so the microkernel streams it linearly.
-//! - **A packing**: each [`MR`]-row panel of the left operand is packed
-//!   k-major (`MR` values per k) so one panel stays L1-resident while the
-//!   microkernel sweeps all column panels.
-//! - **Microkernel**: an `MR × NR` register tile accumulates over one
-//!   k-block, then spills to the output; the next k-block reloads the
+//! - **B packing** (streamed from L2/L3): the right-hand operand is
+//!   repacked once per call into column panels of [`NR`] contiguous lanes,
+//!   grouped by k-blocks of `KC`. One `KC × NR` micro-panel is 16 KiB and
+//!   stays **L1**-resident while it is multiplied against a whole A block.
+//! - **A packing** (`MC`-row blocks, **L2**): `MC = 128` rows of the left
+//!   operand are packed once, k-major in [`MR`]-row panels; the `MC × KC`
+//!   slice in use during one k-block is 128 KiB and is re-read from L2 for
+//!   every B micro-panel. The loop nest is `row block → k-block → B
+//!   micro-panel → row panel`, so packed B is streamed once per *row
+//!   block*, not once per 4-row panel.
+//! - **Microkernel** (**registers**): an `MR × NR` tile accumulates over
+//!   one k-block, then spills to the output; the next k-block reloads the
 //!   partial sums and continues.
 //!
 //! Transposition is handled at *pack time* — the packed panel layout is
 //! identical for all four `op(A)·op(B)` combinations, so the blocked loop
 //! nest and microkernel are shared by `matmul`, `matmul_tn` and
 //! `matmul_nt`.
+//!
+//! # SIMD tier
+//!
+//! The microkernel has two tiers fed by the same packed layouts: an
+//! explicit AVX2 one (eight `ymm` accumulators, x86_64 only, chosen when
+//! `is_x86_feature_detected!("avx2")` holds) and the portable loop the
+//! compiler vectorizes for the build target. `MDL_FORCE_SCALAR` /
+//! [`int8::set_force_scalar`] pins the portable tier, the same switch that
+//! pins the int8 kernel's scalar path. Ragged edge tiles are staged
+//! through a full-size stack tile, so both tiers only ever compute the
+//! full `MR × NR` shape.
 //!
 //! # Determinism contract
 //!
@@ -31,11 +46,19 @@
 //! reloaded from the output between k-blocks, which is associatively
 //! identical to one uninterrupted loop). Work is partitioned over output
 //! row panels only, and the arithmetic performed for a panel is a pure
-//! function of the operand shapes and values — never of the thread count
-//! or partition. Results are therefore **bit-identical** for any
-//! `threads ∈ {1, 2, …}` and bit-identical to the naive reference kernel
-//! [`gemm_naive`]. The `exp_faults` bit-reproducibility assertions and the
-//! fabric tests rely on this.
+//! function of the operand shapes and values — never of the thread count,
+//! the partition or the SIMD tier. Results are therefore **bit-identical**
+//! for any `threads ∈ {1, 2, …}`, on either tier, and bit-identical to the
+//! naive reference kernel [`gemm_naive`]. The `exp_faults`
+//! bit-reproducibility assertions and the fabric tests rely on this.
+//!
+//! The AVX2 tier multiplies **then** adds (`_mm256_mul_ps`,
+//! `_mm256_add_ps`) — never FMA. A fused multiply-add rounds once where
+//! `acc + a * b` rounds twice, so an FMA tier would differ from
+//! `gemm_naive` in the last bit and every pinned f32 hash, golden trace
+//! and fleet digest in `tests/` would have to be re-pinned, with the
+//! portable tier and the reference rewritten around `f32::mul_add` (a
+//! libm call where the target has no FMA) to follow it.
 //!
 //! One carve-out: the small path skips multiplications by exactly-zero A
 //! elements (the ReLU-sparsity shortcut inherited from the pre-kernel
@@ -47,7 +70,8 @@
 //! # Threading model
 //!
 //! Row panels are split into contiguous chunks, one per worker, spawned
-//! on `std::thread::scope` threads. The worker count comes from
+//! on `std::thread::scope` threads; each worker blocks its own chunk by
+//! `MC` with its own packed-A buffer and shares the packed B. The worker count comes from
 //! [`threads`] (the `MDL_THREADS` environment variable, defaulting to the
 //! machine's available parallelism) and can be overridden at runtime with
 //! [`set_threads`]. Products smaller than a fixed flop threshold, and all
@@ -67,9 +91,13 @@ pub mod profile;
 pub const MR: usize = 4;
 /// Microkernel column tile: contiguous output lanes per panel.
 pub const NR: usize = 16;
-/// k-block size: one `MR × KC` A-panel (4 KiB) stays L1-resident while
-/// the microkernel sweeps the column panels of the same k-block.
+/// k-block size: one `KC × NR` B micro-panel (16 KiB) stays L1-resident
+/// while the microkernel sweeps the row panels of an A block.
 const KC: usize = 256;
+/// Row-block size: `MC` rows of A are packed once (`MC × KC` = 128 KiB of
+/// them live per k-block, L2-resident) and reused against every B
+/// micro-panel.
+const MC: usize = 128;
 
 /// Products with fewer multiply–accumulates than this run on the calling
 /// thread without packing (the gemv/small-matrix fast path).
@@ -376,28 +404,48 @@ fn gemm_small<E: Fn(f32) -> f32 + Sync>(
     }
 }
 
-/// Packs `op(B)` into `[k-block][column panel][k][NR]` order, zero-padding
-/// the last panel to `NR` lanes.
+/// Makes a reused packing buffer at least `len` long. It never shrinks: a
+/// training loop alternates shapes, and re-growing would zero-fill the
+/// whole difference on every large call.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
+/// Packs `op(B)` into `[k-block][column panel][k][NR]` order. Rows are
+/// copied whole and only the pad lanes of a ragged last panel are zeroed,
+/// so the reused buffer is never cleared.
 fn pack_b(tb: Trans, k: usize, n: usize, b: &[f32], pb: &mut Vec<f32>) {
     let npan = n.div_ceil(NR);
-    pb.clear();
-    pb.resize(k * npan * NR, 0.0);
-    let mut pc = 0;
-    while pc < k {
+    grow(pb, k * npan * NR);
+    for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        let block_base = pc * npan * NR;
         for jp in 0..npan {
             let j0 = jp * NR;
             let lanes = NR.min(n - j0);
-            let panel = &mut pb[block_base + jp * kc * NR..block_base + (jp + 1) * kc * NR];
-            for kk in 0..kc {
-                let dst = &mut panel[kk * NR..kk * NR + NR];
-                for (jj, d) in dst.iter_mut().enumerate().take(lanes) {
-                    *d = b_at(b, tb, k, n, pc + kk, j0 + jj);
+            let panel = &mut pb[pc * npan * NR + jp * kc * NR..][..kc * NR];
+            match tb {
+                Trans::N => {
+                    for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                        dst[..lanes].copy_from_slice(&b[(pc + kk) * n + j0..][..lanes]);
+                    }
+                }
+                // stored n×k: read each row contiguously, scatter it down
+                // one lane of the panel
+                Trans::T => {
+                    for jj in 0..lanes {
+                        let src = &b[(j0 + jj) * k + pc..][..kc];
+                        for (dst, &v) in panel.chunks_exact_mut(NR).zip(src) {
+                            dst[jj] = v;
+                        }
+                    }
                 }
             }
+            if lanes < NR {
+                panel.chunks_exact_mut(NR).for_each(|dst| dst[lanes..].fill(0.0));
+            }
         }
-        pc += kc;
     }
 }
 
@@ -405,34 +453,80 @@ fn pack_b(tb: Trans, k: usize, n: usize, b: &[f32], pb: &mut Vec<f32>) {
 /// zero-padding missing rows.
 fn pack_a_panel(ta: Trans, m: usize, k: usize, a: &[f32], i0: usize, ap: &mut [f32]) {
     let rows = MR.min(m - i0);
-    for kk in 0..k {
-        let dst = &mut ap[kk * MR..kk * MR + MR];
-        for (ii, d) in dst.iter_mut().enumerate() {
-            *d = if ii < rows { a_at(a, ta, m, k, i0 + ii, kk) } else { 0.0 };
+    if rows < MR {
+        ap.fill(0.0);
+    }
+    match ta {
+        // stored k×m: each k holds the panel's rows contiguously
+        Trans::T => {
+            for (kk, dst) in ap.chunks_exact_mut(MR).enumerate() {
+                dst[..rows].copy_from_slice(&a[kk * m + i0..][..rows]);
+            }
+        }
+        // stored m×k: read each row contiguously, scatter it down one lane
+        Trans::N => {
+            for ii in 0..rows {
+                let src = &a[(i0 + ii) * k..][..k];
+                for (dst, &v) in ap.chunks_exact_mut(MR).zip(src) {
+                    dst[ii] = v;
+                }
+            }
         }
     }
 }
 
-/// Register-tiled inner kernel: accumulates one `MR × NR` tile over `kc`
-/// steps, loading prior partial sums from `c` unless `first` clears them.
-#[allow(clippy::too_many_arguments)]
+/// The AVX2 tier of [`tile_portable`]: eight `ymm` accumulators hold the
+/// tile; each k does one `mul` then one `add` per accumulator — two
+/// roundings, exactly what the portable tier's `*t += a * b` does.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `ap.len() >= kc * MR`, `bp.len() >= kc * NR`
+/// and `c.len() >= (MR - 1) * ldc + NR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], ldc: usize, first: bool) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); 2 * MR];
+    if !first {
+        for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
+            let row = c[r * ldc..].as_ptr();
+            // SAFETY: r < MR, so `row` has at least NR = 16 readable floats
+            // by the caller's bound on `c.len()`.
+            unsafe {
+                pair[0] = _mm256_loadu_ps(row);
+                pair[1] = _mm256_loadu_ps(row.add(8));
+            }
+        }
+    }
+    for (av, bv) in ap[..kc * MR].chunks_exact(MR).zip(bp[..kc * NR].chunks_exact(NR)) {
+        // SAFETY: `bv` is a chunk of exactly NR = 16 floats.
+        let (b0, b1) =
+            unsafe { (_mm256_loadu_ps(bv.as_ptr()), _mm256_loadu_ps(bv.as_ptr().add(8))) };
+        for (pair, &ar) in acc.chunks_exact_mut(2).zip(av) {
+            let a = _mm256_set1_ps(ar);
+            pair[0] = _mm256_add_ps(pair[0], _mm256_mul_ps(a, b0));
+            pair[1] = _mm256_add_ps(pair[1], _mm256_mul_ps(a, b1));
+        }
+    }
+    for (r, pair) in acc.chunks_exact(2).enumerate() {
+        let row = c[r * ldc..].as_mut_ptr();
+        // SAFETY: as for the loads — 16 writable floats from `row`.
+        unsafe {
+            _mm256_storeu_ps(row, pair[0]);
+            _mm256_storeu_ps(row.add(8), pair[1]);
+        }
+    }
+}
+
+/// Accumulates `kc` steps into the full `MR × NR` tile stored in `c` at
+/// row stride `ldc`; `first` starts from zero instead of `c`'s contents.
 #[inline(always)]
-fn microkernel(
-    ap: &[f32],
-    bp: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    n: usize,
-    j0: usize,
-    rows: usize,
-    cols: usize,
-    first: bool,
-) {
+fn tile_portable(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], ldc: usize, first: bool) {
     let mut tile = [[0.0f32; NR]; MR];
     if !first {
-        for (r, row) in tile.iter_mut().enumerate().take(rows) {
-            let src = &c[r * n + j0..r * n + j0 + cols];
-            row[..cols].copy_from_slice(src);
+        for (r, row) in tile.iter_mut().enumerate() {
+            row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
         }
     }
     for kk in 0..kc {
@@ -445,18 +539,63 @@ fn microkernel(
             }
         }
     }
-    for (r, row) in tile.iter().enumerate().take(rows) {
-        let dst = &mut c[r * n + j0..r * n + j0 + cols];
-        dst.copy_from_slice(&row[..cols]);
+    for (r, row) in tile.iter().enumerate() {
+        c[r * ldc..r * ldc + NR].copy_from_slice(row);
+    }
+}
+
+/// Register-tiled inner kernel: accumulates one `MR × NR` tile over `kc`
+/// steps, loading prior partial sums from `c` unless `first` clears them.
+/// A full tile is updated in place; a ragged one is staged through a
+/// zeroed stack tile, so both tiers only ever compute the full shape.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn microkernel(
+    simd: bool,
+    ap: &[f32],
+    bp: &[f32],
+    kc: usize,
+    c: &mut [f32],
+    n: usize,
+    j0: usize,
+    rows: usize,
+    cols: usize,
+    first: bool,
+) {
+    let full = rows == MR && cols == NR;
+    let mut stage = [0.0f32; MR * NR];
+    if !full && !first {
+        for r in 0..rows {
+            stage[r * NR..r * NR + cols].copy_from_slice(&c[r * n + j0..r * n + j0 + cols]);
+        }
+    }
+    let (t, ldc, first) = if full { (&mut c[j0..], n, first) } else { (&mut stage[..], NR, false) };
+    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR && t.len() >= (MR - 1) * ldc + NR);
+    if simd {
+        // SAFETY: `simd` is only set after AVX2 was detected (see
+        // `gemm_blocked`); the assert above is the length contract.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            tile_avx2(ap, bp, kc, t, ldc, first)
+        };
+    } else {
+        tile_portable(ap, bp, kc, t, ldc, first);
+    }
+    if !full {
+        for r in 0..rows {
+            c[r * n + j0..r * n + j0 + cols].copy_from_slice(&stage[r * NR..r * NR + cols]);
+        }
     }
 }
 
 /// Runs the blocked loop nest for row panels `[p_lo, p_hi)` of the output,
-/// where `c` starts at row `p_lo * MR` of the full output matrix. A fused
-/// epilogue, when given, runs on each row panel right after its last
-/// k-block spills — while the panel is still cache-hot.
+/// where `c` starts at row `p_lo * MR` of the full output matrix: pack an
+/// `MC`-row block of A, then for each k-block and each B micro-panel sweep
+/// the block's row panels. A fused epilogue, when given, runs on each row
+/// block right after its last k-block spills.
 #[allow(clippy::too_many_arguments)]
 fn run_row_panels<E: Fn(f32) -> f32 + Sync>(
+    simd: bool,
     ta: Trans,
     m: usize,
     n: usize,
@@ -467,40 +606,41 @@ fn run_row_panels<E: Fn(f32) -> f32 + Sync>(
     p_lo: usize,
     p_hi: usize,
     acc: bool,
-    ap: &mut Vec<f32>,
+    ap: &mut [f32],
     epi: Option<&E>,
 ) {
     let npan = n.div_ceil(NR);
-    ap.clear();
-    ap.resize(k * MR, 0.0);
-    for p in p_lo..p_hi {
-        let i0 = p * MR;
-        let rows = MR.min(m - i0);
-        pack_a_panel(ta, m, k, a, i0, ap);
-        let c_panel = &mut c[(i0 - p_lo * MR) * n..];
-        let mut pc = 0;
-        while pc < k {
+    for b_lo in (p_lo..p_hi).step_by(MC / MR) {
+        let b_hi = (b_lo + MC / MR).min(p_hi);
+        for (p, panel) in (b_lo..b_hi).zip(ap.chunks_exact_mut(k * MR)) {
+            pack_a_panel(ta, m, k, a, p * MR, panel);
+        }
+        let rows_end = (b_hi * MR).min(m);
+        let c_block = &mut c[(b_lo - p_lo) * MR * n..(rows_end - p_lo * MR) * n];
+        for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let block_base = pc * npan * NR;
             for jp in 0..npan {
                 let j0 = jp * NR;
-                let cols = NR.min(n - j0);
-                microkernel(
-                    &ap[pc * MR..(pc + kc) * MR],
-                    &pb[block_base + jp * kc * NR..block_base + (jp + 1) * kc * NR],
-                    kc,
-                    c_panel,
-                    n,
-                    j0,
-                    rows,
-                    cols,
-                    pc == 0 && !acc,
-                );
+                let bp = &pb[pc * npan * NR + jp * kc * NR..][..kc * NR];
+                for p in b_lo..b_hi {
+                    let at = (p - b_lo) * k * MR + pc * MR;
+                    microkernel(
+                        simd,
+                        &ap[at..at + kc * MR],
+                        bp,
+                        kc,
+                        &mut c_block[(p - b_lo) * MR * n..],
+                        n,
+                        j0,
+                        MR.min(m - p * MR),
+                        NR.min(n - j0),
+                        pc == 0 && !acc,
+                    );
+                }
             }
-            pc += kc;
         }
         if let Some(f) = epi {
-            for v in c_panel[..rows * n].iter_mut() {
+            for v in c_block.iter_mut() {
                 *v = f(*v);
             }
         }
@@ -522,11 +662,19 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
 ) {
     let panels = m.div_ceil(MR);
     let nt = if m * n * k < PAR_MIN_MACS { 1 } else { threads().min(panels) };
+    // the AVX2 tier, unless the portable one is pinned (`MDL_FORCE_SCALAR`)
+    #[cfg(target_arch = "x86_64")]
+    let simd = is_x86_feature_detected!("avx2") && !int8::force_scalar();
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = false;
+    // one packed A block: at most `MC` rows, fewer when a worker owns fewer
+    let block_len = |owned: usize| owned.min(MC / MR) * k * MR;
     PACK.with(|bufs| {
         let (pb, ap) = &mut *bufs.borrow_mut();
         pack_b(tb, k, n, b, pb);
         if nt <= 1 {
-            run_row_panels(ta, m, n, k, a, pb, out, 0, panels, acc, ap, epi);
+            grow(ap, block_len(panels));
+            run_row_panels(simd, ta, m, n, k, a, pb, out, 0, panels, acc, ap, epi);
             return;
         }
         // Contiguous panel chunks -> contiguous, disjoint row ranges of
@@ -548,8 +696,10 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
                 rest = tail;
                 row0 = rows_end;
                 scope.spawn(move || {
-                    let mut ap = Vec::new();
-                    run_row_panels(ta, m, n, k, a, pb_ref, mine, p_lo, p_hi, acc, &mut ap, epi);
+                    let mut ap = vec![0.0; block_len(p_hi - p_lo)];
+                    run_row_panels(
+                        simd, ta, m, n, k, a, pb_ref, mine, p_lo, p_hi, acc, &mut ap, epi,
+                    );
                 });
             }
         });
@@ -558,6 +708,23 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
 
 #[cfg(test)]
 pub(crate) static TEST_THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(test)]
+pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs `f` on the dispatched tier, then again with the portable tier
+/// pinned, and restores the pin. The caller holds [`TEST_THREADS_LOCK`].
+#[cfg(test)]
+pub(crate) fn on_both_tiers<T>(f: impl Fn() -> T) -> (T, T) {
+    let pinned = int8::force_scalar();
+    let dispatched = f();
+    int8::set_force_scalar(true);
+    let portable = f();
+    int8::set_force_scalar(pinned);
+    (dispatched, portable)
+}
 
 #[cfg(test)]
 mod tests {
@@ -573,41 +740,38 @@ mod tests {
             .collect()
     }
 
-    fn check_all_variants(m: usize, n: usize, k: usize) {
-        let a_n = fill(m, k, 1);
-        let b_n = fill(k, n, 2);
-        let a_t = fill(k, m, 3); // stored k×m, used transposed
-        let b_t = fill(n, k, 4); // stored n×k, used transposed
-        for (ta, tb, a, b) in [
-            (Trans::N, Trans::N, &a_n, &b_n),
-            (Trans::T, Trans::N, &a_t, &b_n),
-            (Trans::N, Trans::T, &a_n, &b_t),
-            (Trans::T, Trans::T, &a_t, &b_t),
-        ] {
-            let mut fast = vec![f32::NAN; m * n];
-            let mut slow = vec![f32::NAN; m * n];
-            gemm(ta, tb, m, n, k, a, b, &mut fast, false);
-            gemm_naive(ta, tb, m, n, k, a, b, &mut slow, false);
-            assert_eq!(
-                fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "blocked != naive for {m}x{n}x{k} ta={ta:?} tb={tb:?}"
-            );
-            // accumulate mode continues from prior contents
-            let mut acc_fast = fill(m, n, 9);
-            let mut acc_slow = acc_fast.clone();
-            gemm(ta, tb, m, n, k, a, b, &mut acc_fast, true);
-            gemm_naive(ta, tb, m, n, k, a, b, &mut acc_slow, true);
-            assert_eq!(
-                acc_fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                acc_slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "acc blocked != naive for {m}x{n}x{k} ta={ta:?} tb={tb:?}"
-            );
-        }
+    /// One transpose pair × `acc` of an `m × n × k` product, three ways:
+    /// dispatched tier, pinned-portable tier, naive reference.
+    fn check_variant(m: usize, n: usize, k: usize, ta: Trans, tb: Trans, acc: bool) {
+        let a = fill(m, k, 1 + ta as u64); // same length stored m×k or k×m
+        let b = fill(k, n, 3 + tb as u64);
+        let init = if acc { fill(m, n, 9) } else { vec![f32::NAN; m * n] };
+        let mut slow = init.clone();
+        gemm_naive(ta, tb, m, n, k, &a, &b, &mut slow, acc);
+        let (fast, portable) = on_both_tiers(|| {
+            let mut out = init.clone();
+            gemm(ta, tb, m, n, k, &a, &b, &mut out, acc);
+            bits(&out)
+        });
+        let what = format!("{m}x{n}x{k} ta={ta:?} tb={tb:?} acc={acc}");
+        assert_eq!(fast, bits(&slow), "dispatched != naive for {what}");
+        assert_eq!(portable, bits(&slow), "portable != naive for {what}");
     }
+
+    const VARIANTS: [(Trans, Trans, bool); 8] = [
+        (Trans::N, Trans::N, false),
+        (Trans::T, Trans::N, true),
+        (Trans::N, Trans::T, false),
+        (Trans::T, Trans::T, true),
+        (Trans::N, Trans::N, true),
+        (Trans::T, Trans::N, false),
+        (Trans::N, Trans::T, true),
+        (Trans::T, Trans::T, false),
+    ];
 
     #[test]
     fn matches_naive_on_odd_shapes() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap();
         // 1×1, row/col vectors, tile boundaries ±1 and ragged interiors
         for (m, n, k) in [
             (1, 1, 1),
@@ -624,7 +788,21 @@ mod tests {
             (SMALL_M, 40, 40),
             (65, 47, 101),
         ] {
-            check_all_variants(m, n, k);
+            for (ta, tb, acc) in VARIANTS {
+                check_variant(m, n, k, ta, tb, acc);
+            }
+        }
+        // the blocking edges: MC ±1 and two row blocks, NR ±1 and a wide
+        // B, KC ±1 and two k-blocks. One variant per shape, in rotation —
+        // the small shapes above already cross every variant with every
+        // kind of ragged tile.
+        for (mi, m) in [MC - 1, MC, MC + 1, 2 * MC + 1].into_iter().enumerate() {
+            for (ni, n) in [NR - 1, NR, NR + 1, 1024].into_iter().enumerate() {
+                for (ki, k) in [KC - 1, KC, KC + 1, 2 * KC + 1].into_iter().enumerate() {
+                    let (ta, tb, acc) = VARIANTS[(5 * mi + 3 * ni + ki) % VARIANTS.len()];
+                    check_variant(m, n, k, ta, tb, acc);
+                }
+            }
         }
     }
 
@@ -650,8 +828,9 @@ mod tests {
     /// both the small and the blocked/threaded dispatch paths.
     #[test]
     fn fused_bias_act_matches_unfused_bitwise() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap();
         let relu = |v: f32| v.max(0.0);
-        for (m, n, k) in [(1, 5, 3), (8, 96, 96), (31, 48, 64), (130, 70, 130)] {
+        for (m, n, k) in [(1, 5, 3), (8, 96, 96), (31, 48, 64), (130, 70, 130), (257, 40, 300)] {
             let a = fill(m, k, 31);
             let b = fill(k, n, 32);
             let bias = fill(1, n, 33);
@@ -663,13 +842,13 @@ mod tests {
             for v in unfused.iter_mut() {
                 *v = relu(*v);
             }
-            let mut fused = vec![f32::NAN; m * n];
-            gemm_bias_act(m, n, k, &a, &b, &bias, Some(&relu), &mut fused);
-            assert_eq!(
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "fused != unfused at {m}x{n}x{k}"
-            );
+            let (fused, fused_portable) = on_both_tiers(|| {
+                let mut fused = vec![f32::NAN; m * n];
+                gemm_bias_act(m, n, k, &a, &b, &bias, Some(&relu), &mut fused);
+                bits(&fused)
+            });
+            assert_eq!(fused, bits(&unfused), "fused != unfused at {m}x{n}x{k}");
+            assert_eq!(fused_portable, fused, "portable fused != dispatched at {m}x{n}x{k}");
             // without an epilogue it is exactly matmul_bias_into
             let mut plain = vec![0.0f32; m * n];
             for row in plain.chunks_exact_mut(n) {
@@ -678,10 +857,7 @@ mod tests {
             gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut plain, true);
             let mut fused_plain = vec![f32::NAN; m * n];
             gemm_bias_act(m, n, k, &a, &b, &bias, NO_EPI, &mut fused_plain);
-            assert_eq!(
-                fused_plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            );
+            assert_eq!(bits(&fused_plain), bits(&plain));
         }
     }
 
@@ -723,17 +899,16 @@ mod tests {
         let a = fill(m, k, 11);
         let b = fill(k, n, 12);
         let mut reference = vec![0.0f32; m * n];
-        set_threads(1);
-        gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut reference, false);
-        for nt in [2, 3, 8] {
+        gemm_naive(Trans::N, Trans::N, m, n, k, &a, &b, &mut reference, false);
+        for nt in [1, 2, 3, 8] {
             set_threads(nt);
-            let mut out = vec![0.0f32; m * n];
-            gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, false);
-            assert_eq!(
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads={nt} diverged from threads=1"
-            );
+            let (fast, portable) = on_both_tiers(|| {
+                let mut out = vec![0.0f32; m * n];
+                gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, false);
+                bits(&out)
+            });
+            assert_eq!(fast, bits(&reference), "threads={nt} diverged from naive");
+            assert_eq!(portable, bits(&reference), "threads={nt} portable diverged from naive");
         }
         set_threads(before);
     }

@@ -112,14 +112,16 @@ pub fn gemm_i8(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut [i32
     }
     #[cfg(target_arch = "x86_64")]
     {
-        // Safety: each call is guarded by the matching runtime feature
-        // check (SSE2 is unconditionally part of the x86_64 baseline).
         if is_x86_feature_detected!("avx512bw") {
+            // SAFETY: AVX-512BW (which implies AVX-512F) was just detected;
+            // `check_shapes` above is the slice-length contract.
             return unsafe { gemm_avx512(m, n, k, a, bt, out, acc) };
         }
         if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected; shapes checked above.
             return unsafe { gemm_avx2(m, n, k, a, bt, out, acc) };
         }
+        // SAFETY: SSE2 is part of the x86_64 baseline; shapes checked above.
         unsafe { gemm_sse2(m, n, k, a, bt, out, acc) }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -232,6 +234,9 @@ fn tail_dot(a: &[i8], b: &[i8], from: usize) -> i32 {
     a[from..].iter().zip(&b[from..]).map(|(&x, &y)| x as i32 * y as i32).sum()
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2 and the slices must satisfy [`check_shapes`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn gemm_sse2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut [i32], acc: bool) {
@@ -239,12 +244,12 @@ unsafe fn gemm_sse2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut
     /// Sign-extends the low/high halves of 16 packed `i8` to two `i16×8`
     /// vectors via the interleave-with-self + arithmetic-shift idiom
     /// (SSE2 has no `cvtepi8`).
-    #[inline(always)]
-    unsafe fn widen(v: __m128i) -> (__m128i, __m128i) {
+    #[target_feature(enable = "sse2")]
+    fn widen(v: __m128i) -> (__m128i, __m128i) {
         (_mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8), _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8))
     }
-    #[inline(always)]
-    unsafe fn sum4(v: __m128i) -> i32 {
+    #[target_feature(enable = "sse2")]
+    fn sum4(v: __m128i) -> i32 {
         let hi = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0b00_00_11_10));
         let s = _mm_add_epi32(hi, _mm_shuffle_epi32(hi, 0b00_00_00_01));
         _mm_cvtsi128_si32(s)
@@ -252,14 +257,19 @@ unsafe fn gemm_sse2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut
     let dot4 = |a_row: &[i8], tile: [&[i8]; JT]| -> [i32; JT] {
         let chunks = k / 16;
         let mut accv = [_mm_setzero_si128(); JT];
-        for c in 0..chunks {
-            let av = _mm_loadu_si128(a_row.as_ptr().add(c * 16) as *const __m128i);
-            let (a_lo, a_hi) = widen(av);
-            for (accl, b_row) in accv.iter_mut().zip(tile) {
-                let bv = _mm_loadu_si128(b_row.as_ptr().add(c * 16) as *const __m128i);
-                let (b_lo, b_hi) = widen(bv);
-                let p = _mm_add_epi32(_mm_madd_epi16(a_lo, b_lo), _mm_madd_epi16(a_hi, b_hi));
-                *accl = _mm_add_epi32(*accl, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 16`, so every 16-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm_loadu_si128(a_row.as_ptr().add(c * 16) as *const __m128i);
+                let (a_lo, a_hi) = widen(av);
+                for (accl, b_row) in accv.iter_mut().zip(tile) {
+                    let bv = _mm_loadu_si128(b_row.as_ptr().add(c * 16) as *const __m128i);
+                    let (b_lo, b_hi) = widen(bv);
+                    let p = _mm_add_epi32(_mm_madd_epi16(a_lo, b_lo), _mm_madd_epi16(a_hi, b_hi));
+                    *accl = _mm_add_epi32(*accl, p);
+                }
             }
         }
         let mut sums = [0i32; JT];
@@ -271,33 +281,42 @@ unsafe fn gemm_sse2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut
     let dot1 = |a_row: &[i8], b_row: &[i8]| -> i32 {
         let chunks = k / 16;
         let mut accv = _mm_setzero_si128();
-        for c in 0..chunks {
-            let av = _mm_loadu_si128(a_row.as_ptr().add(c * 16) as *const __m128i);
-            let bv = _mm_loadu_si128(b_row.as_ptr().add(c * 16) as *const __m128i);
-            let (a_lo, a_hi) = widen(av);
-            let (b_lo, b_hi) = widen(bv);
-            let p = _mm_add_epi32(_mm_madd_epi16(a_lo, b_lo), _mm_madd_epi16(a_hi, b_hi));
-            accv = _mm_add_epi32(accv, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 16`, so every 16-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm_loadu_si128(a_row.as_ptr().add(c * 16) as *const __m128i);
+                let bv = _mm_loadu_si128(b_row.as_ptr().add(c * 16) as *const __m128i);
+                let (a_lo, a_hi) = widen(av);
+                let (b_lo, b_hi) = widen(bv);
+                let p = _mm_add_epi32(_mm_madd_epi16(a_lo, b_lo), _mm_madd_epi16(a_hi, b_hi));
+                accv = _mm_add_epi32(accv, p);
+            }
         }
         sum4(accv) + tail_dot(a_row, b_row, chunks * 16)
     };
     simd_loop(m, n, k, a, bt, out, acc, dot4, dot1);
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2 and the slices must satisfy
+/// [`check_shapes`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_avx2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut [i32], acc: bool) {
     use std::arch::x86_64::*;
     /// Sign-extends 32 packed `i8` to two `i16×16` vectors.
-    #[inline(always)]
-    unsafe fn widen(v: __m256i) -> (__m256i, __m256i) {
+    #[target_feature(enable = "avx2")]
+    fn widen(v: __m256i) -> (__m256i, __m256i) {
         (
             _mm256_cvtepi8_epi16(_mm256_castsi256_si128(v)),
             _mm256_cvtepi8_epi16(_mm256_extracti128_si256(v, 1)),
         )
     }
-    #[inline(always)]
-    unsafe fn sum8(v: __m256i) -> i32 {
+    #[target_feature(enable = "avx2")]
+    fn sum8(v: __m256i) -> i32 {
         let q = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
         let hi = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0b00_00_11_10));
         let s = _mm_add_epi32(hi, _mm_shuffle_epi32(hi, 0b00_00_00_01));
@@ -306,15 +325,22 @@ unsafe fn gemm_avx2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut
     let dot4 = |a_row: &[i8], tile: [&[i8]; JT]| -> [i32; JT] {
         let chunks = k / 32;
         let mut accv = [_mm256_setzero_si256(); JT];
-        for c in 0..chunks {
-            let av = _mm256_loadu_si256(a_row.as_ptr().add(c * 32) as *const __m256i);
-            let (a_lo, a_hi) = widen(av);
-            for (accl, b_row) in accv.iter_mut().zip(tile) {
-                let bv = _mm256_loadu_si256(b_row.as_ptr().add(c * 32) as *const __m256i);
-                let (b_lo, b_hi) = widen(bv);
-                let p =
-                    _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo), _mm256_madd_epi16(a_hi, b_hi));
-                *accl = _mm256_add_epi32(*accl, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 32`, so every 32-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm256_loadu_si256(a_row.as_ptr().add(c * 32) as *const __m256i);
+                let (a_lo, a_hi) = widen(av);
+                for (accl, b_row) in accv.iter_mut().zip(tile) {
+                    let bv = _mm256_loadu_si256(b_row.as_ptr().add(c * 32) as *const __m256i);
+                    let (b_lo, b_hi) = widen(bv);
+                    let p = _mm256_add_epi32(
+                        _mm256_madd_epi16(a_lo, b_lo),
+                        _mm256_madd_epi16(a_hi, b_hi),
+                    );
+                    *accl = _mm256_add_epi32(*accl, p);
+                }
             }
         }
         let mut sums = [0i32; JT];
@@ -326,19 +352,29 @@ unsafe fn gemm_avx2(m: usize, n: usize, k: usize, a: &[i8], bt: &[i8], out: &mut
     let dot1 = |a_row: &[i8], b_row: &[i8]| -> i32 {
         let chunks = k / 32;
         let mut accv = _mm256_setzero_si256();
-        for c in 0..chunks {
-            let av = _mm256_loadu_si256(a_row.as_ptr().add(c * 32) as *const __m256i);
-            let bv = _mm256_loadu_si256(b_row.as_ptr().add(c * 32) as *const __m256i);
-            let (a_lo, a_hi) = widen(av);
-            let (b_lo, b_hi) = widen(bv);
-            let p = _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo), _mm256_madd_epi16(a_hi, b_hi));
-            accv = _mm256_add_epi32(accv, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 32`, so every 32-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm256_loadu_si256(a_row.as_ptr().add(c * 32) as *const __m256i);
+                let bv = _mm256_loadu_si256(b_row.as_ptr().add(c * 32) as *const __m256i);
+                let (a_lo, a_hi) = widen(av);
+                let (b_lo, b_hi) = widen(bv);
+                let p =
+                    _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo), _mm256_madd_epi16(a_hi, b_hi));
+                accv = _mm256_add_epi32(accv, p);
+            }
         }
         sum8(accv) + tail_dot(a_row, b_row, chunks * 32)
     };
     simd_loop(m, n, k, a, bt, out, acc, dot4, dot1);
 }
 
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512BW and the slices must satisfy
+/// [`check_shapes`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn gemm_avx512(
@@ -352,8 +388,8 @@ unsafe fn gemm_avx512(
 ) {
     use std::arch::x86_64::*;
     /// Sign-extends 64 packed `i8` to two `i16×32` vectors.
-    #[inline(always)]
-    unsafe fn widen(v: __m512i) -> (__m512i, __m512i) {
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn widen(v: __m512i) -> (__m512i, __m512i) {
         (
             _mm512_cvtepi8_epi16(_mm512_castsi512_si256(v)),
             _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64(v, 1)),
@@ -362,15 +398,22 @@ unsafe fn gemm_avx512(
     let dot4 = |a_row: &[i8], tile: [&[i8]; JT]| -> [i32; JT] {
         let chunks = k / 64;
         let mut accv = [_mm512_setzero_si512(); JT];
-        for c in 0..chunks {
-            let av = _mm512_loadu_si512(a_row.as_ptr().add(c * 64) as *const __m512i);
-            let (a_lo, a_hi) = widen(av);
-            for (accl, b_row) in accv.iter_mut().zip(tile) {
-                let bv = _mm512_loadu_si512(b_row.as_ptr().add(c * 64) as *const __m512i);
-                let (b_lo, b_hi) = widen(bv);
-                let p =
-                    _mm512_add_epi32(_mm512_madd_epi16(a_lo, b_lo), _mm512_madd_epi16(a_hi, b_hi));
-                *accl = _mm512_add_epi32(*accl, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 64`, so every 64-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm512_loadu_si512(a_row.as_ptr().add(c * 64) as *const __m512i);
+                let (a_lo, a_hi) = widen(av);
+                for (accl, b_row) in accv.iter_mut().zip(tile) {
+                    let bv = _mm512_loadu_si512(b_row.as_ptr().add(c * 64) as *const __m512i);
+                    let (b_lo, b_hi) = widen(bv);
+                    let p = _mm512_add_epi32(
+                        _mm512_madd_epi16(a_lo, b_lo),
+                        _mm512_madd_epi16(a_hi, b_hi),
+                    );
+                    *accl = _mm512_add_epi32(*accl, p);
+                }
             }
         }
         let mut sums = [0i32; JT];
@@ -382,13 +425,19 @@ unsafe fn gemm_avx512(
     let dot1 = |a_row: &[i8], b_row: &[i8]| -> i32 {
         let chunks = k / 64;
         let mut accv = _mm512_setzero_si512();
-        for c in 0..chunks {
-            let av = _mm512_loadu_si512(a_row.as_ptr().add(c * 64) as *const __m512i);
-            let bv = _mm512_loadu_si512(b_row.as_ptr().add(c * 64) as *const __m512i);
-            let (a_lo, a_hi) = widen(av);
-            let (b_lo, b_hi) = widen(bv);
-            let p = _mm512_add_epi32(_mm512_madd_epi16(a_lo, b_lo), _mm512_madd_epi16(a_hi, b_hi));
-            accv = _mm512_add_epi32(accv, p);
+        // SAFETY: `simd_loop` hands in rows of exactly `k` bytes and
+        // `c < k / 64`, so every 64-byte load ends inside its row;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            for c in 0..chunks {
+                let av = _mm512_loadu_si512(a_row.as_ptr().add(c * 64) as *const __m512i);
+                let bv = _mm512_loadu_si512(b_row.as_ptr().add(c * 64) as *const __m512i);
+                let (a_lo, a_hi) = widen(av);
+                let (b_lo, b_hi) = widen(bv);
+                let p =
+                    _mm512_add_epi32(_mm512_madd_epi16(a_lo, b_lo), _mm512_madd_epi16(a_hi, b_hi));
+                accv = _mm512_add_epi32(accv, p);
+            }
         }
         _mm512_reduce_add_epi32(accv) + tail_dot(a_row, b_row, chunks * 64)
     };

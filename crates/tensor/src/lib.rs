@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arena;
 pub mod fft;
@@ -135,64 +136,6 @@ mod proptests {
         }
 
         #[test]
-        fn blocked_kernel_bitwise_matches_naive_on_arbitrary_shapes(
-            m in 1usize..24,
-            n in 1usize..40,
-            k in 0usize..48,
-            a_pool in prop::collection::vec(small_f32(), 24 * 48),
-            b_pool in prop::collection::vec(small_f32(), 48 * 40),
-        ) {
-            use crate::kernel::{gemm, gemm_naive, Trans};
-            // The same flat buffer serves as m×k or k×m (equal length), so
-            // all four transposition combinations reuse one pool slice.
-            let a = &a_pool[..m * k];
-            let b = &b_pool[..k * n];
-            for (ta, tb) in [
-                (Trans::N, Trans::N),
-                (Trans::T, Trans::N),
-                (Trans::N, Trans::T),
-                (Trans::T, Trans::T),
-            ] {
-                let mut fast = vec![f32::NAN; m * n];
-                let mut slow = vec![f32::NAN; m * n];
-                gemm(ta, tb, m, n, k, a, b, &mut fast, false);
-                gemm_naive(ta, tb, m, n, k, a, b, &mut slow, false);
-                prop_assert!(
-                    fast.iter().zip(slow.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "blocked != naive at {m}x{n}x{k} {ta:?}{tb:?}"
-                );
-            }
-        }
-
-        #[test]
-        fn kernel_bits_do_not_depend_on_thread_count(
-            m in 1usize..32,
-            n in 1usize..32,
-            k in 1usize..32,
-            a_pool in prop::collection::vec(small_f32(), 32 * 32),
-            b_pool in prop::collection::vec(small_f32(), 32 * 32),
-        ) {
-            use crate::kernel::{gemm, set_threads, threads, Trans, TEST_THREADS_LOCK};
-            let a = &a_pool[..m * k];
-            let b = &b_pool[..k * n];
-            let _guard = TEST_THREADS_LOCK.lock().unwrap();
-            let before = threads();
-            set_threads(1);
-            let mut reference = vec![0.0f32; m * n];
-            gemm(Trans::N, Trans::N, m, n, k, a, b, &mut reference, false);
-            for nt in [2usize, 8] {
-                set_threads(nt);
-                let mut out = vec![0.0f32; m * n];
-                gemm(Trans::N, Trans::N, m, n, k, a, b, &mut out, false);
-                prop_assert!(
-                    out.iter().zip(reference.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "threads={nt} diverged at {m}x{n}x{k}"
-                );
-            }
-            set_threads(before);
-        }
-
-        #[test]
         fn int8_kernel_bitwise_matches_reference_on_arbitrary_shapes(
             m in 1usize..16,
             n in 1usize..40,
@@ -237,6 +180,109 @@ mod proptests {
             for (f, d) in fast.iter().zip(dense.iter()) {
                 prop_assert!((f - d).abs() < 1e-2);
             }
+        }
+    }
+
+    /// `Trans::T` when the drawn flag is set.
+    fn trans(t: bool) -> crate::kernel::Trans {
+        if t {
+            crate::kernel::Trans::T
+        } else {
+            crate::kernel::Trans::N
+        }
+    }
+
+    // The f32 kernel properties: shapes large enough that most cases take
+    // the blocked path (m ≥ SMALL_M), crossing an MR edge, the MC = 128
+    // row-block edge and KC = 256 twice, with ragged n around NR. Every
+    // product runs on the dispatched tier and the pinned-portable tier and
+    // both are compared with `gemm_naive` bit for bit.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn blocked_kernel_bitwise_matches_naive_on_arbitrary_shapes(
+            m in 1usize..=160,
+            n in 1usize..=50,
+            k in 0usize..=600,
+            acc in any::<bool>(),
+            a_pool in prop::collection::vec(small_f32(), 160 * 600),
+            b_pool in prop::collection::vec(small_f32(), 600 * 50),
+            seed_pool in prop::collection::vec(small_f32(), 160 * 50),
+        ) {
+            use crate::kernel::{bits, gemm, gemm_bias_act, gemm_naive, on_both_tiers, Trans, TEST_THREADS_LOCK};
+            // The same flat buffer serves as m×k or k×m (equal length), so
+            // all four transposition combinations reuse one pool slice.
+            let a = &a_pool[..m * k];
+            let b = &b_pool[..k * n];
+            let init = &seed_pool[..m * n];
+            let _guard = TEST_THREADS_LOCK.lock().unwrap();
+            for (ta, tb) in [
+                (Trans::N, Trans::N),
+                (Trans::T, Trans::N),
+                (Trans::N, Trans::T),
+                (Trans::T, Trans::T),
+            ] {
+                let mut slow = init.to_vec();
+                gemm_naive(ta, tb, m, n, k, a, b, &mut slow, acc);
+                let (fast, portable) = on_both_tiers(|| {
+                    let mut out = init.to_vec();
+                    gemm(ta, tb, m, n, k, a, b, &mut out, acc);
+                    bits(&out)
+                });
+                prop_assert!(fast == bits(&slow), "dispatched != naive at {m}x{n}x{k} {ta:?}{tb:?} acc={acc}");
+                prop_assert!(portable == bits(&slow), "portable != naive at {m}x{n}x{k} {ta:?}{tb:?} acc={acc}");
+            }
+            // fused bias + ReLU epilogue against seed-rows, naive, map
+            let relu = |v: f32| v.max(0.0);
+            let bias = &seed_pool[..n];
+            let mut slow: Vec<f32> = bias.iter().copied().cycle().take(m * n).collect();
+            gemm_naive(Trans::N, Trans::N, m, n, k, a, b, &mut slow, true);
+            slow.iter_mut().for_each(|v| *v = relu(*v));
+            let (fast, portable) = on_both_tiers(|| {
+                let mut out = vec![f32::NAN; m * n];
+                gemm_bias_act(m, n, k, a, b, bias, Some(&relu), &mut out);
+                bits(&out)
+            });
+            prop_assert!(fast == bits(&slow), "fused dispatched != naive at {m}x{n}x{k}");
+            prop_assert!(portable == bits(&slow), "fused portable != naive at {m}x{n}x{k}");
+        }
+
+        // Every shape drawn here is above `PAR_MIN_MACS` (64·33·500 > 2²⁰)
+        // and has ≥ 16 row panels, so each thread count really spawns
+        // that many workers.
+        #[test]
+        fn kernel_bits_do_not_depend_on_thread_count(
+            m in 64usize..=160,
+            n in 33usize..=80,
+            k in 500usize..=600,
+            ta in any::<bool>(),
+            tb in any::<bool>(),
+            acc in any::<bool>(),
+            a_pool in prop::collection::vec(small_f32(), 160 * 600),
+            b_pool in prop::collection::vec(small_f32(), 600 * 80),
+            seed_pool in prop::collection::vec(small_f32(), 160 * 80),
+        ) {
+            use crate::kernel::{bits, gemm, gemm_naive, on_both_tiers, set_threads, threads, TEST_THREADS_LOCK};
+            let (ta, tb) = (trans(ta), trans(tb));
+            let a = &a_pool[..m * k];
+            let b = &b_pool[..k * n];
+            let init = &seed_pool[..m * n];
+            let mut reference = init.to_vec();
+            gemm_naive(ta, tb, m, n, k, a, b, &mut reference, acc);
+            let _guard = TEST_THREADS_LOCK.lock().unwrap();
+            let before = threads();
+            for nt in [1usize, 2, 3, 8] {
+                set_threads(nt);
+                let (fast, portable) = on_both_tiers(|| {
+                    let mut out = init.to_vec();
+                    gemm(ta, tb, m, n, k, a, b, &mut out, acc);
+                    bits(&out)
+                });
+                prop_assert!(fast == bits(&reference), "threads={nt} diverged at {m}x{n}x{k} {ta:?}{tb:?}");
+                prop_assert!(portable == bits(&reference), "threads={nt} portable diverged at {m}x{n}x{k} {ta:?}{tb:?}");
+            }
+            set_threads(before);
         }
     }
 }

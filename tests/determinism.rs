@@ -55,33 +55,58 @@ fn training_is_seed_deterministic() {
     assert_ne!(train(42), train(43));
 }
 
+/// Fixed-seed training whose products reach the blocked kernel *and* its
+/// threaded branch: batch 128 through 64→160→10 makes the first layer's
+/// forward and both of its backward products 128·160·64 ≈ 1.3 M MACs,
+/// above the kernel's threading threshold. Returns the weight bits.
+fn train_wide(threads: usize) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(42);
+    let data = mdl_core::data::synthetic::synthetic_digits(256, 0.1, &mut rng);
+    let mut net = Sequential::new();
+    net.push(Dense::new(64, 160, Activation::Relu, &mut rng));
+    net.push(Dense::new(160, 10, Activation::Identity, &mut rng));
+    let mut opt = Adam::new(0.01);
+    let _ = fit_classifier(
+        &mut net,
+        &mut opt,
+        &data.x,
+        &data.y,
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 128,
+            kernel_threads: Some(threads),
+            ..Default::default()
+        },
+        &mut rng,
+    );
+    net.param_vector().iter().map(|v| v.to_bits()).collect()
+}
+
 /// The blocked GEMM kernel partitions work over row panels without
 /// changing any per-element accumulation order, so training results must
 /// be byte-for-byte independent of the kernel thread count.
 #[test]
 fn training_is_kernel_thread_count_invariant() {
-    let train = |threads: usize| {
-        let mut rng = StdRng::seed_from_u64(42);
-        let data = mdl_core::data::synthetic::gaussian_blobs(150, 3, 0.4, &mut rng);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 40, Activation::Relu, &mut rng));
-        net.push(Dense::new(40, 3, Activation::Identity, &mut rng));
-        let mut opt = Adam::new(0.01);
-        let _ = fit_classifier(
-            &mut net,
-            &mut opt,
-            &data.x,
-            &data.y,
-            &TrainConfig { epochs: 4, kernel_threads: Some(threads), ..Default::default() },
-            &mut rng,
-        );
-        net.param_vector().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
-    };
-    let reference = train(1);
+    let reference = train_wide(1);
     for threads in [2, 4, 8] {
-        assert_eq!(reference, train(threads), "weights diverged at {threads} kernel threads");
+        assert_eq!(reference, train_wide(threads), "weights diverged at {threads} kernel threads");
     }
     mdl_core::tensor::kernel::set_threads(1);
+}
+
+/// The AVX2 tile kernel multiplies then adds — two roundings, like the
+/// portable tier — so the trained weights must not depend on which tier
+/// ran. (Flipping the process-wide pin while the other tests run is
+/// harmless for exactly that reason.)
+#[test]
+fn training_is_kernel_tier_invariant() {
+    use mdl_core::tensor::kernel::int8::{force_scalar, set_force_scalar};
+    let pinned = force_scalar();
+    let dispatched = train_wide(1);
+    set_force_scalar(true);
+    let portable = train_wide(1);
+    set_force_scalar(pinned);
+    assert_eq!(dispatched, portable, "weights differ between the dispatched and portable tiers");
 }
 
 #[test]
