@@ -1,14 +1,14 @@
 //! E-plan — planned graph executor: one-shot `forward_eval` vs a
 //! compiled plan's steady-state `Plan::run`, f32 and int8, batch 1/8/32.
 //!
-//! `forward_eval` allocates per call: the f32 model walks its layers
-//! (layer outputs, dropout identity clones), the int8 model compiles a
-//! plan for the input's shape and runs it once. A kept [`Plan`] pays the
-//! compile once — every intermediate in one shared arena, eval-mode
-//! dropout elided — so steady-state runs are allocation-free. Both sides
-//! run the same fused Dense ops (f32 bias+activation in the GEMM drain,
-//! int8 bias-fold+dequant+activation in one accumulator pass); the
-//! columns differ by what a caller saves by keeping the plan. The model
+//! `forward_eval` allocates per call: for both precisions it compiles a
+//! plan for the input's shape and runs it once (`dynamic_us` is that
+//! one-shot compile + run). A kept [`Plan`] pays the compile once — every
+//! intermediate in one shared arena, eval-mode dropout elided — so
+//! steady-state runs are allocation-free. Both sides run the same fused
+//! Dense ops (f32 bias+activation in the GEMM drain, int8
+//! bias-fold+dequant+activation in one accumulator pass); the columns
+//! differ by what a caller saves by keeping the plan. The model
 //! is a DeepMood-style dense classifier (the paper's mobile-tier shape):
 //! a stack of narrow hidden layers with dropout regularization between
 //! them; the int8 variant quantizes the dropout-stripped stack, exactly
@@ -16,10 +16,12 @@
 //!
 //! The two are timed interleaved (alternating measurement slices,
 //! best-of each) so clock drift on shared hardware cancels out of the
-//! ratio. The bench asserts the plan is bit-identical to `forward_eval`,
-//! asserts **zero heap allocations** in steady state via a counting
-//! global allocator, and hard-asserts that the f32 plan never loses to
-//! `forward_eval` at batch 8. `tests/bench_floors.json` gates
+//! ratio. The bench asserts the f32 plan is bit-identical to an explicit
+//! per-layer fold of `Layer::forward_eval` (so the check is not plan vs
+//! plan) and the int8 plan to `forward_eval` (whose naive reference lives
+//! in `tests/plan.rs`), asserts **zero heap allocations** in steady state
+//! via a counting global allocator, and hard-asserts that the f32 plan
+//! never loses to `forward_eval` at batch 8. `tests/bench_floors.json` gates
 //! `plan_speedup_f32_b8` and the absolute `plan_int8_b8_us`.
 
 use mdl_bench::print_table;
@@ -63,9 +65,9 @@ const IN_DIM: usize = 16;
 const HIDDEN: usize = 12;
 const DEPTH: usize = 8;
 const BATCHES: [usize; 3] = [1, 8, 32];
-/// Regression guard: the f32 plan must never lose to `forward_eval`
-/// (both are kernel-bound at mobile widths; the plan saves the per-call
-/// allocations and the dropout clones).
+/// Regression guard: the kept f32 plan must never lose to `forward_eval`
+/// (both are kernel-bound at mobile widths; the kept plan saves the
+/// per-call compile and its allocations).
 const F32_SPEEDUP_FLOOR_B8: f64 = 0.95;
 
 /// DeepMood-style dense classifier; `dropout` controls whether the
@@ -104,7 +106,7 @@ fn slice_secs(iters: usize, mut f: impl FnMut()) -> f64 {
 struct Row {
     precision: &'static str,
     rows: usize,
-    /// One-shot `forward_eval`.
+    /// One-shot `forward_eval`: compile + one run, either precision.
     dynamic_us: f64,
     /// Steady-state `Plan::run`.
     fused_us: f64,
@@ -120,13 +122,16 @@ fn bench_variant(model: PlanModel<'_>, rows: usize, precision: &'static str) -> 
         PlanModel::F32(net) => net.forward_eval(x),
         PlanModel::Int8(qm) => qm.forward_eval(x),
     };
-    let reference = forward_eval(&x);
+    let reference = match model {
+        PlanModel::F32(net) => net.layers().iter().fold(x.clone(), |cur, l| l.forward_eval(&cur)),
+        PlanModel::Int8(qm) => qm.forward_eval(&x),
+    };
 
     let mut plan =
         Plan::compile(model, rows, IN_DIM, PlanOptions::default()).expect("bench model plans");
     let mut out = Matrix::default();
     plan.run(model, &x, &mut out); // warm-up
-    assert_eq!(bits(&out), bits(&reference), "plan must match forward_eval");
+    assert_eq!(bits(&out), bits(&reference), "plan must match the reference");
 
     // Interleaved best-of: one forward_eval and one plan slice per rep,
     // so slow drift hits both alike and divides out.

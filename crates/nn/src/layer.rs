@@ -74,10 +74,10 @@ pub trait Layer: Send + Sync {
 
     /// Shared-reference downcasting hook, used by the plan compiler
     /// ([`crate::plan`]) to specialize ops for concrete layer types
-    /// behind an `Arc` (where `as_any_mut` is unreachable). Layers the
-    /// planner supports override this to return `Some(self)`; the
-    /// default `None` makes the planner report the layer as unsupported,
-    /// so callers fall back to per-layer `forward_eval`.
+    /// behind an `Arc` (where `as_any_mut` is unreachable). Layers with an
+    /// arena-backed plan op override this to return `Some(self)`; the
+    /// default `None` plans as the generic op, which calls this layer's
+    /// own [`Layer::forward_eval`] once per run.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

@@ -16,15 +16,19 @@
 //!   into the op's `rows × out` `i32` accumulator, then one drain pass
 //!   that folds the bias, dequantizes, applies the activation and tracks
 //!   the max-abs the next layer's requantization needs;
-//! - recurrent layers scan through plan-owned pre-sliced workspaces.
+//! - recurrent layers scan through plan-owned pre-sliced workspaces;
+//! - any other f32 layer kind (BiGru, the conv family, a nested
+//!   `Sequential`, a custom layer) is one *generic* op: its input span is
+//!   staged into a plan-owned matrix, the layer's own `forward_eval` runs
+//!   once, and its checked result is copied on. Only that op may allocate.
 //!
-//! For int8 the plan is the only evaluator:
-//! [`QuantizedModel::forward_eval`] compiles a plan for its input's shape
-//! and runs it once. For f32, [`Sequential::forward_eval`] still walks
-//! `Layer::forward_eval` per layer (it must, for the layer kinds the
-//! planner rejects), but Dense/GRU/LSTM route to the same slice-level
-//! routines the plan ops call, so planned results are bit-identical to
-//! it for any layer stack and any thread count.
+//! The plan is the only evaluator for both precisions:
+//! [`QuantizedModel::forward_eval`] and [`Sequential::forward_eval`]
+//! compile a plan for their input's shape and run it once, and an f32
+//! plan covers any layer range ([`Plan::compile_range`]: the device-side
+//! trunk `..k`, the server-side resume `k..`). Dense/GRU/LSTM ops call the
+//! slice-level routines those layers' `forward_eval` calls, so a plan is
+//! bit-identical to folding `Layer::forward_eval` over its range.
 //!
 //! # Examples
 //!
@@ -65,20 +69,27 @@ pub enum PlanModel<'a> {
     Int8(&'a QuantizedModel),
 }
 
+impl PlanModel<'_> {
+    /// Layers in the model.
+    fn len(self) -> usize {
+        match self {
+            PlanModel::F32(seq) => seq.layers().len(),
+            PlanModel::Int8(q) => q.layers().len(),
+        }
+    }
+}
+
 /// Compile-time knobs — none today. The type (and [`Plan::compile`]'s
 /// fourth parameter) stays because `benchmark/src/probes.rs` names it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanOptions {}
 
-/// Why a model can't be planned. For f32 models every case leaves
-/// per-layer [`Sequential::forward_eval`] as the correct fallback.
+/// Why a plan can't be compiled: there is nothing to run or the widths
+/// don't chain — never the kind of a layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
-    /// The model has no layers.
+    /// The model (or the requested layer range) has no layers.
     Empty,
-    /// A layer kind the planner doesn't specialize (e.g. `bigru`, or a
-    /// custom layer without an `as_any` override).
-    Unsupported(&'static str),
     /// A layer's expected input width doesn't match what the previous
     /// layer produces (or the requested input width).
     Shape {
@@ -95,7 +106,6 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::Empty => write!(f, "cannot plan an empty model"),
-            PlanError::Unsupported(kind) => write!(f, "unsupported layer kind: {kind}"),
             PlanError::Shape { layer, expected, got } => {
                 write!(f, "layer {layer} expects width {expected}, plan feeds {got}")
             }
@@ -127,15 +137,26 @@ enum Loc {
     Output,
 }
 
-enum OpF32 {
-    /// `dst = act(src · W + b)` for the `Dense` at `layer`.
-    Dense { layer: usize, src: Loc, dst: Loc },
+/// One f32 op: layer `layer` of the model applied from `src` to `dst`.
+struct OpF32 {
+    layer: usize,
+    src: Loc,
+    dst: Loc,
+    kind: KindF32,
+}
+
+enum KindF32 {
+    /// `dst = act(src · W + b)`, one GEMM with the epilogue fused.
+    Dense,
     /// Whole-sequence GRU scan through a plan-owned cache.
-    Gru { layer: usize, src: Loc, dst: Loc, cache: GruCache },
+    Gru(GruCache),
     /// Whole-sequence LSTM scan through a plan-owned cache.
-    Lstm { layer: usize, src: Loc, dst: Loc, cache: LstmCache },
+    Lstm(LstmCache),
+    /// Any other kind: `src` is staged into this plan-owned matrix and the
+    /// layer's own `forward_eval` runs on it (and may allocate).
+    Generic(Matrix),
     /// Plain copy (a trailing eval-mode dropout is the identity).
-    Copy { src: Loc, dst: Loc },
+    Copy,
 }
 
 enum OpI8 {
@@ -196,30 +217,48 @@ impl std::fmt::Debug for Plan {
 }
 
 impl Plan {
-    /// Compiles a plan for `rows × cols` inputs against `model`.
-    ///
-    /// Walks the layer stack once, checks shapes, sizes every recurrent
-    /// workspace, and lays all inter-layer activations into one shared
-    /// arena by liveness. The f32 path supports Dense, Dropout
-    /// (eval-mode identity), GRU and LSTM; anything else (e.g. `BiGru`,
-    /// nested containers) returns [`PlanError::Unsupported`] and the
-    /// caller keeps per-layer `forward_eval`.
+    /// Compiles a plan for `rows × cols` inputs against the whole `model`;
+    /// see [`Plan::compile_range`].
     pub fn compile(
         model: PlanModel<'_>,
         rows: usize,
         cols: usize,
         _opts: PlanOptions,
     ) -> Result<Plan, PlanError> {
+        Self::compile_range(model, 0..model.len(), rows, cols)
+    }
+
+    /// Compiles a plan that feeds `rows × cols` inputs to layer
+    /// `layers.start` and stops after layer `layers.end - 1`.
+    ///
+    /// Walks the range once — never calling a layer's `forward_eval` —
+    /// checks shapes, sizes every recurrent workspace, and lays all
+    /// inter-layer activations into one shared arena by liveness. Every
+    /// f32 layer kind compiles (see the module docs). An int8 model has no
+    /// f32 activation at a layer boundary, so it plans whole or panics.
+    pub fn compile_range(
+        model: PlanModel<'_>,
+        layers: std::ops::Range<usize>,
+        rows: usize,
+        cols: usize,
+    ) -> Result<Plan, PlanError> {
         assert!(rows > 0 && cols > 0, "plan shape must be non-empty");
         match model {
-            PlanModel::F32(seq) => Self::compile_f32(seq, rows, cols),
-            PlanModel::Int8(q) => Self::compile_i8(q, rows, cols),
+            PlanModel::F32(seq) => Self::compile_f32(seq, layers, rows, cols),
+            PlanModel::Int8(q) => {
+                assert_eq!(layers, 0..q.layers().len(), "an int8 model plans whole");
+                Self::compile_i8(q, rows, cols)
+            }
         }
     }
 
-    fn compile_f32(seq: &Sequential, rows: usize, cols: usize) -> Result<Plan, PlanError> {
-        let layers = seq.layers();
-        if layers.is_empty() {
+    fn compile_f32(
+        seq: &Sequential,
+        range: std::ops::Range<usize>,
+        rows: usize,
+        cols: usize,
+    ) -> Result<Plan, PlanError> {
+        if range.is_empty() {
             return Err(PlanError::Empty);
         }
         let mut b = ArenaBuilder::new();
@@ -227,28 +266,29 @@ impl Plan {
         let mut fused_ops = 0usize;
         let mut cur = Loc::Input;
         let mut cur_cols = cols;
-        for (i, layer) in layers.iter().enumerate() {
-            let last = i + 1 == layers.len();
-            let info = layer.info();
-            let any = layer.as_any().ok_or(PlanError::Unsupported(info.kind))?;
-            if any.downcast_ref::<Dropout>().is_some() {
+        for (i, layer) in range.clone().zip(&seq.layers()[range.clone()]) {
+            let last = i + 1 == range.end;
+            let any = layer.as_any();
+            if any.is_some_and(|a| a.is::<Dropout>()) {
                 // eval-mode identity: alias the location, no op recorded
                 continue;
             }
+            let info = layer.info();
             if info.in_dim != cur_cols {
                 return Err(PlanError::Shape { layer: i, expected: info.in_dim, got: cur_cols });
             }
-            let dst = if last { Loc::Output } else { Loc::Buf(b.alloc(rows * info.out_dim)) };
-            if any.downcast_ref::<Dense>().is_some() {
+            let kind = if any.is_some_and(|a| a.is::<Dense>()) {
                 fused_ops += 1;
-                ops.push(OpF32::Dense { layer: i, src: cur, dst });
-            } else if let Some(g) = any.downcast_ref::<Gru>() {
-                ops.push(OpF32::Gru { layer: i, src: cur, dst, cache: g.plan_cache(rows) });
-            } else if let Some(l) = any.downcast_ref::<Lstm>() {
-                ops.push(OpF32::Lstm { layer: i, src: cur, dst, cache: l.plan_cache(rows) });
+                KindF32::Dense
+            } else if let Some(g) = any.and_then(|a| a.downcast_ref::<Gru>()) {
+                KindF32::Gru(g.plan_cache(rows))
+            } else if let Some(l) = any.and_then(|a| a.downcast_ref::<Lstm>()) {
+                KindF32::Lstm(l.plan_cache(rows))
             } else {
-                return Err(PlanError::Unsupported(info.kind));
-            }
+                KindF32::Generic(Matrix::zeros(rows, cur_cols))
+            };
+            let dst = if last { Loc::Output } else { Loc::Buf(b.alloc(rows * info.out_dim)) };
+            ops.push(OpF32 { layer: i, src: cur, dst, kind });
             if let Loc::Buf(id) = cur {
                 b.release(id);
             }
@@ -257,7 +297,8 @@ impl Plan {
         }
         // a trailing (or sole) dropout leaves the chain short of Output
         if !matches!(cur, Loc::Output) {
-            ops.push(OpF32::Copy { src: cur, dst: Loc::Output });
+            let layer = range.end - 1;
+            ops.push(OpF32 { layer, src: cur, dst: Loc::Output, kind: KindF32::Copy });
         }
         let arena = b.build::<f32>();
         let stats = PlanStats { ops: ops.len(), fused_ops, arena_bytes: arena.size_bytes() };
@@ -392,9 +433,12 @@ impl Plan {
         self.stats
     }
 
-    /// Executes the plan: `out` becomes exactly what `forward_eval`
-    /// returns for `x`, bit for bit. Steady-state calls perform no heap
-    /// allocation (`out` is resized on first use and reused after).
+    /// Executes the plan: `out` becomes exactly what folding
+    /// `Layer::forward_eval` over the compiled layers returns for `x`, bit
+    /// for bit. Steady-state calls perform no heap allocation (`out` is
+    /// resized on first use and reused after) unless the plan holds a
+    /// generic op, which allocates whatever its layer's `forward_eval`
+    /// does. A model's [`crate::LayerProfiler`] is ticked once per op.
     ///
     /// # Panics
     ///
@@ -453,29 +497,33 @@ fn run_f32(
     x: &Matrix,
     out: &mut Matrix,
 ) {
+    let profiled = seq.profiler.as_ref();
     for op in ops.iter_mut() {
-        match op {
-            OpF32::Dense { layer, src, dst } => {
-                let d: &Dense = expect_layer(seq, *layer, "dense");
-                let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), *src, *dst);
-                d.eval_slice_into(rows, xs, os);
+        let t0 = profiled.map_or(0, |p| p.profiler.now_ns());
+        let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), op.src, op.dst);
+        match &mut op.kind {
+            KindF32::Dense => {
+                expect_layer::<Dense>(seq, op.layer, "dense").eval_slice_into(rows, xs, os);
             }
-            OpF32::Gru { layer, src, dst, cache } => {
-                let g: &Gru = expect_layer(seq, *layer, "gru");
-                let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), *src, *dst);
-                g.scan_slice_into(rows, xs, cache);
+            KindF32::Gru(cache) => {
+                expect_layer::<Gru>(seq, op.layer, "gru").scan_slice_into(rows, xs, cache);
                 Gru::states_into(cache, os);
             }
-            OpF32::Lstm { layer, src, dst, cache } => {
-                let l: &Lstm = expect_layer(seq, *layer, "lstm");
-                let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), *src, *dst);
-                l.scan_slice_into(rows, xs, cache);
+            KindF32::Lstm(cache) => {
+                expect_layer::<Lstm>(seq, op.layer, "lstm").scan_slice_into(rows, xs, cache);
                 Lstm::states_into(cache, os);
             }
-            OpF32::Copy { src, dst } => {
-                let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), *src, *dst);
-                os.copy_from_slice(xs);
+            KindF32::Generic(staged) => {
+                staged.as_mut_slice().copy_from_slice(xs);
+                let y = seq.layers()[op.layer].forward_eval(staged);
+                let promised = (rows, os.len() / rows);
+                assert_eq!(y.shape(), promised, "layer {} disagrees with its info()", op.layer);
+                os.copy_from_slice(y.as_slice());
             }
+            KindF32::Copy => os.copy_from_slice(xs),
+        }
+        if let Some(p) = profiled {
+            p.handles[op.layer].record_fwd(rows, p.profiler.now_ns().saturating_sub(t0));
         }
     }
 }
@@ -603,35 +651,21 @@ pub enum PlanLookup {
     Hit,
     /// Compiled, cached and ran a fresh plan for this key.
     Compiled(PlanStats),
-    /// The model can't be planned for this shape. `fresh` is true the
-    /// first time the rejection is seen (and cached); later lookups of
-    /// the same key report `fresh: false` and cost one hash probe.
-    Rejected {
-        /// Whether this rejection was just discovered (vs replayed).
-        fresh: bool,
-    },
-}
-
-impl PlanLookup {
-    /// Whether the lookup executed the plan (hit or fresh compile).
-    pub fn ran(&self) -> bool {
-        matches!(self, PlanLookup::Hit | PlanLookup::Compiled(_))
-    }
 }
 
 /// A capped cache of compiled [`Plan`]s keyed by
-/// `(model version, rows, cols)`.
+/// `(model version, entry layer, rows, cols)`; a plan runs from its entry
+/// layer to the end of the model.
 ///
-/// Rejections are cached too, so an unplannable model costs one compile
-/// attempt per key — not one per batch. When the cache is full, the
-/// caller-supplied retain predicate decides which versions survive
-/// (serving keeps the current and pinned-rollback versions); per-version
-/// keying means a hot swap invalidates exactly the swapped version's
-/// plans and nothing else.
+/// When the cache is full, the caller-supplied retain predicate decides
+/// which versions survive (serving keeps the current and pinned-rollback
+/// versions); per-version keying means a hot swap invalidates exactly the
+/// swapped version's plans and nothing else. If every entry survives, the
+/// cache starts over: the plans still in use recompile on demand.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     cap: usize,
-    plans: std::collections::HashMap<(u64, usize, usize), Option<Plan>>,
+    plans: std::collections::HashMap<(u64, usize, usize, usize), Plan>,
 }
 
 impl PlanCache {
@@ -640,7 +674,7 @@ impl PlanCache {
         Self { cap: cap.max(1), plans: std::collections::HashMap::new() }
     }
 
-    /// Number of cached entries (including cached rejections).
+    /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.plans.len()
     }
@@ -650,55 +684,56 @@ impl PlanCache {
         self.plans.is_empty()
     }
 
-    /// Whether a plan (or rejection) is cached for this key.
-    pub fn contains(&self, version: u64, rows: usize, cols: usize) -> bool {
-        self.plans.contains_key(&(version, rows, cols))
+    /// Whether a plan is cached for this key.
+    pub fn contains(&self, version: u64, entry: usize, rows: usize, cols: usize) -> bool {
+        self.plans.contains_key(&(version, entry, rows, cols))
     }
 
-    /// The cached batch shapes (rows) compiled for `version` at input
-    /// width `cols`, unordered. Continuous batchers consult this to stay
-    /// on already-compiled shapes (see [`negotiated_rows`]).
+    /// The cached batch shapes (rows) of whole-model plans compiled for
+    /// `version` at input width `cols`, unordered. Continuous batchers
+    /// consult this to stay on already-compiled shapes (see
+    /// [`negotiated_rows`]).
     pub fn shapes_for(&self, version: u64, cols: usize) -> Vec<usize> {
         self.plans
-            .iter()
-            .filter(|(&(v, _, c), plan)| v == version && c == cols && plan.is_some())
-            .map(|(&(_, rows, _), _)| rows)
+            .keys()
+            .filter(|&&(v, entry, _, c)| v == version && entry == 0 && c == cols)
+            .map(|&(_, _, rows, _)| rows)
             .collect()
     }
 
-    /// Runs `x` through the cached plan for `(version, x.shape())`,
-    /// compiling one on first sight. Returns what happened; on
-    /// [`PlanLookup::Rejected`] nothing ran and the caller falls back to
-    /// `forward_eval`. `retain` is consulted only on eviction: entries
-    /// whose version it rejects are dropped to make room.
+    /// Runs `x` through the cached plan for `(version, entry, x.shape())`
+    /// — layers `entry..` of `model` — compiling one on first sight, and
+    /// returns which of the two happened. `retain` is consulted only on
+    /// eviction: entries whose version it rejects are dropped to make room.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PlanError`] text if the plan can't be compiled:
+    /// callers check the entry layer's width before batching.
     pub fn run(
         &mut self,
         version: u64,
         model: PlanModel<'_>,
+        entry: usize,
         x: &Matrix,
         out: &mut Matrix,
         retain: impl Fn(u64) -> bool,
     ) -> PlanLookup {
-        let key = (version, x.rows(), x.cols());
-        if let Some(cached) = self.plans.get_mut(&key) {
-            return match cached {
-                Some(plan) => {
-                    plan.run(model, x, out);
-                    PlanLookup::Hit
-                }
-                None => PlanLookup::Rejected { fresh: false },
-            };
+        let key = (version, entry, x.rows(), x.cols());
+        if let Some(plan) = self.plans.get_mut(&key) {
+            plan.run(model, x, out);
+            return PlanLookup::Hit;
         }
         if self.plans.len() >= self.cap {
-            self.plans.retain(|&(v, _, _), _| v == version || retain(v));
-        }
-        let compiled = Plan::compile(model, x.rows(), x.cols(), PlanOptions::default()).ok();
-        match self.plans.entry(key).or_insert(compiled) {
-            Some(plan) => {
-                plan.run(model, x, out);
-                PlanLookup::Compiled(plan.stats())
+            self.plans.retain(|&(v, ..), _| v == version || retain(v));
+            if self.plans.len() >= self.cap {
+                self.plans.clear();
             }
-            None => PlanLookup::Rejected { fresh: true },
         }
+        let plan = Plan::compile_range(model, entry..model.len(), x.rows(), x.cols())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let plan = self.plans.entry(key).or_insert(plan);
+        plan.run(model, x, out);
+        PlanLookup::Compiled(plan.stats())
     }
 }

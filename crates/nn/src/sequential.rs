@@ -1,6 +1,7 @@
 //! A feed-forward stack of layers.
 
 use crate::layer::{Layer, LayerInfo, Mode};
+use crate::plan::{Plan, PlanModel};
 use crate::profile;
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
@@ -26,8 +27,8 @@ use std::sync::Arc;
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     /// Per-layer counter handles, resolved at [`Layer::set_profiler`]
-    /// time so the forward/backward loops only touch atomics.
-    profiler: Option<profile::Attached>,
+    /// time so the training loops and [`Plan::run`] only touch atomics.
+    pub(crate) profiler: Option<profile::Attached>,
 }
 
 impl std::fmt::Debug for Sequential {
@@ -101,6 +102,28 @@ impl Sequential {
         (Sequential { layers, profiler: None }, Sequential { layers: tail, profiler: None })
     }
 
+    /// Read-only forward pass through `layers()[range]` only — the
+    /// device-side trunk `0..k` or the server-side resume `k..len()` of a
+    /// split model (paper Fig. 3). Compiles a [`Plan`] for `x`'s shape and
+    /// runs it once; callers that repeat a shape keep the plan instead
+    /// ([`crate::PlanCache`]). An empty range is the identity, a zero-row
+    /// `x` yields `0 × out_dim`, and a width the range's first layer does
+    /// not take panics with the [`crate::PlanError`] text.
+    pub fn forward_eval_range(&self, x: &Matrix, range: std::ops::Range<usize>) -> Matrix {
+        if range.is_empty() {
+            return x.clone();
+        }
+        if x.rows() == 0 {
+            return Matrix::zeros(0, self.layers[range.end - 1].info().out_dim);
+        }
+        let model = PlanModel::F32(self);
+        let mut plan =
+            Plan::compile_range(model, range, x.rows(), x.cols()).unwrap_or_else(|e| panic!("{e}"));
+        let mut out = Matrix::default();
+        plan.run(model, x, &mut out);
+        out
+    }
+
     /// Class probabilities (softmax over the final layer's outputs).
     ///
     /// Runs the read-only [`Layer::forward_eval`] path, so concurrent
@@ -159,23 +182,7 @@ impl Layer for Sequential {
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        match &self.profiler {
-            None => {
-                for layer in &self.layers {
-                    cur = layer.forward_eval(&cur);
-                }
-            }
-            Some(p) => {
-                for (layer, handles) in self.layers.iter().zip(&p.handles) {
-                    let rows = cur.rows();
-                    let t0 = p.profiler.now_ns();
-                    cur = layer.forward_eval(&cur);
-                    handles.record_fwd(rows, p.profiler.now_ns().saturating_sub(t0));
-                }
-            }
-        }
-        cur
+        self.forward_eval_range(x, 0..self.layers.len())
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {

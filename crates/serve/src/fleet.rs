@@ -38,7 +38,7 @@
 
 use crate::loadgen::RequestRecord;
 use crate::slo::SloClass;
-use mdl_nn::{negotiated_rows, Layer, PlanCache, PlanLookup, PlanModel, Sequential};
+use mdl_nn::{negotiated_rows, PlanCache, PlanLookup, PlanModel, Sequential};
 use mdl_obs::{Buckets, Obs};
 use mdl_tensor::Matrix;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -170,7 +170,7 @@ pub struct FleetReport {
     pub mean_batch_rows: f64,
     /// Plan-cache hits across all workers.
     pub plan_hits: u64,
-    /// Plan-cache misses (fresh compiles or rejections).
+    /// Plan-cache misses (fresh compiles).
     pub plan_misses: u64,
 }
 
@@ -508,16 +508,14 @@ impl<'a> FleetEngine<'a> {
         let lookup = plan_caches[w].run(
             cfg.model_version,
             PlanModel::F32(self.model),
+            0,
             batch_x,
             batch_out,
             |_| true,
         );
-        if lookup.ran() {
-            report.plan_hits += u64::from(matches!(lookup, PlanLookup::Hit));
-            report.plan_misses += u64::from(!matches!(lookup, PlanLookup::Hit));
-        } else {
-            report.plan_misses += 1;
-            *batch_out = self.model.forward_eval(batch_x);
+        match lookup {
+            PlanLookup::Hit => report.plan_hits += 1,
+            PlanLookup::Compiled(_) => report.plan_misses += 1,
         }
         let argmaxes = batch_out.argmax_rows();
 

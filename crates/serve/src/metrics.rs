@@ -22,7 +22,7 @@
 //! | `serve.class.<c>.shed`       | counter (lazy)       | shed requests in class `<c>`    |
 //! | `serve.class.<c>.latency_us` | histogram (pow2, lazy)| served-only latency per class  |
 //! | `plan.cache_hits`        | counter (lazy)           | batches served on a cached plan |
-//! | `plan.cache_misses`      | counter (lazy)           | plan compilations (incl. rejects)|
+//! | `plan.cache_misses`      | counter (lazy)           | plan compilations               |
 //! | `plan.fused_ops`         | counter (lazy)           | fused kernels across compiles   |
 //! | `plan.arena_bytes`       | gauge (lazy)             | last compiled plan's arena size |
 //!
@@ -173,17 +173,14 @@ impl ServerMetrics {
     }
 
     /// Records a plan-cache miss. `stats` carries the freshly compiled
-    /// plan's facts (`None` when the model can't be planned and the worker
-    /// cached the rejection): fused-op counts accumulate into
-    /// `plan.fused_ops` and the `plan.arena_bytes` gauge tracks the most
-    /// recently compiled plan's arena footprint.
-    pub fn record_plan_miss(&self, stats: Option<mdl_nn::PlanStats>) {
+    /// plan's facts: fused-op counts accumulate into `plan.fused_ops` and
+    /// the `plan.arena_bytes` gauge tracks the most recently compiled
+    /// plan's arena footprint.
+    pub fn record_plan_miss(&self, stats: mdl_nn::PlanStats) {
         let r = self.obs.registry();
         r.counter("plan.cache_misses").inc();
-        if let Some(s) = stats {
-            r.counter("plan.fused_ops").add(s.fused_ops as u64);
-            r.gauge("plan.arena_bytes").set(s.arena_bytes as f64);
-        }
+        r.counter("plan.fused_ops").add(stats.fused_ops as u64);
+        r.gauge("plan.arena_bytes").set(stats.arena_bytes as f64);
     }
 
     /// Point-in-time summary. `elapsed` is the measurement window used for

@@ -17,11 +17,12 @@ use std::sync::{Arc, RwLock};
 /// int8 quantization. Both are read-only at inference time, so a
 /// registry can hot-swap freely between precisions of the same model.
 pub enum ModelVariant {
-    /// Full-precision network on the [`mdl_nn::Layer::forward_eval`] path.
+    /// Full-precision network. Like the int8 one it is evaluated through
+    /// [`mdl_nn::Plan`] only: cached by the workers, compiled per call by
+    /// `forward_eval`.
     F32(Sequential),
-    /// Int8 network evaluated through [`mdl_nn::Plan`] (cached by the
-    /// workers, compiled per call by `forward_eval`): every matrix product
-    /// runs in the int8 SIMD kernel, no f32 weight round-trip.
+    /// Int8 network: every matrix product runs in the int8 SIMD kernel, no
+    /// f32 weight round-trip.
     Int8(QuantizedModel),
 }
 

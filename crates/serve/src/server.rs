@@ -15,11 +15,16 @@
 //! Work-conserving, like [`crate::fleet`]: a request that finds a worker idle
 //! runs at once, alone; batches form only behind busy workers, never on a timer.
 //!
+//! Every batch runs on an [`mdl_nn::Plan`] out of its worker's cache, keyed
+//! `(version, entry layer, rows, width)`: layer 0 onwards for [`Route::Cloud`],
+//! layer `k` onwards for a [`Route::Split`] whose first `k` layers the client
+//! ran inline at submit (a one-shot plan over `..k`). There is no other walk.
+//!
 //! Hot swap: [`InferenceServer::swap_artifact`] atomically replaces the
 //! registry's model. Batches already running finish on the snapshot
 //! they grabbed; a batch whose input no longer matches the new
-//! architecture at its entry layer falls back to the version the request
-//! was admitted under, so in-flight requests are never dropped.
+//! architecture at its entry layer is answered job by job on the version
+//! each request was admitted under, so in-flight requests are never dropped.
 
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::registry::{ModelRegistry, ModelVariant, VersionedModel};
@@ -156,35 +161,6 @@ impl Shared {
     }
 }
 
-/// Runs `model` from layer `from` onwards through the read-only path.
-fn eval_from(model: &Sequential, x: &Matrix, from: usize) -> Matrix {
-    let mut cur = x.clone();
-    for layer in &model.layers()[from..] {
-        cur = layer.forward_eval(&cur);
-    }
-    cur
-}
-
-/// Runs only the first `to` layers of `model`.
-fn eval_prefix(model: &Sequential, x: &Matrix, to: usize) -> Matrix {
-    let mut cur = x.clone();
-    for layer in &model.layers()[..to] {
-        cur = layer.forward_eval(&cur);
-    }
-    cur
-}
-
-/// Runs either precision from layer `from`. A non-zero entry layer only
-/// ever reaches an f32 snapshot: split placement is f32-only (the router
-/// guarantees it) and the worker compat check re-verifies before resume.
-fn variant_eval_from(model: &ModelVariant, x: &Matrix, from: usize) -> Matrix {
-    if from == 0 {
-        model.forward_eval(x)
-    } else {
-        eval_from(model.as_f32().expect("mid-network resume is f32-only"), x, from)
-    }
-}
-
 fn argmax(row: &[f32]) -> usize {
     row.iter()
         .enumerate()
@@ -307,7 +283,7 @@ impl ServeClient {
                 let probs = softmax_rows(&fallback.forward_eval(&x));
                 Self::deliver(
                     &self.shared,
-                    resp_tx,
+                    &resp_tx,
                     probs.row(0),
                     snapshot.version,
                     Route::EarlyExit,
@@ -327,7 +303,7 @@ impl ServeClient {
                 self.shared.metrics.record_local();
                 Self::deliver(
                     &self.shared,
-                    resp_tx,
+                    &resp_tx,
                     probs.row(0),
                     snapshot.version,
                     route,
@@ -352,7 +328,7 @@ impl ServeClient {
                 Some(seq) => {
                     // Device-side trunk runs inline; the representation ships.
                     let x = Matrix::row_vector(input);
-                    let rep = eval_prefix(seq, &x, local_layers);
+                    let rep = seq.forward_eval_range(&x, 0..local_layers);
                     let job = Job {
                         input: rep.row(0).to_vec(),
                         entry_layer: local_layers,
@@ -373,7 +349,7 @@ impl ServeClient {
                     self.shared.metrics.record_local();
                     Self::deliver(
                         &self.shared,
-                        resp_tx,
+                        &resp_tx,
                         probs.row(0),
                         snapshot.version,
                         Route::Local,
@@ -391,7 +367,7 @@ impl ServeClient {
     #[allow(clippy::too_many_arguments)]
     fn deliver(
         shared: &Shared,
-        resp: Sender<InferenceResponse>,
+        resp: &Sender<InferenceResponse>,
         probs: &[f32],
         model_version: u64,
         route: Route,
@@ -480,7 +456,7 @@ fn next_batch(jobs: &Receiver<Job>, shared: &Shared) -> Option<Vec<Job>> {
 /// Worker-local plan-cache capacity. When exceeded, entries for versions
 /// other than the current (and pinned rollback) version are evicted —
 /// per-version keying means a hot swap invalidates exactly the swapped
-/// version's plans and nothing else.
+/// version's plans and nothing else — and if none is, the cache starts over.
 const PLAN_CACHE_CAP: usize = 32;
 
 fn plan_model(model: &ModelVariant) -> PlanModel<'_> {
@@ -490,38 +466,35 @@ fn plan_model(model: &ModelVariant) -> PlanModel<'_> {
     }
 }
 
-/// Runs the batch through the worker's cached execution plan for
-/// `(version, shape)`, compiling one on first sight (see
-/// [`mdl_nn::PlanCache`] — rejections are cached too, so the planner
-/// runs once per key, not once per batch). Returns `false` when the
-/// model can't be planned and the caller falls back to `forward_eval`.
+/// Runs `x` through layers `entry_layer..` of `model` on the worker's cached
+/// execution plan for `(version, entry layer, shape)`, compiling one on first
+/// sight (see [`mdl_nn::PlanCache`]), and leaves the scores in `out`.
 fn run_planned(
     plans: &mut PlanCache,
     out: &mut Matrix,
-    snapshot: &VersionedModel,
+    model: &VersionedModel,
+    entry_layer: usize,
     x: &Matrix,
     shared: &Shared,
-) -> bool {
+) {
     let pinned = shared.registry.pinned_version();
-    let lookup =
-        plans.run(snapshot.version, plan_model(&snapshot.model), x, out, |v| Some(v) == pinned);
+    let lookup = plans
+        .run(model.version, plan_model(&model.model), entry_layer, x, out, |v| Some(v) == pinned);
     match lookup {
         PlanLookup::Hit => shared.metrics.record_plan_hit(),
-        PlanLookup::Compiled(stats) => shared.metrics.record_plan_miss(Some(stats)),
-        PlanLookup::Rejected { fresh: true } => shared.metrics.record_plan_miss(None),
-        PlanLookup::Rejected { fresh: false } => {}
+        PlanLookup::Compiled(stats) => shared.metrics.record_plan_miss(stats),
     }
-    lookup.ran()
 }
 
 fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
-    // Plans are worker-local: no locking, and each worker converges on
-    // the few (version, batch shape) keys its batches actually repeat.
+    // Plans are worker-local: no locking, and each worker converges on the
+    // few (version, entry layer, batch shape) keys its batches actually
+    // repeat — zero-alloc and kernel-fused wherever the model's layers have
+    // arena ops, one `forward_eval` per batch for a layer that has none.
     let mut plans = PlanCache::new(PLAN_CACHE_CAP);
-    let mut planned_out = Matrix::default();
+    let mut scores = Matrix::default();
     while let Some(batch) = next_batch(&jobs, &shared) {
         let _span = shared.obs.root_span("serve.batch");
-        let n = batch.len();
         let (entry_layer, width) = batch[0].shape();
         let snapshot = shared.registry.current();
         // A swap may have changed the architecture (or precision) after
@@ -539,49 +512,22 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
                 .map(|l| l.info().in_dim == width)
                 .unwrap_or(false)
         };
-        if compatible {
-            let x = Matrix::from_fn(n, width, |r, c| batch[r].input[c]);
-            // Whole-model batches run on a shape-specialized plan
-            // (compiled once per version × batch shape, zero-alloc and
-            // kernel-fused thereafter); mid-network resume and unplannable
-            // models evaluate per layer. Results are bit-identical.
-            let planned = entry_layer == 0
-                && width > 0
-                && run_planned(&mut plans, &mut planned_out, &snapshot, &x, &shared);
-            let unplanned;
-            let scores = if planned {
-                &planned_out
-            } else {
-                unplanned = variant_eval_from(&snapshot.model, &x, entry_layer);
-                &unplanned
-            };
-            let probs = softmax_rows(scores);
-            for (r, job) in batch.into_iter().enumerate() {
+        // If not, every request finishes alone on the version it was admitted
+        // under: the same run, over batches of one.
+        for chunk in batch.chunks(if compatible { batch.len() } else { 1 }) {
+            let model = if compatible { &snapshot } else { &chunk[0].pinned };
+            let x = Matrix::from_fn(chunk.len(), width, |r, c| chunk[r].input[c]);
+            run_planned(&mut plans, &mut scores, model, entry_layer, &x, &shared);
+            let probs = softmax_rows(&scores);
+            for (r, job) in chunk.iter().enumerate() {
                 ServeClient::deliver(
                     &shared,
-                    job.resp,
+                    &job.resp,
                     probs.row(r),
-                    snapshot.version,
+                    model.version,
                     job.route,
                     job.class,
-                    n,
-                    job.submitted_ns,
-                );
-            }
-        } else {
-            // finish each request on the version it was admitted under
-            for job in batch {
-                let x = Matrix::row_vector(&job.input);
-                let probs =
-                    softmax_rows(&variant_eval_from(&job.pinned.model, &x, job.entry_layer));
-                ServeClient::deliver(
-                    &shared,
-                    job.resp,
-                    probs.row(0),
-                    job.pinned.version,
-                    job.route,
-                    job.class,
-                    n,
+                    chunk.len(),
                     job.submitted_ns,
                 );
             }

@@ -1,18 +1,25 @@
-//! Planned-executor correctness: a compiled f32 [`Plan`] must be
-//! **bit-identical** to per-layer `forward_eval` for arbitrary
-//! Dense/Dropout/GRU/LSTM stacks, batch shapes and kernel thread counts;
-//! the int8 plan — the only int8 evaluator — must match a naive
-//! triple-loop reference written here from public pieces; and the
-//! serving tier's per-version plan cache must recompile across hot swaps
-//! so swapped-in models are served exactly.
+//! Planned-executor correctness. The plan is the only evaluator for both
+//! precisions, so each is checked against a reference spelled out here:
+//! a compiled f32 [`Plan`] must be **bit-identical** to folding
+//! `Layer::forward_eval` over the same layers, for every layer kind,
+//! every sub-range of a stack, batch shapes and kernel thread counts; the
+//! int8 plan must match a naive triple-loop reference written from public
+//! pieces. [`PlanCache`] stays within its cap and evicts swapped-out
+//! versions first, and the serving tier's per-version plan cache must
+//! recompile across hot swaps so swapped-in models are served exactly.
 
-use mdl_core::nn::{Dropout, Lstm};
+use mdl_core::nn::{
+    AvgPool2d, BiGru, Conv2d, Dropout, ImageShape, LayerInfo, Lstm, PlanCache, PlanError,
+    PlanLookup,
+};
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel;
 use mdl_core::tensor::quant::{quantize_value, symmetric_scale};
 use proptest::prelude::*;
 use rand::Rng;
-use std::sync::Mutex;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// `kernel::set_threads` is process-global; tests that touch it serialize.
 static KERNEL_LOCK: Mutex<()> = Mutex::new(());
@@ -25,24 +32,26 @@ enum LayerKind {
     Dropout,
     Gru(usize),
     Lstm(usize),
+    BiGru(usize),
 }
 
 /// Decodes one packed `u64` into a layer (the vendored proptest subset
 /// has no `prop_oneof`, so variants are chosen by modulus).
 fn decode_kind(code: u64) -> LayerKind {
-    let w = 1 + (code / 16 % 9) as usize;
-    let h = 1 + (code / 16 % 6) as usize;
-    let act = match code / 4 % 4 {
+    let w = 1 + (code / 20 % 9) as usize;
+    let h = 1 + (code / 20 % 6) as usize;
+    let act = match code / 5 % 4 {
         0 => Activation::Identity,
         1 => Activation::Relu,
         2 => Activation::Tanh,
         _ => Activation::Sigmoid,
     };
-    match code % 4 {
+    match code % 5 {
         0 => LayerKind::Dense(w, act),
         1 => LayerKind::Dropout,
         2 => LayerKind::Gru(h),
-        _ => LayerKind::Lstm(h),
+        3 => LayerKind::Lstm(h),
+        _ => LayerKind::BiGru(h),
     }
 }
 
@@ -71,9 +80,30 @@ fn build(stack: &[LayerKind], in_dim: usize, seed: u64) -> Sequential {
                 net.push(Lstm::new(width, h, &mut rng));
                 width = h;
             }
+            LayerKind::BiGru(h) => {
+                net.push(BiGru::new(width, h, &mut rng));
+                width = 2 * h;
+            }
         }
     }
     net
+}
+
+/// The f32 reference: `Layer::forward_eval` folded over `layers()[range]`,
+/// one call and one fresh matrix per layer.
+fn fold(net: &Sequential, range: std::ops::Range<usize>, x: &Matrix) -> Matrix {
+    net.layers()[range].iter().fold(x.clone(), |cur, layer| layer.forward_eval(&cur))
+}
+
+/// Compiles `range` of `net` for `x`'s shape and runs it twice: the second
+/// pass reuses warmed buffers and must not drift.
+fn planned(net: &Sequential, range: std::ops::Range<usize>, x: &Matrix) -> Matrix {
+    let model = PlanModel::F32(net);
+    let mut plan = Plan::compile_range(model, range, x.rows(), x.cols()).expect("plans");
+    let mut out = Matrix::default();
+    plan.run(model, x, &mut out);
+    plan.run(model, x, &mut out);
+    out
 }
 
 fn input(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -143,8 +173,9 @@ fn naive_int8(parts: &DenseParts, x: &Matrix) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// f32: planned execution is bit-for-bit the per-layer `forward_eval`
-    /// result for any supported stack and shape.
+    /// f32: every range `a..b` of any stack — arena ops, generic ops and
+    /// elided or trailing dropouts in any mix — is bit-for-bit the fold
+    /// over the same layers, and `forward_eval` is the whole-range plan.
     #[test]
     fn planned_f32_matches_dynamic_bitwise(
         stack in prop::collection::vec(kind_strategy(), 1..=4),
@@ -155,15 +186,23 @@ proptest! {
         let _guard = KERNEL_LOCK.lock().unwrap();
         kernel::set_threads(1);
         let net = build(&stack, in_dim, seed);
+        // the width each layer is fed: a dropout's own `info()` is not checked
+        let mut widths = vec![in_dim];
+        for layer in net.layers() {
+            let info = layer.info();
+            let fed = *widths.last().unwrap();
+            widths.push(if info.kind == "dropout" { fed } else { info.out_dim });
+        }
+        for (a, &width) in widths.iter().enumerate().take(net.len()) {
+            let x = input(rows, width, seed);
+            for b in a + 1..=net.len() {
+                let expected = bits(&fold(&net, a..b, &x));
+                prop_assert_eq!(&bits(&planned(&net, a..b, &x)), &expected, "range {}..{}", a, b);
+                prop_assert_eq!(&bits(&net.forward_eval_range(&x, a..b)), &expected);
+            }
+        }
         let x = input(rows, in_dim, seed);
-        let dynamic = net.forward_eval(&x);
-        let mut plan = Plan::compile(PlanModel::F32(&net), rows, in_dim, PlanOptions::default())
-            .expect("supported stack plans");
-        let mut out = Matrix::default();
-        // run twice: the second pass reuses warmed buffers and must not drift
-        plan.run(PlanModel::F32(&net), &x, &mut out);
-        plan.run(PlanModel::F32(&net), &x, &mut out);
-        prop_assert_eq!(bits(&dynamic), bits(&out));
+        prop_assert_eq!(bits(&net.forward_eval(&x)), bits(&fold(&net, 0..net.len(), &x)));
     }
 
     /// int8: the plan reproduces the naive reference exactly, for every
@@ -189,11 +228,58 @@ proptest! {
         prop_assert_eq!(&bits(&out), &expected);
         prop_assert_eq!(&bits(&qm.forward_eval(&x)), &expected);
     }
+
+    /// [`PlanCache`] over arbitrary `(version, entry layer, rows)` lookups:
+    /// never more than `cap` plans, a key just compiled is a hit, every
+    /// answer is the fold from the entry layer on, and making room drops
+    /// the swapped-out versions — all of them, nothing else — and starts
+    /// over only when every plan is the current or the retained version's.
+    #[test]
+    fn plan_cache_stays_within_cap_and_evicts_swapped_out_versions_first(
+        lookups in prop::collection::vec(0u64..36, 1..40),
+        cap in 1usize..=6,
+        kept in 1u64..=4,
+    ) {
+        let stack =
+            [LayerKind::Dense(5, Activation::Relu), LayerKind::Gru(4), LayerKind::BiGru(2)];
+        let net = build(&stack, 6, 9);
+        let widths = [6, 5, 4];
+        let mut cache = PlanCache::new(cap);
+        let mut keys: HashSet<(u64, usize, usize)> = HashSet::new();
+        let mut out = Matrix::default();
+        for code in lookups {
+            // packed, like `decode_kind`: 4 versions × 3 entry layers × 3 batch sizes
+            let (version, entry, rows) = (1 + code % 4, (code / 4 % 3) as usize, 1 + (code / 12) as usize);
+            let x = input(rows, widths[entry], version);
+            let mut run = |cache: &mut PlanCache| {
+                cache.run(version, PlanModel::F32(&net), entry, &x, &mut out, |v| v == kept)
+            };
+            let key = (version, entry, rows);
+            let cached = keys.contains(&key);
+            prop_assert_eq!(matches!(run(&mut cache), PlanLookup::Hit), cached);
+            if !cached && keys.len() >= cap {
+                let swapped_out = |k: &(u64, usize, usize)| k.0 != version && k.0 != kept;
+                if keys.iter().any(swapped_out) {
+                    keys.retain(|k| !swapped_out(k));
+                } else {
+                    keys.clear();
+                }
+            }
+            keys.insert(key);
+            prop_assert!(cache.len() <= cap, "{} plans under cap {}", cache.len(), cap);
+            prop_assert_eq!(cache.len(), keys.len());
+            for &(v, e, r) in &keys {
+                prop_assert!(cache.contains(v, e, r, widths[e]), "lost ({}, {}, {})", v, e, r);
+            }
+            prop_assert!(matches!(run(&mut cache), PlanLookup::Hit), "hit after compile");
+            prop_assert_eq!(bits(&out), bits(&fold(&net, entry..3, &x)));
+        }
+    }
 }
 
 /// Large enough (8 × 1024 × 192 ≈ 1.6M MACs) to cross the kernel's
 /// parallel threshold, so the threaded GEMM path actually runs: the plan
-/// must stay bit-identical to `forward_eval` at every thread count.
+/// must stay bit-identical to the per-layer fold at every thread count.
 #[test]
 fn planned_matches_dynamic_across_thread_counts() {
     let _guard = KERNEL_LOCK.lock().unwrap();
@@ -204,42 +290,143 @@ fn planned_matches_dynamic_across_thread_counts() {
     net.push(Dense::new(64, 10, Activation::Identity, &mut rng));
     let x = input(8, 192, 42);
     kernel::set_threads(1);
-    let reference = bits(&net.forward_eval(&x));
+    let reference = bits(&fold(&net, 0..3, &x));
     for threads in [1, 2, 4, 8] {
         kernel::set_threads(threads);
-        let dynamic = net.forward_eval(&x);
-        assert_eq!(bits(&dynamic), reference, "forward_eval diverged at {threads} threads");
-        let mut plan =
-            Plan::compile(PlanModel::F32(&net), 8, 192, PlanOptions::default()).expect("plans");
-        let mut out = Matrix::default();
-        plan.run(PlanModel::F32(&net), &x, &mut out);
-        assert_eq!(bits(&out), reference, "plan diverged at {threads} threads");
+        assert_eq!(bits(&fold(&net, 0..3, &x)), reference, "fold diverged at {threads} threads");
+        assert_eq!(bits(&planned(&net, 0..3, &x)), reference, "plan diverged at {threads} threads");
+        assert_eq!(bits(&net.forward_eval(&x)), reference, "forward_eval at {threads} threads");
     }
     kernel::set_threads(1);
 }
 
-/// Stacks the planner refuses (BiGru, empty) fall back cleanly, and a
-/// shape mismatch is a compile error, not a wrong answer.
-#[test]
-fn planner_rejects_unsupported_and_misshapen_models() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut net = Sequential::new();
-    net.push(mdl_core::nn::BiGru::new(4, 3, &mut rng));
-    match Plan::compile(PlanModel::F32(&net), 2, 4, PlanOptions::default()) {
-        Err(mdl_core::nn::PlanError::Unsupported(_)) => {}
-        other => panic!("BiGru must be unsupported, got {other:?}"),
+/// A layer the planner knows nothing about (no `as_any`): scales its input
+/// by 1.5 and counts how often it is evaluated.
+struct Opaque {
+    dim: usize,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Layer for Opaque {
+    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+        self.forward_eval(x)
     }
+
+    fn forward_eval(&self, x: &Matrix) -> Matrix {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Matrix::from_fn(x.rows(), self.dim, |r, c| x[(r, c)] * 1.5)
+    }
+
+    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
+        unreachable!("inference-only")
+    }
+
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
+
+    fn info(&self) -> LayerInfo {
+        LayerInfo { kind: "opaque", in_dim: self.dim, out_dim: self.dim, params: 0, macs: 0 }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// No layer kind is refused: the ones without an arena op run as the generic
+/// op (the layer's own `forward_eval`, once per run, never at compile time)
+/// and match the fold bitwise. What a compile can still refuse — nothing to
+/// run, widths that don't chain — is pinned for f32 as it is for int8.
+#[test]
+fn every_layer_kind_plans_and_the_edges_are_pinned() {
+    let _guard = KERNEL_LOCK.lock().unwrap();
+    kernel::set_threads(1);
+    let mut rng = StdRng::seed_from_u64(3);
+
+    let mut bigru = Sequential::new();
+    bigru.push(BiGru::new(4, 3, &mut rng));
+
+    let image = ImageShape::new(2, 4, 4);
+    let conv = Conv2d::new(image, 4, 3, 1, Activation::Relu, &mut rng);
+    let pool = AvgPool2d::new(conv.output_shape());
+    let pooled = pool.output_shape().len();
+    let mut vision = Sequential::new();
+    vision.push(conv);
+    vision.push(pool);
+    vision.push(Dense::new(pooled, 5, Activation::Identity, &mut rng));
+
+    let mut inner = Sequential::new();
+    inner.push(Dense::new(6, 7, Activation::Tanh, &mut rng));
+    inner.push(Dropout::new(7, 0.3, 1));
+    inner.push(Gru::new(7, 4, &mut rng));
+    let mut nested = Sequential::new();
+    nested.push(Dense::new(5, 6, Activation::Relu, &mut rng));
+    nested.push(inner);
+    nested.push(Dense::new(4, 2, Activation::Identity, &mut rng));
+
+    let mut circulant = Sequential::new();
+    circulant.push(BlockCirculant::new(8, 16, 4, Activation::Relu, &mut rng));
+    circulant.push(Dense::new(16, 3, Activation::Identity, &mut rng));
+
+    for (name, net) in
+        [("bigru", &bigru), ("vision", &vision), ("nested", &nested), ("circulant", &circulant)]
+    {
+        let x = input(3, net.layers()[0].info().in_dim, 11);
+        let expected = bits(&fold(net, 0..net.len(), &x));
+        assert_eq!(bits(&planned(net, 0..net.len(), &x)), expected, "{name}: plan vs fold");
+        assert_eq!(bits(&net.forward_eval(&x)), expected, "{name}: forward_eval vs fold");
+    }
+
+    // no `as_any` at all, mid-stack: compile never evaluates it, a run does once
+    let mut opaque = Sequential::new();
+    opaque.push(Dense::new(4, 6, Activation::Relu, &mut rng));
+    let calls = Arc::new(AtomicUsize::new(0));
+    opaque.push(Opaque { dim: 6, calls: Arc::clone(&calls) });
+    opaque.push(Dense::new(6, 2, Activation::Identity, &mut rng));
+    let x = input(3, 4, 5);
+    let expected = bits(&fold(&opaque, 0..3, &x));
+    let before = calls.load(Ordering::Relaxed);
+    let model = PlanModel::F32(&opaque);
+    let mut plan = Plan::compile(model, 3, 4, PlanOptions::default()).expect("opaque layers plan");
+    assert_eq!(calls.load(Ordering::Relaxed), before, "compile must not evaluate a layer");
+    let mut out = Matrix::default();
+    for run in 1..=2 {
+        plan.run(model, &x, &mut out);
+        assert_eq!(calls.load(Ordering::Relaxed), before + run, "one forward_eval per run");
+        assert_eq!(bits(&out), expected);
+    }
+
+    // nothing to run
     let empty = Sequential::new();
+    let compile = |net: &Sequential, rows, cols| {
+        Plan::compile(PlanModel::F32(net), rows, cols, PlanOptions::default())
+    };
+    assert!(matches!(compile(&empty, 1, 1), Err(PlanError::Empty)));
     assert!(matches!(
-        Plan::compile(PlanModel::F32(&empty), 1, 1, PlanOptions::default()),
-        Err(mdl_core::nn::PlanError::Empty)
+        Plan::compile_range(PlanModel::F32(&nested), 2..2, 1, 4),
+        Err(PlanError::Empty)
     ));
+    assert_eq!(bits(&empty.forward_eval(&x)), bits(&x), "an empty stack is the identity");
+    assert_eq!(bits(&nested.forward_eval_range(&x, 1..1)), bits(&x));
+    // zero rows: no plan, `0 × out_dim` — recurrent layers included
+    assert_eq!(nested.forward_eval(&Matrix::zeros(0, 5)).shape(), (0, 2));
+    assert_eq!(nested.forward_eval_range(&Matrix::zeros(0, 5), 0..2).shape(), (0, 4));
+    // widths that don't chain: at the entry, and mid-stack
     let mut dense = Sequential::new();
     dense.push(Dense::new(6, 2, Activation::Relu, &mut rng));
+    dense.push(Dense::new(3, 2, Activation::Relu, &mut rng));
     assert!(matches!(
-        Plan::compile(PlanModel::F32(&dense), 2, 5, PlanOptions::default()),
-        Err(mdl_core::nn::PlanError::Shape { layer: 0, expected: 6, got: 5 })
+        compile(&dense, 2, 5),
+        Err(PlanError::Shape { layer: 0, expected: 6, got: 5 })
     ));
+    assert!(matches!(
+        compile(&dense, 2, 6),
+        Err(PlanError::Shape { layer: 1, expected: 3, got: 2 })
+    ));
+    let wrong_width = std::panic::AssertUnwindSafe(|| dense.forward_eval(&Matrix::ones(2, 5)));
+    let panic = std::panic::catch_unwind(wrong_width)
+        .expect_err("a wrong width must not produce an answer");
+    let text = panic.downcast_ref::<String>().expect("panics with a formatted message");
+    assert_eq!(text, &PlanError::Shape { layer: 0, expected: 6, got: 5 }.to_string());
 }
 
 /// Hot swap through the serving tier: worker plan caches are keyed by

@@ -3,12 +3,14 @@
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up run (which may grow thread-local kernel pack buffers and the
 //! caller's output matrix to capacity), repeated `Plan::run` calls on
-//! both precisions must allocate nothing. This file is its own test
+//! both precisions must allocate nothing — and a plan that holds a generic
+//! op allocates exactly what that one layer's own `forward_eval` does, so
+//! the arena ops around it stay allocation-free. This file is its own test
 //! binary because a global allocator is process-wide, and it holds a
 //! single `#[test]` so no unrelated test-harness allocation races the
 //! counting window.
 
-use mdl_core::nn::Lstm;
+use mdl_core::nn::{BiGru, Lstm};
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,6 +91,29 @@ fn planned_execution_is_zero_alloc_in_steady_state() {
         }
     });
     assert_eq!(n, 0, "int8 plan allocated {n} times in steady state");
+
+    // Dense → generic (BiGru has no arena op) → Dense: every allocation of a
+    // steady-state run is the BiGru's own `forward_eval`, none the plan's
+    let mut mixed = Sequential::new();
+    mixed.push(Dense::new(12, 10, Activation::Relu, &mut rng));
+    mixed.push(BiGru::new(10, 4, &mut rng));
+    mixed.push(Dense::new(8, 5, Activation::Identity, &mut rng));
+    let bigru = &mixed.layers()[1];
+    let staged = mixed.layers()[0].forward_eval(&x);
+    let _ = bigru.forward_eval(&staged); // warm-up
+    let own = count_allocs(|| {
+        let _ = bigru.forward_eval(&staged);
+    });
+    assert!(own > 0, "the generic layer's forward_eval allocates");
+    let mut plan =
+        Plan::compile(PlanModel::F32(&mixed), rows, 12, PlanOptions::default()).expect("plans");
+    plan.run(PlanModel::F32(&mixed), &x, &mut out); // warm-up
+    let n = count_allocs(|| {
+        for _ in 0..4 {
+            plan.run(PlanModel::F32(&mixed), &x, &mut out);
+        }
+    });
+    assert_eq!(n, 4 * own, "a generic op's plan allocated beyond its layer's own {own} per run");
 
     // sanity: the counter itself works — a one-shot forward_eval allocates
     let n = count_allocs(|| {

@@ -3,7 +3,9 @@
 //! survives a hot model swap mid-load without dropping a request, and
 //! sheds to the early-exit head under overload. The pull scheduler's
 //! structure — a lone request runs alone, a backlog coalesces in class
-//! order, shutdown drains — is pinned with a gate layer, not with sleeps.
+//! order, shutdown drains — is pinned with a gate layer, not with sleeps,
+//! and so are the split route (trunk inline, resume batched at the entry
+//! layer) and the replay of requests a hot swap left without a model.
 
 use crossbeam::channel::Receiver;
 use mdl_core::nn::{save_model, Activation, Dense, LayerInfo, Sequential};
@@ -276,12 +278,22 @@ fn a_lone_request_on_an_idle_server_runs_alone() {
 
 /// A layer that reports each batch it is handed (its row count) and then
 /// holds the worker until the test releases it — a dropped release handle
-/// leaves the gate open. It claims enough MACs that a wearable on Wi-Fi
-/// offloads it, and the planner rejects it (no `as_any`), so every batch
-/// really goes through `forward_eval`.
+/// leaves the gate open. It passes the first four columns of its input on,
+/// claims `macs` MACs towards the placement decision, and has no `as_any`:
+/// it plans as a generic op, one `forward_eval` per batch and none at
+/// compile time, so every batch really stops here exactly once.
 struct Gate {
+    in_dim: usize,
+    macs: u64,
     entered: mpsc::Sender<usize>,
     release: Mutex<mpsc::Receiver<()>>,
+}
+
+/// A gate with the test's ends of its channels: batch sizes out, releases in.
+fn gate(in_dim: usize, macs: u64) -> (Gate, mpsc::Receiver<usize>, mpsc::Sender<()>) {
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    (Gate { in_dim, macs, entered: entered_tx, release: Mutex::new(release_rx) }, entered, release)
 }
 
 impl Layer for Gate {
@@ -292,7 +304,7 @@ impl Layer for Gate {
     fn forward_eval(&self, x: &Matrix) -> Matrix {
         let _ = self.entered.send(x.rows());
         let _ = self.release.lock().expect("gate lock").recv();
-        Matrix::zeros(x.rows(), 4)
+        Matrix::from_fn(x.rows(), 4, |r, c| x[(r, c)])
     }
 
     fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
@@ -302,7 +314,7 @@ impl Layer for Gate {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
 
     fn info(&self) -> LayerInfo {
-        LayerInfo { kind: "gate", in_dim: 32, out_dim: 4, params: 0, macs: 10_000_000 }
+        LayerInfo { kind: "gate", in_dim: self.in_dim, out_dim: 4, params: 0, macs: self.macs }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -322,10 +334,10 @@ struct Held {
 }
 
 fn held_server(max_batch: usize) -> Held {
-    let (entered_tx, entered) = mpsc::channel();
-    let (release, release_rx) = mpsc::channel();
+    // enough claimed MACs that a wearable on Wi-Fi offloads to the cloud
+    let (gate, entered, release) = gate(32, 10_000_000);
     let mut net = Sequential::new();
-    net.push(Gate { entered: entered_tx, release: Mutex::new(release_rx) });
+    net.push(gate);
     let server = InferenceServer::start(
         net,
         None,
@@ -408,4 +420,159 @@ fn shutdown_answers_everything_still_pending() {
     for (i, rx) in pending.iter().enumerate() {
         assert!(rx.recv().is_ok(), "pending request {i} was dropped at shutdown");
     }
+}
+
+#[test]
+fn a_batch_stranded_by_a_swap_replays_one_request_at_a_time() {
+    // Regression: the replay ran every job alone but reported the size of
+    // the batch they were pulled in.
+    const K: usize = 5;
+    let Held { server, client, entered, release, first } = held_server(8);
+    let pending: Vec<_> =
+        (0..K).map(|_| client.submit(&[0.0; 32], wearable_wifi()).expect("admitted")).collect();
+
+    // layer 0 of the new model takes 48-wide rows: the K queued 32-wide
+    // ones can only finish on version 1
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut wide = Sequential::new();
+    wide.push(Dense::new(48, 4, Activation::Identity, &mut rng));
+    assert_eq!(server.swap_model(wide), 2);
+
+    release.send(()).expect("worker at the gate");
+    assert_eq!(first.recv().expect("answered").batch_size, 1);
+    for (i, rx) in pending.iter().enumerate() {
+        assert_eq!(entered.recv(), Ok(1), "request {i} was not replayed alone");
+        assert!(pending[i..].iter().all(|rx| rx.is_empty()), "answered before its replay ran");
+        release.send(()).expect("worker at the gate");
+        let resp = rx.recv().expect("answered");
+        assert_eq!(resp.batch_size, 1, "request {i} ran alone and must say so");
+        assert_eq!(resp.model_version, 1, "answered by the version it was admitted under");
+        assert_eq!(resp.route, Route::Cloud);
+    }
+    // they were still *pulled* as one batch of K
+    assert_eq!(server.metrics().batch_histogram, vec![(1, 1), (K, 1)]);
+    drop(client);
+    server.shutdown();
+}
+
+/// `Dense 1024→8→2048→2048→4`: a wearable on Wi-Fi runs the first layer
+/// itself — 8 floats ship instead of 1024 — and offloads the rest.
+fn split_stack(seed: u64) -> Sequential {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut net = Sequential::new();
+    net.push(Dense::new(1024, 8, Activation::Relu, &mut rng));
+    net.push(Dense::new(8, 2048, Activation::Relu, &mut rng));
+    net.push(Dense::new(2048, 2048, Activation::Relu, &mut rng));
+    net.push(Dense::new(2048, 4, Activation::Identity, &mut rng));
+    net
+}
+
+const SPLIT: Route = Route::Split { local_layers: 1 };
+
+fn split_input(i: usize) -> Vec<f32> {
+    (0..1024).map(|c| ((i * 1024 + c) as f32 * 0.013).sin()).collect()
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A one-worker server over [`split_stack`] with a pass-through [`Gate`]
+/// behind its last layer, so the server-side resume can be held.
+fn split_server() -> (InferenceServer, mpsc::Receiver<usize>, mpsc::Sender<()>) {
+    let (gate, entered, release) = gate(4, 0);
+    let mut net = split_stack(21);
+    net.push(gate);
+    let config = ServeConfig { workers: 1, kernel_threads: Some(1), ..Default::default() };
+    (InferenceServer::start(net, None, config), entered, release)
+}
+
+#[test]
+fn split_requests_run_the_trunk_inline_and_resume_batched_at_the_entry_layer() {
+    let (server, entered, release) = split_server();
+    let client = server.client();
+    let reference = split_stack(21);
+    let submit = |i: usize| client.submit(&split_input(i), wearable_wifi()).expect("admitted");
+    let check = |i: usize, resp: &InferenceResponse, batch_size: usize| {
+        assert_eq!(resp.route, SPLIT, "request {i}");
+        assert_eq!(resp.batch_size, batch_size, "request {i}");
+        assert_eq!(resp.model_version, 1);
+        let direct = reference.predict_proba(&Matrix::row_vector(&split_input(i)));
+        assert_eq!(bits(&resp.probs), bits(direct.row(0)), "request {i}: trunk + resume vs whole");
+    };
+
+    // the idle worker resumes the first request alone and stops at the gate
+    let first = submit(0);
+    assert_eq!(entered.recv(), Ok(1));
+    // three more ship their 8-float representations meanwhile …
+    let held: Vec<_> = (1..4).map(submit).collect();
+    release.send(()).expect("worker at the gate");
+    check(0, &first.recv().expect("answered"), 1);
+    // … and leave as one batch, entered at layer 1
+    assert_eq!(entered.recv(), Ok(3), "same entry layer and width: one batch");
+    release.send(()).expect("worker at the gate");
+    for (i, rx) in held.iter().enumerate() {
+        check(i + 1, &rx.recv().expect("answered"), 3);
+    }
+
+    // a repeat of the lone shape runs on the plan the first request compiled
+    let again = submit(4);
+    assert_eq!(entered.recv(), Ok(1));
+    release.send(()).expect("worker at the gate");
+    check(4, &again.recv().expect("answered"), 1);
+    let snap = server.obs().snapshot();
+    assert_eq!(snap.counter("plan.cache_misses"), Some(2), "(v1, layer 1, 1 row) and (…, 3 rows)");
+    assert_eq!(snap.counter("plan.cache_hits"), Some(1));
+    assert_eq!(snap.counter("serve.local"), Some(0), "no split request was answered inline");
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_swap_replays_in_flight_split_requests_from_their_entry_layer() {
+    let (server, entered, release) = split_server();
+    let client = server.client();
+    let reference = split_stack(21);
+
+    let first = client.submit(&split_input(0), wearable_wifi()).expect("admitted");
+    assert_eq!(entered.recv(), Ok(1), "worker held inside version 1");
+    let split: Vec<_> = (1..3)
+        .map(|i| client.submit(&split_input(i), wearable_wifi()).expect("admitted"))
+        .collect();
+
+    // version 2 is cloud-routed and 3072 wide at layer 1, where the two
+    // queued representations are 8 wide
+    let bytes = artifact(22);
+    let cloud_direct = mdl_core::nn::load_model(&bytes).expect("artifact decodes");
+    assert_eq!(server.swap_artifact(&bytes).expect("valid artifact"), 2);
+    let inputs = inputs();
+    let cloud: Vec<_> =
+        (0..2).map(|i| client.submit(inputs.row(i), wearable_wifi()).expect("admitted")).collect();
+
+    release.send(()).expect("worker at the gate");
+    let resp = first.recv().expect("answered");
+    assert_eq!((resp.model_version, resp.batch_size, resp.route), (1, 1, SPLIT));
+
+    // the split pair is pulled together — the cloud pair, another shape,
+    // stays behind — and finishes one by one on version 1, from layer 1
+    for (i, rx) in split.iter().enumerate() {
+        assert_eq!(entered.recv(), Ok(1), "split request {i} was not replayed alone");
+        assert!(cloud.iter().all(|rx| rx.is_empty()), "a cloud job rode along with a split batch");
+        release.send(()).expect("worker at the gate");
+        let resp = rx.recv().expect("in-flight split requests survive the swap");
+        assert_eq!((resp.model_version, resp.batch_size, resp.route), (1, 1, SPLIT));
+        let direct = reference.predict_proba(&Matrix::row_vector(&split_input(i + 1)));
+        assert_eq!(bits(&resp.probs), bits(direct.row(0)), "split request {i}");
+    }
+    for (i, rx) in cloud.iter().enumerate() {
+        let resp = rx.recv().expect("answered");
+        assert_eq!((resp.model_version, resp.batch_size, resp.route), (2, 2, Route::Cloud));
+        let direct = cloud_direct.predict_proba(&Matrix::row_vector(inputs.row(i)));
+        assert_eq!(bits(&resp.probs), bits(direct.row(0)), "cloud request {i}");
+    }
+    assert_eq!(server.metrics().batch_histogram, vec![(1, 1), (2, 2)]);
+
+    drop(client);
+    server.shutdown();
 }
