@@ -105,9 +105,9 @@ pub mod prelude {
         MomentsAccountant,
     };
     pub use mdl_serve::{
-        request_stream, run_load, BatchPolicy, ClientProfile, DeviceClass, FleetConfig,
-        FleetEngine, InferenceServer, LoadGenConfig, LoadMode, ModelVariant, NetworkClass, Route,
-        ServeConfig, SloClass,
+        request_stream, run_load, ClientProfile, DeviceClass, FleetConfig, FleetEngine,
+        InferenceServer, LoadGenConfig, LoadMode, ModelVariant, NetworkClass, Route, ServeConfig,
+        SloClass,
     };
     pub use mdl_sim::{
         run_population, sample_cohort, ClientTrainer, CohortSpec, Population, PopulationReport,

@@ -57,9 +57,7 @@ pub use gru::{BiGru, Gru};
 pub use layer::{Layer, LayerInfo, Mode, ParamVector};
 pub use lstm::Lstm;
 pub use optim::{AdaGrad, Adam, Optimizer, RmsProp, Sgd};
-pub use plan::{
-    negotiated_rows, Plan, PlanCache, PlanError, PlanLookup, PlanModel, PlanOptions, PlanStats,
-};
+pub use plan::{Plan, PlanCache, PlanError, PlanLookup, PlanModel, PlanOptions, PlanStats};
 pub use profile::LayerProfiler;
 pub use quantized::QuantizedModel;
 pub use saved::{load_model, save_model, LoadModelError};

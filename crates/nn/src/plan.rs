@@ -77,6 +77,14 @@ impl PlanModel<'_> {
             PlanModel::Int8(q) => q.layers().len(),
         }
     }
+
+    /// Output width of layer `layer`.
+    fn out_dim(self, layer: usize) -> usize {
+        match self {
+            PlanModel::F32(seq) => seq.layers()[layer].info().out_dim,
+            PlanModel::Int8(q) => q.layers()[layer].info().out_dim,
+        }
+    }
 }
 
 /// Compile-time knobs — none today. The type (and [`Plan::compile`]'s
@@ -250,6 +258,27 @@ impl Plan {
                 Self::compile_i8(q, rows, cols)
             }
         }
+    }
+
+    /// One-shot evaluation, the whole of both models' `forward_eval`: compiles
+    /// a plan over `layers` for `x`'s shape and runs it once. A plan's shape
+    /// is never empty, so the two edges are answered here: an empty range is
+    /// the identity and a zero-row `x` yields `0 × out_dim`.
+    pub(crate) fn run_once(
+        model: PlanModel<'_>,
+        layers: std::ops::Range<usize>,
+        x: &Matrix,
+    ) -> Result<Matrix, PlanError> {
+        if layers.is_empty() {
+            return Ok(x.clone());
+        }
+        if x.rows() == 0 {
+            return Ok(Matrix::zeros(0, model.out_dim(layers.end - 1)));
+        }
+        let mut plan = Self::compile_range(model, layers, x.rows(), x.cols())?;
+        let mut out = Matrix::default();
+        plan.run(model, x, &mut out);
+        Ok(out)
     }
 
     fn compile_f32(
@@ -607,42 +636,6 @@ fn run_i8(
     }
 }
 
-/// Picks the batch shape a continuous batcher should dispatch for a
-/// backlog of `backlog` waiting requests under a `max_batch` cap.
-///
-/// The negotiated shape is the largest power of two that fits both the
-/// backlog and the cap (a full `max_batch` is used as-is even when it is
-/// not a power of two). Restricting dispatch to this ladder keeps the
-/// number of distinct `(version, shape)` plan-cache keys logarithmic in
-/// `max_batch`, so after warm-up every refill lands on an already
-/// compiled, zero-allocation plan instead of forcing a fresh compile for
-/// each odd batch size the queue happens to produce.
-///
-/// Returns 0 when the backlog is empty.
-///
-/// # Examples
-///
-/// ```
-/// use mdl_nn::plan::negotiated_rows;
-/// assert_eq!(negotiated_rows(13, 8), 8);  // cap wins
-/// assert_eq!(negotiated_rows(5, 8), 4);   // rounds down to the ladder
-/// assert_eq!(negotiated_rows(3, 8), 2);
-/// assert_eq!(negotiated_rows(1, 8), 1);
-/// assert_eq!(negotiated_rows(0, 8), 0);   // nothing waiting
-/// assert_eq!(negotiated_rows(7, 6), 6);   // full batches keep the cap
-/// ```
-pub fn negotiated_rows(backlog: usize, max_batch: usize) -> usize {
-    let cap = max_batch.max(1);
-    if backlog == 0 {
-        return 0;
-    }
-    if backlog >= cap {
-        return cap;
-    }
-    // largest power of two <= backlog (backlog >= 1 here)
-    1 << (usize::BITS - 1 - backlog.leading_zeros())
-}
-
 /// What a [`PlanCache`] lookup did, so callers can account cache
 /// hits/misses without re-deriving them.
 #[derive(Debug, Clone, Copy)]
@@ -687,18 +680,6 @@ impl PlanCache {
     /// Whether a plan is cached for this key.
     pub fn contains(&self, version: u64, entry: usize, rows: usize, cols: usize) -> bool {
         self.plans.contains_key(&(version, entry, rows, cols))
-    }
-
-    /// The cached batch shapes (rows) of whole-model plans compiled for
-    /// `version` at input width `cols`, unordered. Continuous batchers
-    /// consult this to stay on already-compiled shapes (see
-    /// [`negotiated_rows`]).
-    pub fn shapes_for(&self, version: u64, cols: usize) -> Vec<usize> {
-        self.plans
-            .keys()
-            .filter(|&&(v, entry, _, c)| v == version && entry == 0 && c == cols)
-            .map(|&(_, _, rows, _)| rows)
-            .collect()
     }
 
     /// Runs `x` through the cached plan for `(version, entry, x.shape())`

@@ -31,7 +31,7 @@ use crate::dense::Dense;
 use crate::gru::Gru;
 use crate::layer::LayerInfo;
 use crate::lstm::Lstm;
-use crate::plan::{Plan, PlanModel, PlanOptions};
+use crate::plan::{Plan, PlanModel};
 use crate::sequential::Sequential;
 use mdl_tensor::quant::{quantize_value, Int8Matrix};
 use mdl_tensor::stats::softmax_rows;
@@ -534,16 +534,8 @@ impl QuantizedModel {
     ///
     /// Panics if `x`'s width is not [`QuantizedModel::input_dim`].
     pub fn forward_eval(&self, x: &Matrix) -> Matrix {
-        if x.rows() == 0 {
-            let out_dim = self.layers.last().expect("non-empty model").info().out_dim;
-            return Matrix::zeros(0, out_dim);
-        }
-        let model = PlanModel::Int8(self);
-        let mut plan = Plan::compile(model, x.rows(), x.cols(), PlanOptions::default())
-            .unwrap_or_else(|e| panic!("quantized model input width mismatch: {e}"));
-        let mut out = Matrix::default();
-        plan.run(model, x, &mut out);
-        out
+        Plan::run_once(PlanModel::Int8(self), 0..self.layers.len(), x)
+            .unwrap_or_else(|e| panic!("quantized model input width mismatch: {e}"))
     }
 
     /// Class probabilities (softmax over the final layer's outputs).

@@ -110,18 +110,7 @@ impl Sequential {
     /// `x` yields `0 × out_dim`, and a width the range's first layer does
     /// not take panics with the [`crate::PlanError`] text.
     pub fn forward_eval_range(&self, x: &Matrix, range: std::ops::Range<usize>) -> Matrix {
-        if range.is_empty() {
-            return x.clone();
-        }
-        if x.rows() == 0 {
-            return Matrix::zeros(0, self.layers[range.end - 1].info().out_dim);
-        }
-        let model = PlanModel::F32(self);
-        let mut plan =
-            Plan::compile_range(model, range, x.rows(), x.cols()).unwrap_or_else(|e| panic!("{e}"));
-        let mut out = Matrix::default();
-        plan.run(model, x, &mut out);
-        out
+        Plan::run_once(PlanModel::F32(self), range, x).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Class probabilities (softmax over the final layer's outputs).

@@ -1,15 +1,23 @@
-//! Sharded multi-replica serving fleet with SLO-classed admission,
-//! work stealing and continuous plan-cached batching — in virtual time.
+//! Sharded multi-replica serving fleet with SLO-classed admission and work
+//! stealing — in virtual time.
 //!
 //! The threaded [`crate::server`] answers real requests on real threads,
 //! which makes its latencies honest and its schedules unrepeatable. This
-//! module is the other half of the story: a **deterministic,
-//! event-driven fleet engine** that executes the same scheduling policy
-//! (class-ordered admission, per-replica queues, work stealing,
-//! continuous batching against a per-worker plan cache) under a virtual
-//! nanosecond clock, so the policy itself can be property-tested and
-//! bench-floored bit-for-bit. The division of labour mirrors
-//! `mdl-sim`'s relationship to the real federated trainer.
+//! module is the other half of the story: a **deterministic, event-driven
+//! fleet engine** under a virtual nanosecond clock
+//! ([`mdl_sim::EventQueue`]), so scheduling can be property-tested and
+//! reproduced bit-for-bit.
+//!
+//! **Shared with the server, literally:** each replica's waiting work is a
+//! `crate::sched::Backlog` and a free worker forms its batch with
+//! `Backlog::take_batch` — the highest waiting class, FIFO within it, at
+//! most `max_batch` rows, classes never mixed — and every worker's plan
+//! cache has the server's capacity. **Fleet-only:** the front-door budget
+//! below, sharding (`index % replicas`) and stealing (an idle worker whose
+//! replica is empty picks from the deepest one). Admission stays two on
+//! purpose: a single server sheds on its own depth at submit, which depends
+//! on how fast its workers drain; the fleet's budget may depend on nothing
+//! but the offered schedule, or the digest below could not be invariant.
 //!
 //! # Determinism contract
 //!
@@ -25,36 +33,26 @@
 //!   count, worker count and `MDL_THREADS` value**.
 //! * **Answers are schedule-independent.** Kernel results are
 //!   bit-identical per row regardless of batch composition (the repo's
-//!   standing guarantee), so every response's argmax is the same whether
-//!   a request was batched by the fixed coalescer, refilled by the
-//!   continuous batcher, or stolen by a neighbouring replica.
+//!   standing guarantee), so every response's argmax is the same whichever
+//!   batch a request rode in and whether its own replica or a stealing
+//!   neighbour ran it.
 //! * Only **latencies** (and batch shapes, steal counts) legitimately
 //!   depend on fleet size — that is the dimension the capacity knobs are
-//!   for, and the one the 10k-rps experiment floors.
+//!   for, and the one the 10k-rps experiment reports.
 //!
 //! Shedding happens at window close, before any replica sees the
 //! request: a shed `BestEffort` request costs the fleet nothing but the
 //! admission sort, which is how 10k offered rps stays survivable.
 
 use crate::loadgen::RequestRecord;
+use crate::sched::Backlog;
+use crate::server::PLAN_CACHE_CAP;
 use crate::slo::SloClass;
-use mdl_nn::{negotiated_rows, PlanCache, PlanLookup, PlanModel, Sequential};
+use mdl_nn::{PlanCache, PlanLookup, PlanModel, Sequential};
 use mdl_obs::{Buckets, Obs};
+use mdl_sim::EventQueue;
 use mdl_tensor::Matrix;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-
-/// How a worker fills a batch from the class-ordered queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Classic coalescer: drain up to `max_batch` requests and dispatch,
-    /// whatever odd shape that produces.
-    Fixed,
-    /// Continuous batching: pick the batch shape from the power-of-two
-    /// ladder ([`negotiated_rows`]) and the shapes already compiled in
-    /// the per-worker plan cache, so steady-state refills run on cached
-    /// zero-allocation plans instead of compiling one per odd shape.
-    Continuous,
-}
+use std::collections::BTreeMap;
 
 /// Configuration for one fleet run.
 #[derive(Debug, Clone)]
@@ -72,8 +70,6 @@ pub struct FleetConfig {
     /// Deliberately a config knob rather than a capacity estimate — see
     /// the module-level determinism contract.
     pub admit_budget: usize,
-    /// Batch-shape policy.
-    pub policy: BatchPolicy,
     /// Virtual device throughput in multiply-accumulates per second.
     /// The default models a cloud server's *sustained* serving rate
     /// (framework overhead included), calibrated so virtual batch
@@ -83,10 +79,6 @@ pub struct FleetConfig {
     pub macs_per_sec: f64,
     /// Fixed per-batch dispatch overhead in virtual nanoseconds.
     pub dispatch_overhead_ns: u64,
-    /// Per-worker plan cache capacity.
-    pub plan_cache_cap: usize,
-    /// Model version used for plan-cache keys.
-    pub model_version: u64,
 }
 
 impl Default for FleetConfig {
@@ -97,11 +89,8 @@ impl Default for FleetConfig {
             max_batch: 8,
             admit_window_ns: 1_000_000, // 1 ms
             admit_budget: 16,
-            policy: BatchPolicy::Continuous,
             macs_per_sec: 2.0e10,
             dispatch_overhead_ns: 50_000,
-            plan_cache_cap: 16,
-            model_version: 1,
         }
     }
 }
@@ -228,9 +217,7 @@ impl FleetReport {
     }
 }
 
-/// Event kinds, ordered only so the heap tuple derives `Ord`; the `seq`
-/// tie-breaker is unique, so event-kind order is never consulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// An admission window closed.
     Close,
@@ -243,15 +230,19 @@ struct InFlight {
     argmaxes: Vec<usize>,
 }
 
-struct Replica {
-    /// One FIFO per class, indexed by rank.
-    queues: [VecDeque<u32>; SloClass::COUNT],
-}
-
-impl Replica {
-    fn backlog(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
+/// Everything one [`FleetEngine::run`] mutates.
+struct Run<'s> {
+    stream: &'s [RequestRecord],
+    events: EventQueue<Ev>,
+    /// Admitted request indices waiting at each replica.
+    replicas: Vec<Backlog<u32>>,
+    /// The batch each worker slot is running, if any.
+    in_flight: Vec<Option<InFlight>>,
+    plan_caches: Vec<PlanCache>,
+    batch_x: Matrix,
+    batch_out: Matrix,
+    report: FleetReport,
+    batch_rows_sum: u64,
 }
 
 /// The deterministic virtual-time fleet engine. See the module docs.
@@ -296,41 +287,34 @@ impl<'a> FleetEngine<'a> {
             windows.entry(rec.arrival_ns / window).or_default().push(rec.index);
         }
 
-        // min-heap over (time, seq, event); seq makes ordering total and
-        // FIFO at equal times. Window closes are seeded first, so at an
-        // exact tie admission precedes completion — fixed, documented,
-        // and irrelevant to the invariant counters either way.
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        // Window closes are seeded first, so at an exact tie admission
+        // precedes completion (the queue is FIFO at equal times) — fixed,
+        // documented, and irrelevant to the invariant counters either way.
+        let mut events = EventQueue::new();
         for &w in windows.keys() {
-            heap.push(std::cmp::Reverse(((w + 1) * window, seq, Ev::Close)));
-            seq += 1;
+            events.push((w + 1) * window, Ev::Close);
         }
 
-        // ---- fleet state ---------------------------------------------
-        let mut replicas: Vec<Replica> = (0..cfg.replicas)
-            .map(|_| Replica { queues: std::array::from_fn(|_| VecDeque::new()) })
-            .collect();
         let workers = cfg.replicas * cfg.workers_per_replica;
-        let mut in_flight: Vec<Option<InFlight>> = (0..workers).map(|_| None).collect();
-        let mut plan_caches: Vec<PlanCache> =
-            (0..workers).map(|_| PlanCache::new(cfg.plan_cache_cap.max(1))).collect();
-        let mut batch_x = Matrix::default();
-        let mut batch_out = Matrix::default();
-
+        let mut run = Run {
+            stream,
+            events,
+            replicas: (0..cfg.replicas).map(|_| Backlog::default()).collect(),
+            in_flight: (0..workers).map(|_| None).collect(),
+            plan_caches: (0..workers).map(|_| PlanCache::new(PLAN_CACHE_CAP)).collect(),
+            batch_x: Matrix::default(),
+            batch_out: Matrix::default(),
+            report: FleetReport::default(),
+            batch_rows_sum: 0,
+        };
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; stream.len()];
-        let mut classes: [ClassStats; SloClass::COUNT] = Default::default();
         for rec in stream {
-            classes[rec.class.rank()].offered += 1;
+            run.report.classes[rec.class.rank()].offered += 1;
         }
-        let mut report = FleetReport::default();
-        let mut batch_rows_sum = 0u64;
-
         let mut window_iter = windows.into_values();
 
         // ---- event loop ----------------------------------------------
-        while let Some(std::cmp::Reverse((now, _, ev))) = heap.pop() {
-            report.virtual_elapsed_ns = report.virtual_elapsed_ns.max(now);
+        while let Some((now, ev)) = run.events.pop() {
             match ev {
                 Ev::Close => {
                     let mut arrivals = window_iter.next().expect("one close per window");
@@ -343,10 +327,10 @@ impl<'a> FleetEngine<'a> {
                         let rec = &stream[idx as usize];
                         if pos < cfg.admit_budget {
                             let r = rec.index as usize % cfg.replicas;
-                            replicas[r].queues[rec.class.rank()].push_back(rec.index);
+                            run.replicas[r].push(rec.class, rec.index);
                         } else {
                             let latency_ns = now.saturating_sub(rec.arrival_ns);
-                            let s = &mut classes[rec.class.rank()];
+                            let s = &mut run.report.classes[rec.class.rank()];
                             s.shed += 1;
                             s.shed_latency_ns.push(latency_ns);
                             outcomes[idx as usize] = Some(RequestOutcome {
@@ -362,32 +346,19 @@ impl<'a> FleetEngine<'a> {
                     }
                     // wake every idle worker in fixed order
                     for w in 0..workers {
-                        if in_flight[w].is_none() {
-                            self.try_dispatch(
-                                w,
-                                now,
-                                stream,
-                                &mut replicas,
-                                &mut in_flight,
-                                &mut plan_caches,
-                                &mut batch_x,
-                                &mut batch_out,
-                                &mut heap,
-                                &mut seq,
-                                &mut report,
-                                &mut batch_rows_sum,
-                            );
+                        if run.in_flight[w].is_none() {
+                            self.try_dispatch(&mut run, w);
                         }
                     }
                 }
                 Ev::Done { replica, worker } => {
                     let w = replica * cfg.workers_per_replica + worker;
-                    let flight = in_flight[w].take().expect("done without a batch");
+                    let flight = run.in_flight[w].take().expect("done without a batch");
                     let rows = flight.indices.len();
                     for (&idx, &am) in flight.indices.iter().zip(&flight.argmaxes) {
                         let rec = &stream[idx as usize];
                         let latency_ns = now.saturating_sub(rec.arrival_ns);
-                        let s = &mut classes[rec.class.rank()];
+                        let s = &mut run.report.classes[rec.class.rank()];
                         s.served += 1;
                         s.latency_ns.push(latency_ns);
                         outcomes[idx as usize] = Some(RequestOutcome {
@@ -400,133 +371,76 @@ impl<'a> FleetEngine<'a> {
                             batch_rows: rows,
                         });
                     }
-                    self.try_dispatch(
-                        w,
-                        now,
-                        stream,
-                        &mut replicas,
-                        &mut in_flight,
-                        &mut plan_caches,
-                        &mut batch_x,
-                        &mut batch_out,
-                        &mut heap,
-                        &mut seq,
-                        &mut report,
-                        &mut batch_rows_sum,
-                    );
+                    self.try_dispatch(&mut run, w);
                 }
             }
         }
 
-        for c in &mut classes {
+        let Run { events, mut report, batch_rows_sum, .. } = run;
+        report.virtual_elapsed_ns = events.now_ns();
+        for c in &mut report.classes {
             c.latency_ns.sort_unstable();
             c.shed_latency_ns.sort_unstable();
         }
         report.outcomes =
             outcomes.into_iter().map(|o| o.expect("every offered request resolves")).collect();
-        report.classes = classes;
         report.mean_batch_rows =
             if report.batches == 0 { 0.0 } else { batch_rows_sum as f64 / report.batches as f64 };
         report
     }
 
     /// Picks and runs one batch for worker slot `w` if any work exists.
-    #[allow(clippy::too_many_arguments)]
-    fn try_dispatch(
-        &self,
-        w: usize,
-        now: u64,
-        stream: &[RequestRecord],
-        replicas: &mut [Replica],
-        in_flight: &mut [Option<InFlight>],
-        plan_caches: &mut [PlanCache],
-        batch_x: &mut Matrix,
-        batch_out: &mut Matrix,
-        heap: &mut BinaryHeap<std::cmp::Reverse<(u64, u64, Ev)>>,
-        seq: &mut u64,
-        report: &mut FleetReport,
-        batch_rows_sum: &mut u64,
-    ) {
+    fn try_dispatch(&self, run: &mut Run<'_>, w: usize) {
         let cfg = &self.config;
         let home = w / cfg.workers_per_replica;
         let worker = w % cfg.workers_per_replica;
 
         // source: own replica, else steal from the deepest backlog
-        // (tie: lowest replica index) — taking from the head of the
-        // victim's highest-class queue never inverts class order.
-        let (source, stolen) = if replicas[home].backlog() > 0 {
+        // (tie: lowest replica index) — the pick rule takes from the head
+        // of the victim's highest class, so stealing never inverts class order.
+        let (source, stolen) = if run.replicas[home].len() > 0 {
             (home, false)
         } else {
-            let victim = (0..replicas.len())
-                .filter(|&r| replicas[r].backlog() > 0)
-                .max_by_key(|&r| (replicas[r].backlog(), std::cmp::Reverse(r)));
+            let victim = (0..run.replicas.len())
+                .filter(|&r| run.replicas[r].len() > 0)
+                .max_by_key(|&r| (run.replicas[r].len(), std::cmp::Reverse(r)));
             match victim {
                 Some(v) => (v, true),
                 None => return,
             }
         };
-
-        let backlog = replicas[source].backlog();
-        let rows = match cfg.policy {
-            BatchPolicy::Fixed => backlog.min(cfg.max_batch),
-            BatchPolicy::Continuous => {
-                // refill on the pow2 ladder, preferring shapes this
-                // worker has already compiled (zero-alloc steady state)
-                let ladder = negotiated_rows(backlog, cfg.max_batch);
-                let cached_best = plan_caches[w]
-                    .shapes_for(cfg.model_version, self.inputs.cols())
-                    .into_iter()
-                    .filter(|&s| s <= backlog.min(cfg.max_batch))
-                    .max()
-                    .unwrap_or(0);
-                ladder.max(cached_best)
-            }
-        };
-        if rows == 0 {
-            return;
-        }
-
-        // drain class-ordered: highest class first, FIFO within a class
-        let mut indices = Vec::with_capacity(rows);
-        'fill: for q in &mut replicas[source].queues {
-            while indices.len() < rows {
-                match q.pop_front() {
-                    Some(i) => indices.push(i),
-                    None => continue 'fill,
-                }
-            }
-            break;
-        }
+        // every request has the one input width and enters at layer 0
+        let indices = run.replicas[source].take_batch(cfg.max_batch.max(1), |_| ());
 
         // run the batch now (results are completion-time-independent);
         // deliver at the virtual completion time
-        batch_x.resize_to(indices.len(), self.inputs.cols());
+        run.batch_x.resize_to(indices.len(), self.inputs.cols());
         for (r, &idx) in indices.iter().enumerate() {
-            let row = stream[idx as usize].row as usize % self.inputs.rows();
-            batch_x.row_mut(r).copy_from_slice(self.inputs.row(row));
+            let row = run.stream[idx as usize].row as usize % self.inputs.rows();
+            run.batch_x.row_mut(r).copy_from_slice(self.inputs.row(row));
         }
-        let lookup = plan_caches[w].run(
-            cfg.model_version,
+        // one model, never swapped: version 1, nothing to evict by version
+        let lookup = run.plan_caches[w].run(
+            1,
             PlanModel::F32(self.model),
             0,
-            batch_x,
-            batch_out,
+            &run.batch_x,
+            &mut run.batch_out,
             |_| true,
         );
         match lookup {
-            PlanLookup::Hit => report.plan_hits += 1,
-            PlanLookup::Compiled(_) => report.plan_misses += 1,
+            PlanLookup::Hit => run.report.plan_hits += 1,
+            PlanLookup::Compiled(_) => run.report.plan_misses += 1,
         }
-        let argmaxes = batch_out.argmax_rows();
+        let argmaxes = run.batch_out.argmax_rows();
 
-        report.batches += 1;
-        report.steals += u64::from(stolen);
-        *batch_rows_sum += indices.len() as u64;
+        run.report.batches += 1;
+        run.report.steals += u64::from(stolen);
+        run.batch_rows_sum += indices.len() as u64;
 
-        let done = now + self.service_ns(indices.len());
-        in_flight[w] = Some(InFlight { indices, argmaxes });
-        heap.push(std::cmp::Reverse((done, *seq, Ev::Done { replica: home, worker })));
-        *seq += 1;
+        let done = run.events.now_ns() + self.service_ns(indices.len());
+        run.in_flight[w] = Some(InFlight { indices, argmaxes });
+        run.events.push(done, Ev::Done { replica: home, worker });
     }
 }
 
@@ -595,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_invariant_across_fleet_shapes_and_policies() {
+    fn digest_is_invariant_across_fleet_shapes() {
         let (model, inputs) = (model(), inputs());
         let stream = request_stream(7, 12_000.0, 300, &mix(), inputs.rows());
         let base = FleetConfig { admit_budget: 10, ..FleetConfig::default() };
@@ -608,8 +522,6 @@ mod tests {
                 assert_eq!(digest(cfg), reference, "replicas={replicas} workers={workers}");
             }
         }
-        let fixed = FleetConfig { policy: BatchPolicy::Fixed, ..base.clone() };
-        assert_eq!(digest(fixed), reference, "continuous vs fixed coalescer");
     }
 
     #[test]
@@ -628,11 +540,17 @@ mod tests {
     #[test]
     fn work_stealing_fires_when_shards_are_imbalanced() {
         let (model, inputs) = (model(), inputs());
-        // all requests hash to replica 0 (indices stride 4, replicas 4
-        // would spread them; use replicas 4 and a stream whose admitted
-        // indices cluster) — simpler: one class, replicas 4, few
-        // requests per window so replica 0..3 get uneven turns
-        let stream = request_stream(13, 9000.0, 240, &[SloClass::Standard], inputs.rows());
+        // window `w` holds only indices ≡ w (mod 4), so with 4 replicas each
+        // window lands whole — 24 requests, three full batches — on replica
+        // `w % 4` while the other three replicas' workers have nothing
+        let stream: Vec<RequestRecord> = (0..240u32)
+            .map(|i| RequestRecord {
+                index: i,
+                arrival_ns: u64::from((i % 4) + 4 * (i / 96)) * 1_000_000 + 1,
+                class: SloClass::Standard,
+                row: i % inputs.rows() as u32,
+            })
+            .collect();
         let config = FleetConfig {
             replicas: 4,
             workers_per_replica: 1,

@@ -25,9 +25,11 @@
 //!   experiments and regression tests.
 //! * **SLO-classed sharded fleet** ([`slo`], [`fleet`]) — every request
 //!   carries an [`SloClass`]; a deterministic virtual-time fleet engine
-//!   runs per-model replica pools with work stealing, class-ordered
-//!   windowed admission and continuous plan-cached batching, so 10k+ rps
-//!   scheduling behaviour can be proven bit-reproducible in tests.
+//!   runs per-model replica pools with work stealing and class-ordered
+//!   windowed admission over the same per-class backlog and pick rule
+//!   the threaded server's workers use (one crate-private `sched`
+//!   module), so 10k+ rps scheduling behaviour can be proven
+//!   bit-reproducible in tests.
 //!
 //! ```
 //! use mdl_serve::{ClientProfile, DeviceClass, InferenceServer, NetworkClass, ServeConfig};
@@ -55,10 +57,11 @@ pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod router;
+pub(crate) mod sched;
 pub mod server;
 pub mod slo;
 
-pub use fleet::{BatchPolicy, ClassStats, FleetConfig, FleetEngine, FleetReport, RequestOutcome};
+pub use fleet::{ClassStats, FleetConfig, FleetEngine, FleetReport, RequestOutcome};
 pub use loadgen::{
     arrival_schedule, request_stream, run_load, LoadGenConfig, LoadMode, LoadReport, RequestRecord,
 };

@@ -12,8 +12,9 @@
 //!                 ─▶ backlog too deep: shed to the early-exit fallback
 //! ```
 //!
-//! Work-conserving, like [`crate::fleet`]: a request that finds a worker idle
-//! runs at once, alone; batches form only behind busy workers, never on a timer.
+//! Work-conserving: a request that finds a worker idle runs at once, alone;
+//! batches form only behind busy workers, never on a timer. The backlog and
+//! the pick rule are `crate::sched`, which [`crate::fleet`]'s replicas run too.
 //!
 //! Every batch runs on an [`mdl_nn::Plan`] out of its worker's cache, keyed
 //! `(version, entry layer, rows, width)`: layer 0 onwards for [`Route::Cloud`],
@@ -29,6 +30,7 @@
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::registry::{ModelRegistry, ModelVariant, VersionedModel};
 use crate::router::{ClientProfile, Route, Router};
+use crate::sched::Backlog;
 use crate::slo::SloClass;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mdl_compress::CompressedModel;
@@ -37,7 +39,6 @@ use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, QuantizedModel, Sequential
 use mdl_obs::Obs;
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -141,10 +142,10 @@ struct Shared {
     /// Early-exit model (raw input → class scores) used for shedding.
     fallback: Option<Sequential>,
     config: ServeConfig,
-    /// Jobs pulled off the admission channel and not yet run, one FIFO per
-    /// class rank (unclassed at Standard). Locked to pull and pick, and by an
-    /// idle worker awaiting the next arrival — never while a batch runs.
-    backlog: Mutex<[VecDeque<Job>; SloClass::COUNT]>,
+    /// Jobs pulled off the admission channel and not yet run (unclassed at
+    /// Standard). Locked to pull and pick, and by an idle worker awaiting the
+    /// next arrival — never while a batch runs.
+    backlog: Mutex<Backlog<Job>>,
     /// Jobs in `backlog`, readable without its lock.
     pulled: AtomicUsize,
 }
@@ -161,12 +162,16 @@ impl Shared {
     }
 }
 
-fn argmax(row: &[f32]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+/// One answer on its way out; [`ServeClient::deliver`] books it and sends it.
+struct Reply<'a> {
+    resp: &'a Sender<InferenceResponse>,
+    probs: &'a [f32],
+    argmax: usize,
+    model_version: u64,
+    route: Route,
+    class: Option<SloClass>,
+    batch_size: usize,
+    submitted_ns: u64,
 }
 
 /// Error returned by [`ServeClient::submit`].
@@ -267,6 +272,25 @@ impl ServeClient {
         }
         let route = self.shared.router.decide(&snapshot, profile);
         let (resp_tx, resp_rx) = bounded(1);
+        let model_version = snapshot.version;
+        // Every answer that never queues: one row's scores, a batch of one.
+        let answer_inline = |scores: Matrix, route: Route| {
+            let probs = softmax_rows(&scores);
+            if route == Route::Local {
+                self.shared.metrics.record_local();
+            }
+            let reply = Reply {
+                resp: &resp_tx,
+                probs: probs.row(0),
+                argmax: probs.argmax_rows()[0],
+                model_version,
+                route,
+                class,
+                batch_size: 1,
+                submitted_ns,
+            };
+            Self::deliver(&self.shared, reply);
+        };
 
         let depth = self.shared.depth(self.jobs.len());
         let cloud_bound = matches!(route, Route::Cloud | Route::Split { .. });
@@ -279,102 +303,53 @@ impl ServeClient {
             class.unwrap_or(SloClass::Standard).shed_depth(self.shared.config.shed_queue_depth);
         if cloud_bound && depth >= shed_depth {
             if let Some(fallback) = &self.shared.fallback {
-                let x = Matrix::row_vector(input);
-                let probs = softmax_rows(&fallback.forward_eval(&x));
-                Self::deliver(
-                    &self.shared,
-                    &resp_tx,
-                    probs.row(0),
-                    snapshot.version,
-                    Route::EarlyExit,
-                    class,
-                    1,
-                    submitted_ns,
-                );
+                answer_inline(fallback.forward_eval(&Matrix::row_vector(input)), Route::EarlyExit);
                 return Ok(resp_rx);
             }
         }
 
-        match route {
+        let (entry_layer, row) = match route {
+            // Simulated on-device execution: full model, no queueing.
             Route::Local => {
-                // Simulated on-device execution: full model, no queueing.
-                let x = Matrix::row_vector(input);
-                let probs = softmax_rows(&snapshot.model.forward_eval(&x));
-                self.shared.metrics.record_local();
-                Self::deliver(
-                    &self.shared,
-                    &resp_tx,
-                    probs.row(0),
-                    snapshot.version,
-                    route,
-                    class,
-                    1,
-                    submitted_ns,
-                );
+                answer_inline(snapshot.model.forward_eval(&Matrix::row_vector(input)), route);
+                return Ok(resp_rx);
             }
-            Route::Cloud => {
-                let job = Job {
-                    input: input.to_vec(),
-                    entry_layer: 0,
-                    pinned: snapshot,
-                    route,
-                    class,
-                    resp: resp_tx,
-                    submitted_ns,
-                };
-                self.jobs.send(job).map_err(|_| SubmitError::Shutdown)?;
-            }
+            Route::Cloud => (0, input.to_vec()),
             Route::Split { local_layers } => match snapshot.model.as_f32() {
+                // Device-side trunk runs inline; the representation ships.
                 Some(seq) => {
-                    // Device-side trunk runs inline; the representation ships.
                     let x = Matrix::row_vector(input);
-                    let rep = seq.forward_eval_range(&x, 0..local_layers);
-                    let job = Job {
-                        input: rep.row(0).to_vec(),
-                        entry_layer: local_layers,
-                        pinned: snapshot,
-                        route,
-                        class,
-                        resp: resp_tx,
-                        submitted_ns,
-                    };
-                    self.jobs.send(job).map_err(|_| SubmitError::Shutdown)?;
+                    (local_layers, seq.forward_eval_range(&x, 0..local_layers).row(0).to_vec())
                 }
+                // The router never splits an int8 snapshot; if one appears
+                // here anyway, serve the whole model inline rather than
+                // failing the request.
                 None => {
-                    // The router never splits an int8 snapshot; if one
-                    // appears here anyway, serve the whole model inline
-                    // rather than failing the request.
-                    let x = Matrix::row_vector(input);
-                    let probs = softmax_rows(&snapshot.model.forward_eval(&x));
-                    self.shared.metrics.record_local();
-                    Self::deliver(
-                        &self.shared,
-                        &resp_tx,
-                        probs.row(0),
-                        snapshot.version,
+                    answer_inline(
+                        snapshot.model.forward_eval(&Matrix::row_vector(input)),
                         Route::Local,
-                        class,
-                        1,
-                        submitted_ns,
                     );
+                    return Ok(resp_rx);
                 }
             },
             Route::EarlyExit => unreachable!("router never emits EarlyExit"),
-        }
+        };
+        let job = Job {
+            input: row,
+            entry_layer,
+            pinned: snapshot,
+            route,
+            class,
+            resp: resp_tx,
+            submitted_ns,
+        };
+        self.jobs.send(job).map_err(|_| SubmitError::Shutdown)?;
         Ok(resp_rx)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        shared: &Shared,
-        resp: &Sender<InferenceResponse>,
-        probs: &[f32],
-        model_version: u64,
-        route: Route,
-        class: Option<SloClass>,
-        batch_size: usize,
-        submitted_ns: u64,
-    ) {
+    fn deliver(shared: &Shared, reply: Reply<'_>) {
+        let Reply { resp, probs, argmax, model_version, route, class, batch_size, submitted_ns } =
+            reply;
         let latency = Duration::from_nanos(shared.metrics.now_ns().saturating_sub(submitted_ns));
         if route == Route::EarlyExit {
             // Shed answers are bookkept apart: their microsecond inline
@@ -390,7 +365,7 @@ impl ServeClient {
             }
         }
         let response = InferenceResponse {
-            argmax: argmax(probs),
+            argmax,
             probs: probs.to_vec(),
             model_version,
             route,
@@ -403,51 +378,26 @@ impl ServeClient {
     }
 }
 
-/// Picks the next batch out of the per-class FIFOs (`queues[rank]`): the
-/// oldest job of the highest non-empty class plus, in arrival order, later
-/// jobs of that class and `shape`, up to `max_batch`. Classes never mix, or a
-/// best-effort arrival could ride an interactive batch past its shed threshold.
-fn take_batch<T, K: PartialEq>(
-    queues: &mut [VecDeque<T>],
-    max_batch: usize,
-    shape: impl Fn(&T) -> K,
-) -> Vec<T> {
-    let Some(queue) = queues.iter_mut().find(|q| !q.is_empty()) else { return Vec::new() };
-    let key = shape(&queue[0]);
-    let mut batch = Vec::with_capacity(max_batch.min(queue.len()));
-    let mut i = 0;
-    while i < queue.len() && batch.len() < max_batch {
-        if shape(&queue[i]) == key {
-            batch.extend(queue.remove(i));
-        } else {
-            i += 1;
-        }
-    }
-    batch
-}
-
 /// Blocks until there is work and returns this worker's next batch; `None`
 /// once all clients and the server handle are gone and the queue is drained.
 fn next_batch(jobs: &Receiver<Job>, shared: &Shared) -> Option<Vec<Job>> {
-    let rank = |job: &Job| job.class.unwrap_or(SloClass::Standard).rank();
+    let class = |job: &Job| job.class.unwrap_or(SloClass::Standard);
     let mut backlog = shared.backlog.lock().expect("no batch runs under the backlog lock");
-    let mut pulled = shared.pulled.load(Ordering::Relaxed); // written only under this lock
-    if pulled == 0 {
+    if backlog.len() == 0 {
         // Wait for the next arrival *holding* the lock: other workers queue
         // up behind this one instead of pulling aside jobs it would not see.
         let job = jobs.recv().ok()?;
-        backlog[rank(&job)].push_back(job);
-        pulled = 1;
+        backlog.push(class(&job), job);
     }
     // Sort in everything else admitted so the pick sees every class; the
     // cap keeps `queue_capacity` a bound on memory.
-    while pulled < shared.config.queue_capacity {
+    while backlog.len() < shared.config.queue_capacity {
         let Ok(job) = jobs.try_recv() else { break };
-        backlog[rank(&job)].push_back(job);
-        pulled += 1;
+        backlog.push(class(&job), job);
     }
-    let batch = take_batch(&mut *backlog, shared.config.max_batch.max(1), Job::shape);
-    shared.pulled.store(pulled - batch.len(), Ordering::Relaxed);
+    let batch = backlog.take_batch(shared.config.max_batch.max(1), Job::shape);
+    // Relaxed: written only under this lock, read as a statistic
+    shared.pulled.store(backlog.len(), Ordering::Relaxed);
     shared.depth(jobs.len());
     shared.metrics.record_batch(batch.len());
     Some(batch)
@@ -457,7 +407,7 @@ fn next_batch(jobs: &Receiver<Job>, shared: &Shared) -> Option<Vec<Job>> {
 /// other than the current (and pinned rollback) version are evicted —
 /// per-version keying means a hot swap invalidates exactly the swapped
 /// version's plans and nothing else — and if none is, the cache starts over.
-const PLAN_CACHE_CAP: usize = 32;
+pub(crate) const PLAN_CACHE_CAP: usize = 32;
 
 fn plan_model(model: &ModelVariant) -> PlanModel<'_> {
     match model {
@@ -519,17 +469,18 @@ fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
             let x = Matrix::from_fn(chunk.len(), width, |r, c| chunk[r].input[c]);
             run_planned(&mut plans, &mut scores, model, entry_layer, &x, &shared);
             let probs = softmax_rows(&scores);
-            for (r, job) in chunk.iter().enumerate() {
-                ServeClient::deliver(
-                    &shared,
-                    &job.resp,
-                    probs.row(r),
-                    model.version,
-                    job.route,
-                    job.class,
-                    chunk.len(),
-                    job.submitted_ns,
-                );
+            for ((r, job), argmax) in chunk.iter().enumerate().zip(probs.argmax_rows()) {
+                let reply = Reply {
+                    resp: &job.resp,
+                    probs: probs.row(r),
+                    argmax,
+                    model_version: model.version,
+                    route: job.route,
+                    class: job.class,
+                    batch_size: chunk.len(),
+                    submitted_ns: job.submitted_ns,
+                };
+                ServeClient::deliver(&shared, reply);
             }
         }
     }
@@ -797,52 +748,6 @@ mod tests {
         assert_eq!(server.swap_count(), 1);
         drop(client);
         server.shutdown();
-    }
-
-    proptest::proptest! {
-        /// Batch selection over arbitrary pending jobs: highest class
-        /// first, FIFO within a class, one (class, entry layer, width) per
-        /// batch, never more than `max_batch`, and jobs in = jobs out.
-        #[test]
-        fn take_batch_is_class_ordered_fifo_and_conserving(
-            codes in proptest::collection::vec(0usize..18, 0..48),
-            max_batch in 1usize..10,
-        ) {
-            // job = (arrival seq, class rank, (entry layer, width))
-            let jobs: Vec<(usize, usize, (usize, usize))> = codes
-                .iter()
-                .enumerate()
-                .map(|(seq, &c)| (seq, c % 3, (c / 3 % 3, c / 9)))
-                .collect();
-            let mut queues: [VecDeque<_>; SloClass::COUNT] = Default::default();
-            for &job in &jobs {
-                queues[job.1].push_back(job);
-            }
-            let mut left = jobs.clone();
-            loop {
-                let batch = take_batch(&mut queues, max_batch, |job| job.2);
-                if batch.is_empty() {
-                    break;
-                }
-                proptest::prop_assert!(batch.len() <= max_batch);
-                let (_, rank, shape) = batch[0];
-                let highest = left.iter().map(|j| j.1).min();
-                proptest::prop_assert_eq!(highest, Some(rank), "highest class first");
-                // exactly the oldest waiting jobs of that class and shape,
-                // led by the class's oldest job whatever its shape
-                proptest::prop_assert_eq!(left.iter().find(|j| j.1 == rank), Some(&batch[0]));
-                let expected: Vec<_> = left
-                    .iter()
-                    .filter(|j| j.1 == rank && j.2 == shape)
-                    .take(max_batch)
-                    .copied()
-                    .collect();
-                proptest::prop_assert_eq!(&batch, &expected);
-                left.retain(|j| !batch.contains(j));
-            }
-            proptest::prop_assert!(left.is_empty(), "jobs never handed out: {:?}", left);
-            proptest::prop_assert!(queues.iter().all(VecDeque::is_empty));
-        }
     }
 
     #[test]

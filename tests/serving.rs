@@ -276,6 +276,41 @@ fn a_lone_request_on_an_idle_server_runs_alone() {
     server.shutdown();
 }
 
+#[test]
+fn tied_scores_answer_the_class_predict_answers() {
+    // Regression: the server broke a tie towards the last maximum while
+    // `predict` — and so the fleet engine and every expected label — takes
+    // the first. Columns 1 and 2 of the last layer are identical and carry
+    // the only non-negative weights, so every answer ties at the top.
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut net = Sequential::new();
+    net.push(Dense::new(32, 3072, Activation::Relu, &mut rng));
+    net.push(Dense::new(3072, 3072, Activation::Relu, &mut rng));
+    let sign = |c: usize| if c == 1 || c == 2 { 1.0 } else { -1.0 };
+    let tied = Matrix::from_fn(3072, 4, |r, c| sign(c) * (1 + r % 5) as f32 * 0.01);
+    net.push(Dense::from_parts(tied, Matrix::zeros(1, 4), Activation::Identity));
+    let int8 = QuantizedModel::from_model(&mut net).expect("all-Dense model quantizes");
+
+    let x = inputs();
+    let expected = [net.predict(&x), int8.predict(&x)];
+    let models = [ModelVariant::from(net), ModelVariant::from(int8)];
+    let offline = ClientProfile { device: DeviceClass::Flagship, network: NetworkClass::Offline };
+    for (model, expected) in models.into_iter().zip(expected) {
+        let server = InferenceServer::start(model, None, ServeConfig::default());
+        let client = server.client();
+        // the worker's batch path and the inline path
+        for (profile, route) in [(wearable_wifi(), Route::Cloud), (offline, Route::Local)] {
+            let resp =
+                client.submit(x.row(0), profile).expect("server up").recv().expect("answered");
+            assert_eq!(resp.route, route);
+            assert_eq!(resp.probs[1], resp.probs[2], "{}: not a tie", server.precision());
+            assert_eq!(resp.argmax, expected[0], "{} via {route:?}", server.precision());
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
 /// A layer that reports each batch it is handed (its row count) and then
 /// holds the worker until the test releases it — a dropped release handle
 /// leaves the gate open. It passes the first four columns of its input on,

@@ -13,9 +13,10 @@
 //!   total, across work stealing and requeueing; nothing is lost or
 //!   answered twice.
 //! * **Result determinism** — per-class counters and every response's
-//!   argmax are bit-identical across replica counts, worker counts,
-//!   kernel thread counts and batching policies (fixed coalescer vs
-//!   continuous refill). Only latencies may move.
+//!   argmax are bit-identical across replica counts, worker counts and
+//!   kernel thread counts. Only latencies may move.
+//! * **One pick rule** — a 1 × 1 fleet forms exactly the batches the
+//!   threaded server forms from the same backlog (`tests/serving.rs`).
 //! * **Loadgen purity** — the open-loop arrival schedule depends only on
 //!   `(seed, rps, count)`, never on consumer speed, and per-class
 //!   request tagging round-trips through the `RequestRecord` wire form.
@@ -102,7 +103,7 @@ proptest! {
     }
 
     /// Per-class counters and every argmax are bit-identical across
-    /// fleet shapes, kernel thread counts and batching policies.
+    /// fleet shapes and kernel thread counts.
     #[test]
     fn results_are_invariant_across_fleet_and_thread_shapes(
         seed in 0u64..1000,
@@ -135,14 +136,6 @@ proptest! {
             }
         }
         mdl_tensor::kernel::set_threads(saved_threads);
-
-        // continuous refill answers exactly what the fixed coalescer does
-        let fixed = run(FleetConfig { policy: BatchPolicy::Fixed, ..base.clone() });
-        prop_assert_eq!(fixed.result_digest(), ref_digest, "continuous vs fixed");
-        for (a, b) in fixed.outcomes.iter().zip(&reference.outcomes) {
-            prop_assert_eq!(a.argmax, b.argmax, "request {} argmax diverged", a.index);
-            prop_assert_eq!(a.served, b.served);
-        }
     }
 
     /// The arrival schedule is a pure function of (seed, rps, count):
@@ -182,4 +175,40 @@ proptest! {
             prop_assert_eq!(back, Some(*rec), "wire round-trip must be lossless");
         }
     }
+}
+
+/// `tests/serving.rs::a_backlog_coalesces_in_class_order`'s backlog — 3
+/// best-effort, 5 standard, 6 interactive, lowest class first, `max_batch`
+/// 4 — as one admission window through one replica with one worker: the
+/// fleet dispatches the batches the threaded server does, `I4 I2 S4 S1 B3`.
+#[test]
+fn one_replica_forms_the_threaded_servers_batches() {
+    let (model, inputs) = (model(), inputs());
+    let backlog = [(SloClass::BestEffort, 3), (SloClass::Standard, 5), (SloClass::Interactive, 6)];
+    let stream: Vec<RequestRecord> = backlog
+        .iter()
+        .flat_map(|&(class, n)| std::iter::repeat_n(class, n))
+        .enumerate()
+        .map(|(i, class)| RequestRecord { index: i as u32, arrival_ns: 1, class, row: 0 })
+        .collect();
+    let config =
+        FleetConfig { replicas: 1, workers_per_replica: 1, max_batch: 4, ..FleetConfig::default() };
+    let report = FleetEngine::new(&model, &inputs, config).run(&stream);
+    assert_eq!(report.batches, 5);
+
+    // one worker and one arrival instant: latency order is dispatch order
+    let mut dispatched: Vec<_> = report.outcomes.iter().collect();
+    dispatched.sort_by_key(|o| (o.latency_ns, o.index));
+    let got: Vec<_> = dispatched.iter().map(|o| (o.class, o.batch_rows)).collect();
+    let expected: Vec<_> = [
+        (SloClass::Interactive, 4),
+        (SloClass::Interactive, 2),
+        (SloClass::Standard, 4),
+        (SloClass::Standard, 1),
+        (SloClass::BestEffort, 3),
+    ]
+    .into_iter()
+    .flat_map(|batch| std::iter::repeat_n(batch, batch.1))
+    .collect();
+    assert_eq!(got, expected);
 }
