@@ -18,7 +18,7 @@ fn bench_forward_variants(c: &mut Criterion) {
     dense.push(Dense::new(64, 256, Activation::Relu, &mut rng));
     dense.push(Dense::new(256, 10, Activation::Identity, &mut rng));
     group.bench_function("dense", |bench| {
-        bench.iter(|| std::hint::black_box(dense.forward(&x, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(dense.forward_eval(&x)));
     });
 
     // 90%-pruned first layer in CSR
@@ -36,7 +36,7 @@ fn bench_forward_variants(c: &mut Criterion) {
     circ.push(BlockCirculant::new(64, 256, 32, Activation::Relu, &mut rng));
     circ.push(Dense::new(256, 10, Activation::Identity, &mut rng));
     group.bench_function("block_circulant", |bench| {
-        bench.iter(|| std::hint::black_box(circ.forward(&x, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(circ.forward_eval(&x)));
     });
     group.finish();
 }
@@ -48,7 +48,7 @@ fn bench_arden_transform(c: &mut Criterion) {
     let mut net = Sequential::new();
     net.push(Dense::new(64, 32, Activation::Relu, &mut rng));
     net.push(Dense::new(32, 10, Activation::Identity, &mut rng));
-    let mut arden = Arden::from_pretrained(net, ArdenConfig::default());
+    let arden = Arden::from_pretrained(net, ArdenConfig::default());
     let x = Init::Normal { std: 0.5 }.sample(32, 64, &mut rng);
     group.bench_function("device_transform_batch32", |bench| {
         bench.iter(|| std::hint::black_box(arden.transform(&x, &mut rng)));

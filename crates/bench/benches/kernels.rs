@@ -3,7 +3,7 @@
 //! forms, and the GRU hot path they back.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdl_core::nn::{Layer, Mode};
+use mdl_core::nn::Layer;
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel;
 use std::time::Duration;
@@ -69,7 +69,7 @@ fn bench_gru_hot_path(c: &mut Criterion) {
     let grad = Init::Normal { std: 0.1 }.sample(64, 32, &mut rng);
     group.bench_function("forward_backward", |bench| {
         bench.iter(|| {
-            let out = gru.forward(&seq, Mode::Train);
+            let out = gru.forward(&seq);
             std::hint::black_box(&out);
             std::hint::black_box(gru.backward(&grad));
         });

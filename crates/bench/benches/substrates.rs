@@ -59,12 +59,12 @@ fn bench_gru(c: &mut Criterion) {
     let mut gru = Gru::new(4, 16, &mut rng);
     let seq = Init::Normal { std: 0.5 }.sample(40, 4, &mut rng);
     group.bench_function("forward_t40", |bench| {
-        bench.iter(|| std::hint::black_box(gru.forward(&seq, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(gru.forward_eval(&seq)));
     });
     group.bench_function("forward_backward_t40", |bench| {
         bench.iter(|| {
             gru.zero_grad();
-            let out = gru.forward(&seq, Mode::Train);
+            let out = gru.forward(&seq);
             let gout = Matrix::ones(out.rows(), out.cols());
             std::hint::black_box(gru.backward(&gout))
         });
@@ -78,13 +78,13 @@ fn bench_lstm_vs_gru(c: &mut Criterion) {
     group.sample_size(20).measurement_time(Duration::from_secs(2));
     let mut rng = StdRng::seed_from_u64(2005);
     let seq = Init::Normal { std: 0.5 }.sample(40, 4, &mut rng);
-    let mut gru = Gru::new(4, 16, &mut rng);
-    let mut lstm = Lstm::new(4, 16, &mut rng);
+    let gru = Gru::new(4, 16, &mut rng);
+    let lstm = Lstm::new(4, 16, &mut rng);
     group.bench_function("gru", |bench| {
-        bench.iter(|| std::hint::black_box(gru.forward(&seq, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(gru.forward_eval(&seq)));
     });
     group.bench_function("lstm", |bench| {
-        bench.iter(|| std::hint::black_box(lstm.forward(&seq, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(lstm.forward_eval(&seq)));
     });
     group.finish();
 }
@@ -96,13 +96,13 @@ fn bench_conv_variants(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2006);
     let shape = ImageShape::new(16, 8, 8);
     let x = Init::Normal { std: 0.5 }.sample(8, shape.len(), &mut rng);
-    let mut standard = Conv2d::standard(shape, 16, 3, Activation::Relu, &mut rng);
-    let mut separable = SeparableConv2d::new(shape, 16, 3, Activation::Relu, &mut rng);
+    let standard = Conv2d::standard(shape, 16, 3, Activation::Relu, &mut rng);
+    let separable = SeparableConv2d::new(shape, 16, 3, Activation::Relu, &mut rng);
     group.bench_function("standard", |bench| {
-        bench.iter(|| std::hint::black_box(standard.forward(&x, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(standard.forward_eval(&x)));
     });
     group.bench_function("separable", |bench| {
-        bench.iter(|| std::hint::black_box(separable.forward(&x, Mode::Eval)));
+        bench.iter(|| std::hint::black_box(separable.forward_eval(&x)));
     });
     group.finish();
 }

@@ -137,14 +137,14 @@ fn main() {
     // --- distillation ---
     let mut rows = Vec::new();
     for student_hidden in [8usize, 16, 32] {
-        let mut teacher = rebuild(&params, &mut rng);
+        let teacher = rebuild(&params, &mut rng);
         let mut student = Sequential::new();
         student.push(Dense::new(64, student_hidden, Activation::Relu, &mut rng));
         student.push(Dense::new(student_hidden, 10, Activation::Identity, &mut rng));
         let sp = student.num_params();
         let mut opt = Adam::new(0.01);
         let _ = distill(
-            &mut teacher,
+            &teacher,
             &mut student,
             &mut opt,
             &train.x,

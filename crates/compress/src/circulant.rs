@@ -3,7 +3,7 @@
 //! generator vector, cutting storage `n×` and compute from `O(n²)` to
 //! `O(n log n)`.
 
-use mdl_nn::{Activation, Layer, LayerInfo, Mode};
+use mdl_nn::{Activation, Layer, LayerInfo};
 use mdl_tensor::fft::circular_convolve;
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
@@ -134,7 +134,7 @@ impl Layer for BlockCirculant {
         self
     }
 
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         let pre = self.pre_activation(x);
         let out = self.activation.apply_matrix(&pre);
         self.cache = Some((x.clone(), pre));
@@ -211,7 +211,7 @@ mod tests {
         let mut layer = BlockCirculant::new(8, 16, 4, Activation::Identity, &mut rng);
         let w = layer.to_dense_weight();
         let x = Matrix::from_fn(3, 8, |r, c| ((r * 8 + c) as f32 * 0.37).sin());
-        let fast = layer.forward(&x, Mode::Eval);
+        let fast = layer.forward(&x);
         let dense = x.matmul(&w);
         assert!(fast.approx_eq(&dense, 1e-4), "FFT path must equal dense path");
     }
@@ -233,7 +233,7 @@ mod tests {
 
         let base = layer.param_vector();
         layer.zero_grad();
-        let _ = layer.forward(&x, Mode::Train);
+        let _ = layer.forward(&x);
         let dx = layer.backward(&Matrix::ones(2, 4));
         let analytic = layer.grad_vector();
 
@@ -242,11 +242,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             layer.set_param_vector(&plus);
-            let lp = layer.forward(&x, Mode::Eval).sum();
+            let lp = layer.forward(&x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             layer.set_param_vector(&minus);
-            let lm = layer.forward(&x, Mode::Eval).sum();
+            let lm = layer.forward(&x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < 1e-2, "param {k}: fd={fd} analytic={}", analytic[k]);
         }
@@ -255,10 +255,10 @@ mod tests {
             for c in 0..4 {
                 let mut xp = x.clone();
                 xp[(r, c)] += eps;
-                let lp = layer.forward(&xp, Mode::Eval).sum();
+                let lp = layer.forward(&xp).sum();
                 let mut xm = x.clone();
                 xm[(r, c)] -= eps;
-                let lm = layer.forward(&xm, Mode::Eval).sum();
+                let lm = layer.forward(&xm).sum();
                 let fd = (lp - lm) / (2.0 * eps);
                 assert!(
                     (fd - dx[(r, c)]).abs() < 1e-2,

@@ -2,7 +2,7 @@
 //! to mimic a large teacher's softened predictions.
 
 use mdl_nn::loss::{distillation, softmax_cross_entropy};
-use mdl_nn::{Layer, Mode, Optimizer};
+use mdl_nn::{Layer, Optimizer};
 use mdl_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -44,7 +44,7 @@ pub struct DistillStats {
 ///
 /// Panics if shapes disagree or the training set is empty.
 pub fn distill(
-    teacher: &mut dyn Layer,
+    teacher: &dyn Layer,
     student: &mut dyn Layer,
     opt: &mut dyn Optimizer,
     x: &Matrix,
@@ -55,7 +55,7 @@ pub fn distill(
     assert_eq!(x.rows(), labels.len(), "one label per example required");
     assert!(!labels.is_empty(), "training set must be non-empty");
     // teacher logits are fixed; compute once
-    let teacher_logits = teacher.forward(x, Mode::Eval);
+    let teacher_logits = teacher.forward_eval(x);
 
     let n = labels.len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -70,7 +70,7 @@ pub fn distill(
             let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
 
             student.zero_grad();
-            let logits = student.forward(&bx, Mode::Train);
+            let logits = student.forward(&bx);
             let (soft_loss, soft_grad) = distillation(&logits, &bt, config.temperature);
             let (hard_loss, hard_grad) = softmax_cross_entropy(&logits, &by);
             let grad = soft_grad.scale(config.alpha).add(&hard_grad.scale(1.0 - config.alpha));
@@ -126,7 +126,7 @@ mod tests {
         let mut student = mlp(&[2, 24, 2], &mut rng);
         let mut sopt = Adam::new(0.01);
         let _ = distill(
-            &mut teacher,
+            &teacher,
             &mut student,
             &mut sopt,
             &train.x,
@@ -160,7 +160,7 @@ mod tests {
         let mut student = mlp(&[2, 6, 2], &mut rng);
         let mut sopt = Adam::new(0.01);
         let stats = distill(
-            &mut teacher,
+            &teacher,
             &mut student,
             &mut sopt,
             &data.x,
@@ -188,7 +188,7 @@ mod tests {
         let mut student = mlp(&[2, 8, 2], &mut rng);
         let mut sopt = Adam::new(0.01);
         let _ = distill(
-            &mut teacher,
+            &teacher,
             &mut student,
             &mut sopt,
             &data.x,

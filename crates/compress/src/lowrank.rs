@@ -96,7 +96,7 @@ pub fn factorize_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdl_nn::{Layer, Mode};
+    use mdl_nn::Layer;
     use mdl_tensor::linalg::outer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -106,12 +106,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(270);
         let mut layer = Dense::new(6, 4, Activation::Tanh, &mut rng);
         let x = Matrix::from_fn(3, 6, |r, c| ((r + c) as f32 * 0.3).sin());
-        let y_full = layer.forward(&x, Mode::Eval);
+        let y_full = layer.forward(&x);
         let f = factorize_dense(&layer, 4);
         let mut net = Sequential::new();
         net.push(f.first);
         net.push(f.second);
-        let y_fact = net.forward(&x, Mode::Eval);
+        let y_fact = net.forward(&x);
         assert!(y_fact.approx_eq(&y_full, 1e-3), "full-rank must match");
     }
 
@@ -128,7 +128,7 @@ mod tests {
         let x = Matrix::identity(5);
         net.push(f.first);
         net.push(f.second);
-        let rec = net.forward(&x, Mode::Eval);
+        let rec = net.forward(&x);
         assert!(rec.approx_eq(layer.weight(), 1e-3));
     }
 

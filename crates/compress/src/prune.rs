@@ -87,7 +87,7 @@ pub(crate) fn layer_as_dense(layer: &mut dyn Layer) -> Option<&mut Dense> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdl_nn::{Activation, Mode, ParamVector};
+    use mdl_nn::{Activation, ParamVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -157,7 +157,7 @@ mod tests {
         net.push(Dense::new(6, 12, Activation::Relu, &mut rng));
         net.push(Dense::new(12, 3, Activation::Identity, &mut rng));
         let _ = prune_network(&mut net, 0.8);
-        let y = net.forward(&Matrix::ones(2, 6), Mode::Eval);
+        let y = net.forward(&Matrix::ones(2, 6));
         assert_eq!(y.shape(), (2, 3));
         assert!(y.all_finite());
     }

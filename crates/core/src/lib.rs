@@ -96,7 +96,7 @@ pub mod prelude {
         TransportMetrics,
     };
     pub use mdl_nn::{
-        fit_classifier, Activation, Adam, Dense, Gru, Layer, Mode, ParamVector, Plan, PlanModel,
+        fit_classifier, Activation, Adam, Dense, Gru, Layer, ParamVector, Plan, PlanModel,
         PlanOptions, QuantizedModel, Sequential, Sgd, TrainConfig,
     };
     pub use mdl_obs::{Buckets, Clock, ClockKind, MetricsRegistry, Obs, ObsSnapshot};

@@ -57,7 +57,7 @@ pub struct MoodEvaluation {
 }
 
 impl MoodEvaluation {
-    fn from_model(mut model: DeepMood, test: &[(Vec<&Matrix>, usize)]) -> MoodEvaluation {
+    fn from_model(model: DeepMood, test: &[(Vec<&Matrix>, usize)]) -> MoodEvaluation {
         let pred = model.predictions(test);
         let truth: Vec<usize> = test.iter().map(|(_, y)| *y).collect();
         let cm = ConfusionMatrix::from_predictions(&truth, &pred, MOOD_CLASSES);

@@ -10,7 +10,7 @@
 //! - [`MultiViewMachineFusion`] (Eq. 4): full up-to-`m`-th-order interactions
 //!   across views, `ŷ_a = Σ_f Π_p (U_a⁽ᵖ⁾ [h⁽ᵖ⁾; 1])_f`.
 
-use mdl_nn::{Activation, Dense, Layer, LayerInfo, Mode, Sequential};
+use mdl_nn::{Activation, Dense, Layer, LayerInfo, Sequential};
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
 
@@ -33,8 +33,8 @@ impl FullyConnectedFusion {
 }
 
 impl Layer for FullyConnectedFusion {
-    fn forward(&mut self, h: &Matrix, mode: Mode) -> Matrix {
-        self.net.forward(h, mode)
+    fn forward(&mut self, h: &Matrix) -> Matrix {
+        self.net.forward(h)
     }
 
     fn forward_eval(&self, h: &Matrix) -> Matrix {
@@ -133,7 +133,7 @@ impl FactorizationMachineFusion {
 }
 
 impl Layer for FactorizationMachineFusion {
-    fn forward(&mut self, h: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, h: &Matrix) -> Matrix {
         let (out, q_all) = self.score(h);
         self.cache = Some(FmCache { input: h.clone(), q: q_all });
         out
@@ -301,7 +301,7 @@ impl MultiViewMachineFusion {
 }
 
 impl Layer for MultiViewMachineFusion {
-    fn forward(&mut self, h: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, h: &Matrix) -> Matrix {
         let (out, q_all) = self.score(h);
         self.cache = Some(MvmCache { input: h.clone(), q: q_all });
         out
@@ -387,7 +387,7 @@ mod tests {
     fn grad_check_layer(layer: &mut dyn Layer, x: &Matrix, tol: f32) {
         let base = layer.param_vector();
         layer.zero_grad();
-        let out = layer.forward(x, Mode::Train);
+        let out = layer.forward(x);
         let gout = Matrix::ones(out.rows(), out.cols());
         let dx = layer.backward(&gout);
         let analytic = layer.grad_vector();
@@ -399,11 +399,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             layer.set_param_vector(&plus);
-            let lp = layer.forward(x, Mode::Eval).sum();
+            let lp = layer.forward(x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             layer.set_param_vector(&minus);
-            let lm = layer.forward(x, Mode::Eval).sum();
+            let lm = layer.forward(x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < tol, "param {k}: fd={fd} vs {}", analytic[k]);
         }
@@ -413,10 +413,10 @@ mod tests {
             for c in 0..x.cols() {
                 let mut xp = x.clone();
                 xp[(r, c)] += eps;
-                let lp = layer.forward(&xp, Mode::Eval).sum();
+                let lp = layer.forward(&xp).sum();
                 let mut xm = x.clone();
                 xm[(r, c)] -= eps;
-                let lm = layer.forward(&xm, Mode::Eval).sum();
+                let lm = layer.forward(&xm).sum();
                 let fd = (lp - lm) / (2.0 * eps);
                 assert!(
                     (fd - dx[(r, c)]).abs() < tol,
@@ -432,7 +432,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(330);
         let mut head = FullyConnectedFusion::new(6, 8, 3, &mut rng);
         let x = Matrix::from_fn(2, 6, |r, c| ((r * 6 + c) as f32 * 0.4).sin() * 0.5);
-        let y = head.forward(&x, Mode::Eval);
+        let y = head.forward(&x);
         assert_eq!(y.shape(), (2, 3));
         grad_check_layer(&mut head, &x, 2e-2);
     }
@@ -444,7 +444,7 @@ mod tests {
         // set U = [[1, 1]], w = [0.5, -0.5, 0.25]
         head.set_param_vector(&[1.0, 1.0, 0.5, -0.5, 0.25]);
         let x = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let y = head.forward(&x, Mode::Eval);
+        let y = head.forward(&x);
         // q = 2 + 3 = 5 → quad 25; lin = 1.0 − 1.5 + 0.25 = −0.25
         assert!((y[(0, 0)] - 24.75).abs() < 1e-5, "{y:?}");
     }
@@ -466,7 +466,7 @@ mod tests {
         head.set_param_vector(&[2.0, 1.0, 3.0, -1.0]);
         let x = Matrix::from_rows(&[&[0.5, 2.0]]);
         // q¹ = 2·0.5 + 1 = 2; q² = 3·2 − 1 = 5 → ŷ = 10
-        let y = head.forward(&x, Mode::Eval);
+        let y = head.forward(&x);
         assert!((y[(0, 0)] - 10.0).abs() < 1e-5, "{y:?}");
     }
 

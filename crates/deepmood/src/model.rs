@@ -3,7 +3,7 @@
 
 use crate::fusion::{FactorizationMachineFusion, FullyConnectedFusion, MultiViewMachineFusion};
 use mdl_nn::loss::softmax_cross_entropy;
-use mdl_nn::{Adam, BiGru, Gru, Layer, LayerInfo, Lstm, Mode, Optimizer};
+use mdl_nn::{Adam, BiGru, Gru, Layer, LayerInfo, Lstm, Optimizer};
 use mdl_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -92,26 +92,30 @@ impl Encoder {
         }
     }
 
-    /// Forward pass caching state; returns the fused final state (`1 × out`).
-    fn encode(&mut self, seq: &Matrix) -> Matrix {
+    /// Read-only final state (`1 × out`) — the answer path.
+    fn encode(&self, seq: &Matrix) -> Matrix {
         match self {
-            Encoder::Uni(g) => {
-                let states = g.forward(seq, Mode::Train);
-                Matrix::row_vector(states.row(states.rows() - 1))
-            }
-            Encoder::Bi(g) => {
-                let h = g.hidden_dim();
-                let states = g.forward(seq, Mode::Train);
-                let mut out = Matrix::zeros(1, 2 * h);
-                out.row_mut(0)[..h].copy_from_slice(&states.row(states.rows() - 1)[..h]);
-                out.row_mut(0)[h..].copy_from_slice(&states.row(0)[h..]);
-                out
-            }
-            Encoder::Mem(l) => {
-                let states = l.forward(seq, Mode::Train);
-                Matrix::row_vector(states.row(states.rows() - 1))
-            }
+            Encoder::Uni(g) => g.encode(seq),
+            Encoder::Bi(g) => g.encode(seq),
+            Encoder::Mem(l) => l.encode(seq),
         }
+    }
+
+    /// Training forward: the same final state, with every step cached for
+    /// [`Encoder::backward_encoded`].
+    fn forward(&mut self, seq: &Matrix) -> Matrix {
+        let states = match self {
+            Encoder::Uni(g) => g.forward(seq),
+            Encoder::Bi(g) => g.forward(seq),
+            Encoder::Mem(l) => l.forward(seq),
+        };
+        let mut out = Matrix::row_vector(states.row(states.rows() - 1));
+        if let Encoder::Bi(g) = self {
+            // the reversed direction finishes on the first row
+            let h = g.hidden_dim();
+            out.row_mut(0)[h..].copy_from_slice(&states.row(0)[h..]);
+        }
+        out
     }
 
     /// Backpropagates a gradient on the encoded state through time.
@@ -173,7 +177,7 @@ impl std::fmt::Debug for DeepMood {
 struct ParamsOnly<'a>(&'a mut DeepMood);
 
 impl Layer for ParamsOnly<'_> {
-    fn forward(&mut self, _x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, _x: &Matrix) -> Matrix {
         unreachable!("ParamsOnly is only used for optimizer parameter visits")
     }
 
@@ -197,6 +201,11 @@ impl Layer for ParamsOnly<'_> {
         // ParamsOnly is a transient borrow adapter; it is never downcast.
         unreachable!("ParamsOnly does not support downcasting")
     }
+}
+
+/// Late fusion's input: the per-view final states side by side (`1 × Σ out`).
+fn fuse(encoded: impl Iterator<Item = Matrix>) -> Matrix {
+    encoded.reduce(|fused, enc| fused.hstack(&enc)).expect("a DeepMood has at least one view")
 }
 
 /// Per-epoch training record.
@@ -267,26 +276,23 @@ impl DeepMood {
     /// # Panics
     ///
     /// Panics if the number of views differs from the model's.
-    pub fn logits(&mut self, views: &[&Matrix]) -> Matrix {
+    pub fn logits(&self, views: &[&Matrix]) -> Matrix {
         assert_eq!(views.len(), self.encoders.len(), "view count mismatch");
-        let mut fused = Matrix::zeros(1, self.view_dims.iter().sum());
-        let mut at = 0;
-        for (e, v) in self.encoders.iter_mut().zip(views.iter()) {
-            let enc = e.encode(v);
-            fused.row_mut(0)[at..at + enc.cols()].copy_from_slice(enc.row(0));
-            at += enc.cols();
-        }
-        self.head.forward(&fused, Mode::Train)
+        let encoded = self.encoders.iter().zip(views).map(|(e, v)| e.encode(v));
+        self.head.forward_eval(&fuse(encoded))
     }
 
     /// Predicted class for one session.
-    pub fn predict(&mut self, views: &[&Matrix]) -> usize {
+    pub fn predict(&self, views: &[&Matrix]) -> usize {
         self.logits(views).argmax_rows()[0]
     }
 
-    /// Loss + gradient accumulation for one labelled session.
+    /// Loss + gradient accumulation for one labelled session: the training
+    /// twin of [`DeepMood::logits`], then backpropagation through time.
     fn accumulate(&mut self, views: &[&Matrix], label: usize) -> (f32, bool) {
-        let logits = self.logits(views);
+        assert_eq!(views.len(), self.encoders.len(), "view count mismatch");
+        let encoded = self.encoders.iter_mut().zip(views).map(|(e, v)| e.forward(v));
+        let logits = self.head.forward(&fuse(encoded));
         let correct = logits.argmax_rows()[0] == label;
         let (loss, grad) = softmax_cross_entropy(&logits, &[label]);
         let d_fused = self.head.backward(&grad);
@@ -339,7 +345,7 @@ impl DeepMood {
     }
 
     /// Accuracy over labelled sessions.
-    pub fn accuracy(&mut self, sessions: &[(Vec<&Matrix>, usize)]) -> f64 {
+    pub fn accuracy(&self, sessions: &[(Vec<&Matrix>, usize)]) -> f64 {
         if sessions.is_empty() {
             return 0.0;
         }
@@ -349,7 +355,7 @@ impl DeepMood {
     }
 
     /// Predictions over labelled sessions (order preserved).
-    pub fn predictions(&mut self, sessions: &[(Vec<&Matrix>, usize)]) -> Vec<usize> {
+    pub fn predictions(&self, sessions: &[(Vec<&Matrix>, usize)]) -> Vec<usize> {
         sessions.iter().map(|(views, _)| self.predict(views)).collect()
     }
 }
@@ -481,7 +487,7 @@ mod tests {
     #[should_panic(expected = "view count mismatch")]
     fn logits_rejects_wrong_view_count() {
         let mut rng = StdRng::seed_from_u64(345);
-        let mut model = DeepMood::new(&[2, 3], DeepMoodConfig::default(), &mut rng);
+        let model = DeepMood::new(&[2, 3], DeepMoodConfig::default(), &mut rng);
         let v = Matrix::ones(4, 2);
         let _ = model.logits(&[&v]);
     }

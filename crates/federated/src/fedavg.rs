@@ -19,7 +19,7 @@ use crate::model::MlpSpec;
 use crate::scheduler::AvailabilityModel;
 use mdl_data::Dataset;
 use mdl_net::{Fabric, NetError, TransportMetrics};
-use mdl_nn::{fit_classifier, Layer, Mode, ParamVector, Sgd, TrainConfig};
+use mdl_nn::{fit_classifier, ParamVector, Sgd, TrainConfig};
 use mdl_sim::{run_legacy_loop, LegacyConfig, LocalUpdate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -297,9 +297,7 @@ pub fn centralized_reference(
 
 /// Evaluates a parameter vector on a dataset using the given spec.
 pub fn evaluate_params(spec: &MlpSpec, params: &[f32], data: &Dataset) -> f64 {
-    let mut net = spec.build_with(params);
-    let pred = net.forward(&data.x, Mode::Eval).argmax_rows();
-    mdl_data::metrics::accuracy(&data.y, &pred)
+    spec.build_with(params).accuracy(&data.x, &data.y)
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ impl MlpSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdl_nn::{Layer, Mode};
+    use mdl_nn::Layer;
     use mdl_tensor::Matrix;
 
     #[test]
@@ -81,7 +81,7 @@ mod tests {
         let params = vec![1.0, 0.0, 0.0, 1.0, 0.5, -0.5];
         let mut net = spec.build_with(&params);
         assert_eq!(net.param_vector(), params);
-        let y = net.forward(&Matrix::from_rows(&[&[2.0, 3.0]]), Mode::Eval);
+        let y = net.forward(&Matrix::from_rows(&[&[2.0, 3.0]]));
         assert_eq!(y.row(0), &[2.5, 2.5]);
     }
 

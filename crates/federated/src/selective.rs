@@ -20,7 +20,7 @@ use crate::model::MlpSpec;
 use crate::update::SparseUpdate;
 use mdl_data::Dataset;
 use mdl_net::{Fabric, TransportMetrics};
-use mdl_nn::{loss::softmax_cross_entropy, Layer, Mode, ParamVector};
+use mdl_nn::{loss::softmax_cross_entropy, Layer, ParamVector};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -111,7 +111,7 @@ fn local_phase(
         let bx = data.x.select_rows(batch);
         let by: Vec<usize> = batch.iter().map(|&i| data.y[i]).collect();
         model.zero_grad();
-        let logits = model.forward(&bx, Mode::Train);
+        let logits = model.forward(&bx);
         let (_, grad) = softmax_cross_entropy(&logits, &by);
         let _ = model.backward(&grad);
         // manual SGD step (keeps model params equal to flattened view)

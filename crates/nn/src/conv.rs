@@ -9,7 +9,7 @@
 //! `k²·C_in + C_in·C_out` per output position.
 
 use crate::activation::Activation;
-use crate::layer::{Layer, LayerInfo, Mode};
+use crate::layer::{Layer, LayerInfo};
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
 
@@ -192,7 +192,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         let pre = self.convolve(x);
         let out = self.activation.apply_matrix(&pre);
         self.cache = Some((x.clone(), pre));
@@ -303,9 +303,9 @@ impl SeparableConv2d {
 }
 
 impl Layer for SeparableConv2d {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mid = self.depthwise.forward(x, mode);
-        self.pointwise.forward(&mid, mode)
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        let mid = self.depthwise.forward(x);
+        self.pointwise.forward(&mid)
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
@@ -370,7 +370,7 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         self.forward_eval(x)
     }
 
@@ -446,8 +446,8 @@ mod tests {
     fn grad_check(layer: &mut dyn Layer, x: &Matrix, picks: usize, tol: f32) {
         let base = layer.param_vector();
         layer.zero_grad();
-        let _ = layer.forward(x, Mode::Train);
-        let out = layer.forward(x, Mode::Train);
+        let _ = layer.forward(x);
+        let out = layer.forward(x);
         layer.zero_grad();
         let dx = layer.backward(&Matrix::ones(out.rows(), out.cols()));
         let analytic = layer.grad_vector();
@@ -459,11 +459,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             layer.set_param_vector(&plus);
-            let lp = layer.forward(x, Mode::Eval).sum();
+            let lp = layer.forward(x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             layer.set_param_vector(&minus);
-            let lm = layer.forward(x, Mode::Eval).sum();
+            let lm = layer.forward(x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < tol, "param {k}: fd={fd} vs {}", analytic[k]);
         }
@@ -472,10 +472,10 @@ mod tests {
         for k in [0usize, x.cols() / 2, x.cols() - 1] {
             let mut xp = x.clone();
             xp[(0, k)] += eps;
-            let lp = layer.forward(&xp, Mode::Eval).sum();
+            let lp = layer.forward(&xp).sum();
             let mut xm = x.clone();
             xm[(0, k)] -= eps;
-            let lm = layer.forward(&xm, Mode::Eval).sum();
+            let lm = layer.forward(&xm).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - dx[(0, k)]).abs() < tol, "input {k}: fd={fd} vs {}", dx[(0, k)]);
         }
@@ -492,7 +492,7 @@ mod tests {
         w.push(0.0); // bias
         conv.set_param_vector(&w);
         let x = Matrix::from_fn(2, 16, |r, c| (r * 16 + c) as f32 * 0.1);
-        let y = conv.forward(&x, Mode::Eval);
+        let y = conv.forward(&x);
         assert!(y.approx_eq(&x, 1e-6), "identity kernel must pass the image through");
     }
 
@@ -508,7 +508,7 @@ mod tests {
         conv.set_param_vector(&w);
         let mut img = Matrix::zeros(1, 9);
         img[(0, 4)] = 1.0; // centre pixel
-        let y = conv.forward(&img, Mode::Eval);
+        let y = conv.forward(&img);
         // centre pixel should move right by one
         assert_eq!(y[(0, 5)], 1.0, "{y:?}");
         assert_eq!(y[(0, 4)], 0.0);
@@ -565,7 +565,7 @@ mod tests {
         let shape = ImageShape::new(1, 4, 4);
         let mut pool = AvgPool2d::new(shape);
         let x = Matrix::from_fn(1, 16, |_, c| c as f32);
-        let y = pool.forward(&x, Mode::Eval);
+        let y = pool.forward(&x);
         assert_eq!(y.cols(), 4);
         // top-left 2×2 block of [0,1;4,5] → 2.5
         assert_eq!(y[(0, 0)], 2.5);

@@ -1,7 +1,7 @@
 //! Fully connected (dense) layer and inverted dropout.
 
 use crate::activation::Activation;
-use crate::layer::{Layer, LayerInfo, Mode};
+use crate::layer::{Layer, LayerInfo};
 use mdl_tensor::{Init, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,13 +11,13 @@ use rand::{Rng, SeedableRng};
 /// # Examples
 ///
 /// ```
-/// use mdl_nn::{Dense, Activation, Layer, Mode};
+/// use mdl_nn::{Dense, Activation, Layer};
 /// use mdl_tensor::Matrix;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
-/// let y = layer.forward(&Matrix::ones(4, 3), Mode::Eval);
+/// let layer = Dense::new(3, 2, Activation::Relu, &mut rng);
+/// let y = layer.forward_eval(&Matrix::ones(4, 3));
 /// assert_eq!(y.shape(), (4, 2));
 /// ```
 #[derive(Clone)]
@@ -159,7 +159,7 @@ impl Layer for Dense {
         Some(self)
     }
 
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         // take/restore the cache so its buffers are reused across steps:
         // the fused x·W + b lands straight in `pre_activation`.
         let mut cache = self.cache.take().unwrap_or_default();
@@ -249,26 +249,18 @@ impl Layer for Dropout {
         Some(self)
     }
 
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        match mode {
-            Mode::Eval => {
-                self.mask = None;
-                x.clone()
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        let keep = 1.0 - self.drop_prob;
+        let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
+            if self.rng.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
             }
-            Mode::Train => {
-                let keep = 1.0 - self.drop_prob;
-                let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
-                    if self.rng.gen::<f32>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                });
-                let out = x.hadamard(&mask);
-                self.mask = Some(mask);
-                out
-            }
-        }
+        });
+        let out = x.hadamard(&mask);
+        self.mask = Some(mask);
+        out
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
@@ -276,10 +268,7 @@ impl Layer for Dropout {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        match &self.mask {
-            Some(mask) => grad_out.hadamard(mask),
-            None => grad_out.clone(),
-        }
+        grad_out.hadamard(self.mask.as_ref().expect("backward called before forward"))
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}
@@ -300,7 +289,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = Dense::new(3, 4, Activation::Identity, &mut rng);
         layer.set_param_vector(&[0.0; 12 + 4]);
-        let y = layer.forward(&Matrix::ones(2, 3), Mode::Eval);
+        let y = layer.forward_eval(&Matrix::ones(2, 3));
         assert_eq!(y.shape(), (2, 4));
         assert_eq!(y.sum(), 0.0);
     }
@@ -309,9 +298,9 @@ mod tests {
     fn identity_layer_passes_through() {
         let w = Matrix::identity(3);
         let b = Matrix::zeros(1, 3);
-        let mut layer = Dense::from_parts(w, b, Activation::Identity);
+        let layer = Dense::from_parts(w, b, Activation::Identity);
         let x = Matrix::from_rows(&[&[1.0, -2.0, 3.0]]);
-        assert_eq!(layer.forward(&x, Mode::Eval), x);
+        assert_eq!(layer.forward_eval(&x), x);
     }
 
     #[test]
@@ -336,7 +325,7 @@ mod tests {
         let base = layer.param_vector();
 
         layer.zero_grad();
-        let _ = layer.forward(&x, Mode::Train);
+        let _ = layer.forward(&x);
         let grad_ones = Matrix::ones(2, 2);
         let _ = layer.backward(&grad_ones);
         let analytic = layer.grad_vector();
@@ -346,11 +335,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             layer.set_param_vector(&plus);
-            let lp = layer.forward(&x, Mode::Eval).sum();
+            let lp = layer.forward(&x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             layer.set_param_vector(&minus);
-            let lm = layer.forward(&x, Mode::Eval).sum();
+            let lm = layer.forward(&x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < 1e-2, "param {k}: fd={fd} analytic={}", analytic[k]);
         }
@@ -361,16 +350,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Dense::new(3, 2, Activation::Sigmoid, &mut rng);
         let x = Matrix::from_rows(&[&[0.1, 0.2, -0.3]]);
-        let _ = layer.forward(&x, Mode::Train);
+        let _ = layer.forward(&x);
         let gin = layer.backward(&Matrix::ones(1, 2));
         let eps = 1e-3f32;
         for k in 0..3 {
             let mut xp = x.clone();
             xp[(0, k)] += eps;
-            let lp = layer.forward(&xp, Mode::Eval).sum();
+            let lp = layer.forward(&xp).sum();
             let mut xm = x.clone();
             xm[(0, k)] -= eps;
-            let lm = layer.forward(&xm, Mode::Eval).sum();
+            let lm = layer.forward(&xm).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - gin[(0, k)]).abs() < 1e-3, "input {k}: fd={fd} vs {}", gin[(0, k)]);
         }
@@ -380,8 +369,8 @@ mod tests {
     fn dropout_eval_is_identity_train_masks() {
         let mut d = Dropout::new(8, 0.5, 99);
         let x = Matrix::ones(16, 8);
-        assert_eq!(d.forward(&x, Mode::Eval), x);
-        let y = d.forward(&x, Mode::Train);
+        assert_eq!(d.forward_eval(&x), x);
+        let y = d.forward(&x);
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         assert!(zeros > 10 && zeros < 120, "zeros={zeros}");
         // kept entries are scaled by 1/keep = 2.0
@@ -392,9 +381,18 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut d = Dropout::new(4, 0.5, 7);
         let x = Matrix::ones(2, 4);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward(&x);
         let g = d.backward(&Matrix::ones(2, 4));
         assert_eq!(y, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn dropout_backward_before_forward_panics() {
+        let mut d = Dropout::new(4, 0.5, 7);
+        // `forward_eval` stores no mask, so it does not count as a forward
+        let _ = d.forward_eval(&Matrix::ones(2, 4));
+        let _ = d.backward(&Matrix::ones(2, 4));
     }
 
     #[test]

@@ -13,28 +13,28 @@
 //! paper's convention (some libraries swap `z` and `1 - z`).
 
 use crate::activation::sigmoid;
-use crate::layer::{Layer, LayerInfo, Mode};
+use crate::layer::{Layer, LayerInfo};
 use mdl_tensor::kernel::{self, Trans};
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
 
 /// A single-direction GRU over one sequence.
 ///
-/// [`Layer::forward`] treats the input as a `T × input_dim` sequence and
-/// returns all hidden states as `T × hidden_dim`; take the last row for a
-/// sequence embedding.
+/// Both forwards treat the input as a `T × input_dim` sequence and return
+/// all hidden states as `T × hidden_dim`; [`Gru::encode`] takes the last
+/// row for a sequence embedding.
 ///
 /// # Examples
 ///
 /// ```
-/// use mdl_nn::{Gru, Layer, Mode};
+/// use mdl_nn::{Gru, Layer};
 /// use mdl_tensor::Matrix;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut gru = Gru::new(3, 8, &mut rng);
+/// let gru = Gru::new(3, 8, &mut rng);
 /// let sequence = Matrix::ones(10, 3); // 10 timesteps, 3 features
-/// let states = gru.forward(&sequence, Mode::Eval);
+/// let states = gru.forward_eval(&sequence);
 /// assert_eq!(states.shape(), (10, 8));
 /// ```
 #[derive(Clone)]
@@ -153,8 +153,8 @@ impl Gru {
     }
 
     /// Runs the sequence and returns only the final hidden state (`1 × h`).
-    pub fn encode(&mut self, seq: &Matrix) -> Matrix {
-        let states = self.forward(seq, Mode::Eval);
+    pub fn encode(&self, seq: &Matrix) -> Matrix {
+        let states = self.forward_eval(seq);
         let last = states.rows() - 1;
         Matrix::row_vector(states.row(last))
     }
@@ -305,7 +305,7 @@ impl Layer for Gru {
         Some(self)
     }
 
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         // take/restore rather than clone: the cache buffers are reused
         // across forward calls and handed to backward without copying.
         let mut cache = self.cache.take().unwrap_or_default();
@@ -316,8 +316,9 @@ impl Layer for Gru {
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
+        // scan the borrowed input: only `backward` reads the copy `scan_into` keeps
         let mut cache = GruCache::default();
-        self.scan_into(x, &mut cache);
+        self.scan_slice_into(x.rows(), x.as_slice(), &mut cache);
         Self::states_output(&cache)
     }
 
@@ -507,8 +508,8 @@ impl BiGru {
     }
 
     /// Final fused state: `[h_fwd(T); h_bwd(T)]` as `1 × 2h`.
-    pub fn encode(&mut self, seq: &Matrix) -> Matrix {
-        let states = self.forward(seq, Mode::Eval);
+    pub fn encode(&self, seq: &Matrix) -> Matrix {
+        let states = self.forward_eval(seq);
         let last = states.rows() - 1;
         let h = self.hidden_dim();
         let mut out = Matrix::zeros(1, 2 * h);
@@ -529,9 +530,9 @@ impl Layer for BiGru {
         self
     }
 
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let f = self.fwd.forward(x, mode);
-        let b_rev = self.bwd.forward(&reverse_rows(x), mode);
+    fn forward(&mut self, x: &Matrix) -> Matrix {
+        let f = self.fwd.forward(x);
+        let b_rev = self.bwd.forward(&reverse_rows(x));
         let b = reverse_rows(&b_rev);
         f.hstack(&b)
     }
@@ -578,7 +579,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn loss_last_state_sum(gru: &mut Gru, x: &Matrix) -> f32 {
-        let states = gru.forward(x, Mode::Eval);
+        let states = gru.forward(x);
         states.row(states.rows() - 1).iter().sum()
     }
 
@@ -587,7 +588,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(20);
         let mut gru = Gru::new(5, 7, &mut rng);
         let x = Matrix::ones(4, 5);
-        let y = gru.forward(&x, Mode::Train);
+        let y = gru.forward(&x);
         assert_eq!(y.shape(), (4, 7));
         assert!(y.all_finite());
         assert!(y.max_abs() <= 1.0 + 1e-5, "GRU states bounded by tanh");
@@ -596,10 +597,10 @@ mod tests {
     #[test]
     fn initial_state_is_zero_influences_first_step() {
         let mut rng = StdRng::seed_from_u64(21);
-        let mut gru = Gru::new(2, 3, &mut rng);
+        let gru = Gru::new(2, 3, &mut rng);
         let x = Matrix::zeros(3, 2);
         // with zero input, zero h0 and zero biases, state stays exactly zero
-        let y = gru.forward(&x, Mode::Eval);
+        let y = gru.forward_eval(&x);
         assert_eq!(y.sum(), 0.0);
     }
 
@@ -611,7 +612,7 @@ mod tests {
         let base = gru.param_vector();
 
         gru.zero_grad();
-        let states = gru.forward(&x, Mode::Train);
+        let states = gru.forward(&x);
         // L = sum of last hidden state
         let mut gout = Matrix::zeros(5, 4);
         for j in 0..4 {
@@ -644,7 +645,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut gru = Gru::new(2, 3, &mut rng);
         let x = Matrix::from_fn(4, 2, |r, c| ((r + c) as f32 * 0.9).cos() * 0.4);
-        let _ = gru.forward(&x, Mode::Train);
+        let _ = gru.forward(&x);
         let mut gout = Matrix::zeros(4, 3);
         for j in 0..3 {
             gout[(3, j)] = 1.0;
@@ -674,7 +675,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         let mut gru = Gru::new(2, 3, &mut rng);
         let x = Matrix::from_fn(6, 2, |r, c| (r as f32 - c as f32) * 0.1);
-        let states = gru.forward(&x, Mode::Eval);
+        let states = gru.forward(&x);
         let enc = gru.encode(&x);
         assert_eq!(enc.row(0), states.row(5));
     }
@@ -684,12 +685,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(25);
         let mut big = BiGru::new(2, 3, &mut rng);
         let x = Matrix::from_fn(4, 2, |r, c| ((r * 2 + c) as f32).sin() * 0.3);
-        let y = big.forward(&x, Mode::Train);
+        let y = big.forward(&x);
         assert_eq!(y.shape(), (4, 6));
 
         let base = big.param_vector();
         big.zero_grad();
-        let _ = big.forward(&x, Mode::Train);
+        let _ = big.forward(&x);
         let _ = big.backward(&Matrix::ones(4, 6));
         let analytic = big.grad_vector();
 
@@ -699,11 +700,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             big.set_param_vector(&plus);
-            let lp = big.forward(&x, Mode::Eval).sum();
+            let lp = big.forward(&x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             big.set_param_vector(&minus);
-            let lm = big.forward(&x, Mode::Eval).sum();
+            let lm = big.forward(&x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < 2e-2, "param {k}: fd={fd} analytic={}", analytic[k]);
         }

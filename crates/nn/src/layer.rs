@@ -2,15 +2,6 @@
 
 use mdl_tensor::Matrix;
 
-/// Whether a forward pass is part of training (enables dropout etc.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Training-time forward pass.
-    Train,
-    /// Inference-time forward pass.
-    Eval,
-}
-
 /// Static description of a layer, used by cost models and reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerInfo {
@@ -28,20 +19,26 @@ pub struct LayerInfo {
 
 /// A differentiable layer with explicit forward and backward passes.
 ///
-/// Layers cache whatever they need during [`Layer::forward`] so that
-/// [`Layer::backward`] can compute input gradients and *accumulate* parameter
-/// gradients. Call [`Layer::zero_grad`] before accumulating a new batch.
+/// The receiver says which pass runs. [`Layer::forward`] takes `&mut self`
+/// and is the *training* forward: it may overwrite the layer's caches (the
+/// inputs and pre-activations [`Layer::backward`] reads) and advance its
+/// random state (dropout samples a mask). [`Layer::forward_eval`] takes
+/// `&self` and is the only way to ask a model for an answer: it mutates
+/// nothing, so a frozen model serves concurrent inference behind an `Arc`
+/// (the `Sync` bound) without cloning per thread. On a layer with no
+/// stochastic part the two return the same bits.
 ///
-/// The `Sync` bound plus [`Layer::forward_eval`] let a frozen model serve
-/// concurrent inference behind an `Arc` without cloning per thread.
+/// [`Layer::backward`] *accumulates* parameter gradients; call
+/// [`Layer::zero_grad`] before accumulating a new batch.
 pub trait Layer: Send + Sync {
-    /// Computes outputs for a batch (`rows = examples`).
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix;
+    /// Training forward for a batch (`rows = examples`): computes the
+    /// outputs and caches what the matching [`Layer::backward`] needs.
+    /// Stochastic layers (dropout) are live.
+    fn forward(&mut self, x: &Matrix) -> Matrix;
 
-    /// Computes outputs like [`Layer::forward`] in [`Mode::Eval`], but
-    /// without mutating the layer: nothing is cached for backward, and
-    /// stochastic layers (dropout) act as identity. Safe to call from many
-    /// threads on a shared reference.
+    /// Inference forward: the same outputs without mutating the layer —
+    /// nothing is cached for backward, and stochastic layers (dropout) act
+    /// as identity. Safe to call from many threads on a shared reference.
     fn forward_eval(&self, x: &Matrix) -> Matrix;
 
     /// Propagates `grad_out` (∂L/∂output) back, returning ∂L/∂input and

@@ -54,7 +54,7 @@ pub use activation::Activation;
 pub use conv::{AvgPool2d, Conv2d, ImageShape, SeparableConv2d};
 pub use dense::{Dense, Dropout};
 pub use gru::{BiGru, Gru};
-pub use layer::{Layer, LayerInfo, Mode, ParamVector};
+pub use layer::{Layer, LayerInfo, ParamVector};
 pub use lstm::Lstm;
 pub use optim::{AdaGrad, Adam, Optimizer, RmsProp, Sgd};
 pub use plan::{Plan, PlanCache, PlanError, PlanLookup, PlanModel, PlanOptions, PlanStats};
@@ -68,7 +68,7 @@ pub use trainer::{clip_gradients, fit_classifier, EpochStats, TrainConfig};
 mod proptests {
     use crate::activation::Activation;
     use crate::dense::Dense;
-    use crate::layer::{Layer, Mode, ParamVector};
+    use crate::layer::{Layer, ParamVector};
     use crate::loss::softmax_cross_entropy;
     use mdl_tensor::Matrix;
     use proptest::prelude::*;
@@ -93,11 +93,11 @@ mod proptests {
             let a = Matrix::row_vector(&x1);
             let b = Matrix::row_vector(&x2);
             let sum = a.add(&b);
-            let ya = layer.forward(&a, Mode::Eval);
-            let yb = layer.forward(&b, Mode::Eval);
-            let ysum = layer.forward(&sum, Mode::Eval);
+            let ya = layer.forward(&a);
+            let yb = layer.forward(&b);
+            let ysum = layer.forward(&sum);
             // affine: f(a+b) = f(a) + f(b) − f(0)
-            let zero = layer.forward(&Matrix::zeros(1, 3), Mode::Eval);
+            let zero = layer.forward(&Matrix::zeros(1, 3));
             let lhs = ysum.add(&zero);
             let rhs = ya.add(&yb);
             prop_assert!(lhs.approx_eq(&rhs, 1e-3));
@@ -138,10 +138,10 @@ mod proptests {
             net.push(Dense::new(5, hidden, Activation::Relu, &mut rng));
             net.push(Dense::new(hidden, 2, Activation::Identity, &mut rng));
             let x = Matrix::from_fn(3, 5, |r, c| ((r * 5 + c) as f32 * 0.3).sin());
-            let before = net.forward(&x, Mode::Eval);
+            let before = net.forward(&x);
             let bytes = crate::saved::save_model(&mut net).expect("saveable");
             let mut back = crate::saved::load_model(&bytes).expect("loadable");
-            prop_assert!(back.forward(&x, Mode::Eval).approx_eq(&before, 0.0));
+            prop_assert!(back.forward(&x).approx_eq(&before, 0.0));
         }
 
         #[test]

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::activation::sigmoid;
-use crate::layer::{Layer, LayerInfo, Mode};
+use crate::layer::{Layer, LayerInfo};
 use mdl_tensor::kernel::{self, Trans};
 use mdl_tensor::{Init, Matrix};
 use rand::Rng;
@@ -25,13 +25,13 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use mdl_nn::{Lstm, Layer, Mode};
+/// use mdl_nn::{Lstm, Layer};
 /// use mdl_tensor::Matrix;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut lstm = Lstm::new(2, 4, &mut rng);
-/// let states = lstm.forward(&Matrix::ones(6, 2), Mode::Eval);
+/// let lstm = Lstm::new(2, 4, &mut rng);
+/// let states = lstm.forward_eval(&Matrix::ones(6, 2));
 /// assert_eq!(states.shape(), (6, 4));
 /// ```
 pub struct Lstm {
@@ -140,8 +140,8 @@ impl Lstm {
     }
 
     /// Runs the sequence and returns only the final hidden state (`1 × h`).
-    pub fn encode(&mut self, seq: &Matrix) -> Matrix {
-        let states = self.forward(seq, Mode::Eval);
+    pub fn encode(&self, seq: &Matrix) -> Matrix {
+        let states = self.forward_eval(seq);
         Matrix::row_vector(states.row(states.rows() - 1))
     }
 
@@ -258,7 +258,7 @@ impl Lstm {
 }
 
 impl Layer for Lstm {
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         // take/restore rather than reallocate: the cache buffers are
         // reused across forward calls and handed to backward uncloned.
         let mut cache = self.cache.take().unwrap_or_default();
@@ -269,8 +269,9 @@ impl Layer for Lstm {
     }
 
     fn forward_eval(&self, x: &Matrix) -> Matrix {
+        // scan the borrowed input: only `backward` reads the copy `scan_into` keeps
         let mut cache = LstmCache::default();
-        self.scan_into(x, &mut cache);
+        self.scan_slice_into(x.rows(), x.as_slice(), &mut cache);
         Self::states_output(&cache)
     }
 
@@ -410,7 +411,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn loss(lstm: &mut Lstm, x: &Matrix) -> f32 {
-        let states = lstm.forward(x, Mode::Eval);
+        let states = lstm.forward(x);
         states.row(states.rows() - 1).iter().sum()
     }
 
@@ -419,7 +420,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(710);
         let mut lstm = Lstm::new(4, 6, &mut rng);
         let x = Matrix::from_fn(5, 4, |r, c| ((r + c) as f32 * 0.6).sin());
-        let y = lstm.forward(&x, Mode::Train);
+        let y = lstm.forward(&x);
         assert_eq!(y.shape(), (5, 6));
         assert!(y.all_finite());
         assert!(y.max_abs() <= 1.0 + 1e-5, "h = o·tanh(c) is bounded by 1");
@@ -452,7 +453,7 @@ mod tests {
         let base = lstm.param_vector();
 
         lstm.zero_grad();
-        let _ = lstm.forward(&x, Mode::Train);
+        let _ = lstm.forward(&x);
         let mut gout = Matrix::zeros(5, 4);
         for j in 0..4 {
             gout[(4, j)] = 1.0;
@@ -482,7 +483,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(714);
         let mut lstm = Lstm::new(2, 3, &mut rng);
         let x = Matrix::from_fn(4, 2, |r, c| ((r + c) as f32 * 0.9).cos() * 0.4);
-        let _ = lstm.forward(&x, Mode::Train);
+        let _ = lstm.forward(&x);
         let mut gout = Matrix::zeros(4, 3);
         for j in 0..3 {
             gout[(3, j)] = 1.0;
@@ -540,9 +541,9 @@ mod tests {
             let (x, y) = make(&mut rng);
             lstm.zero_grad();
             head.zero_grad();
-            let states = lstm.forward(&x, Mode::Train);
+            let states = lstm.forward(&x);
             let last = Matrix::row_vector(states.row(states.rows() - 1));
-            let logits = head.forward(&last, Mode::Train);
+            let logits = head.forward(&last);
             let (_, grad) = softmax_cross_entropy(&logits, &[y]);
             let d_last = head.backward(&grad);
             let mut gout = Matrix::zeros(states.rows(), 6);
@@ -555,7 +556,7 @@ mod tests {
         for _ in 0..100 {
             let (x, y) = make(&mut rng);
             let enc = lstm.encode(&x);
-            let pred = head.forward(&enc, Mode::Eval).argmax_rows()[0];
+            let pred = head.forward_eval(&enc).argmax_rows()[0];
             correct += usize::from(pred == y);
         }
         assert!(correct > 85, "LSTM should remember the first token: {correct}/100");

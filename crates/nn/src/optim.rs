@@ -247,7 +247,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::dense::Dense;
-    use crate::layer::{Mode, ParamVector};
+    use crate::layer::ParamVector;
     use mdl_tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -260,13 +260,13 @@ mod tests {
         let x = Matrix::ones(8, 4);
         let target = Matrix::zeros(8, 3);
         let initial = {
-            let y = layer.forward(&x, Mode::Eval);
+            let y = layer.forward(&x);
             crate::loss::mse(&y, &target).0
         };
         let mut last = initial;
         for _ in 0..steps {
             layer.zero_grad();
-            let y = layer.forward(&x, Mode::Train);
+            let y = layer.forward(&x);
             let (l, g) = crate::loss::mse(&y, &target);
             last = l;
             let _ = layer.backward(&g);

@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::dense::Dense;
-    use crate::layer::{Layer, Mode};
+    use crate::layer::Layer;
     use crate::sequential::Sequential;
     use mdl_tensor::Matrix;
     use rand::rngs::StdRng;
@@ -127,7 +127,7 @@ mod tests {
         let obs = Obs::sim();
         let mut net = profiled_net(&obs);
         let x = Matrix::ones(4, 3);
-        let _ = net.forward(&x, Mode::Train);
+        let _ = net.forward(&x);
         let _ = net.backward(&Matrix::ones(4, 2));
         let _ = net.forward_eval(&x);
 
@@ -146,7 +146,7 @@ mod tests {
         let obs = Obs::sim();
         let mut net = profiled_net(&obs);
         net.set_profiler(None);
-        let _ = net.forward(&Matrix::ones(2, 3), Mode::Eval);
+        let _ = net.forward(&Matrix::ones(2, 3));
         assert_eq!(obs.snapshot().counter("nn.layer.0.dense.fwd_calls"), Some(0));
     }
 
@@ -163,8 +163,8 @@ mod tests {
 
         let x = Matrix::from_rows(&[&[0.3, -1.0, 0.5]]);
         assert!(profiled.forward_eval(&x).approx_eq(&plain.forward_eval(&x), 0.0));
-        let a = profiled.forward(&x, Mode::Train);
-        let b = plain.forward(&x, Mode::Train);
+        let a = profiled.forward(&x);
+        let b = plain.forward(&x);
         assert!(a.approx_eq(&b, 0.0));
         assert!(profiled
             .backward(&Matrix::ones(1, 4))

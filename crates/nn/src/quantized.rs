@@ -588,7 +588,7 @@ impl QuantizedModel {
 mod tests {
     use super::*;
     use crate::dense::Dropout;
-    use crate::layer::{Layer, Mode};
+    use crate::layer::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -695,9 +695,9 @@ mod tests {
         // from_model must not disturb the f32 model it reads
         let mut net = dense_net(11);
         let x = probe(2, 12);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let _q = QuantizedModel::from_model(&mut net).expect("quantizes");
-        let after = net.forward(&x, Mode::Eval);
+        let after = net.forward(&x);
         assert!(before.approx_eq(&after, 0.0));
     }
 }

@@ -221,7 +221,6 @@ pub fn load_model(buf: &[u8]) -> Result<Sequential, LoadModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Mode;
     use mdl_tensor::Matrix;
 
     fn sample_net(rng: &mut StdRng) -> Sequential {
@@ -236,10 +235,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(600);
         let mut net = sample_net(&mut rng);
         let x = Matrix::from_fn(4, 6, |r, c| ((r + c) as f32 * 0.7).sin());
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let bytes = save_model(&mut net).expect("dense nets are saveable");
         let mut restored = load_model(&bytes).expect("round trip");
-        let after = restored.forward(&x, Mode::Eval);
+        let after = restored.forward(&x);
         assert!(after.approx_eq(&before, 0.0), "bit-exact round trip");
     }
 
@@ -250,10 +249,10 @@ mod tests {
         net.push(Gru::new(3, 5, &mut rng));
         net.push(Dense::new(5, 2, Activation::Tanh, &mut rng));
         let x = Matrix::from_fn(6, 3, |r, c| (r as f32 - c as f32) * 0.2);
-        let before = net.forward(&x, Mode::Eval);
+        let before = net.forward(&x);
         let bytes = save_model(&mut net).expect("gru nets are saveable");
         let mut restored = load_model(&bytes).expect("round trip");
-        assert!(restored.forward(&x, Mode::Eval).approx_eq(&before, 0.0));
+        assert!(restored.forward(&x).approx_eq(&before, 0.0));
     }
 
     #[test]

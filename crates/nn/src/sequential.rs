@@ -1,6 +1,6 @@
 //! A feed-forward stack of layers.
 
-use crate::layer::{Layer, LayerInfo, Mode};
+use crate::layer::{Layer, LayerInfo};
 use crate::plan::{Plan, PlanModel};
 use crate::profile;
 use mdl_tensor::stats::softmax_rows;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use mdl_nn::{Sequential, Dense, Activation, Mode, Layer};
+/// use mdl_nn::{Sequential, Dense, Activation, Layer};
 /// use mdl_tensor::Matrix;
 /// use rand::SeedableRng;
 ///
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// let mut net = Sequential::new();
 /// net.push(Dense::new(4, 8, Activation::Relu, &mut rng));
 /// net.push(Dense::new(8, 3, Activation::Identity, &mut rng));
-/// let logits = net.forward(&Matrix::ones(2, 4), Mode::Eval);
+/// let logits = net.forward_eval(&Matrix::ones(2, 4));
 /// assert_eq!(logits.shape(), (2, 3));
 /// ```
 #[derive(Default)]
@@ -149,20 +149,20 @@ impl Layer for Sequential {
         self
     }
 
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         let Self { layers, profiler } = self;
         let mut cur = x.clone();
         match profiler {
             None => {
                 for layer in layers {
-                    cur = layer.forward(&cur, mode);
+                    cur = layer.forward(&cur);
                 }
             }
             Some(p) => {
                 for (layer, handles) in layers.iter_mut().zip(&p.handles) {
                     let rows = cur.rows();
                     let t0 = p.profiler.now_ns();
-                    cur = layer.forward(&cur, mode);
+                    cur = layer.forward(&cur);
                     handles.record_fwd(rows, p.profiler.now_ns().saturating_sub(t0));
                 }
             }
@@ -236,8 +236,8 @@ mod tests {
     #[test]
     fn forward_composes() {
         let mut rng = StdRng::seed_from_u64(40);
-        let mut net = two_layer(&mut rng);
-        let y = net.forward(&Matrix::ones(7, 3), Mode::Eval);
+        let net = two_layer(&mut rng);
+        let y = net.forward_eval(&Matrix::ones(7, 3));
         assert_eq!(y.shape(), (7, 2));
         assert_eq!(net.len(), 2);
         assert!(!net.is_empty());
@@ -250,7 +250,7 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.3, -0.5, 0.9], &[1.0, 0.2, -0.4]]);
         let base = net.param_vector();
         net.zero_grad();
-        let _ = net.forward(&x, Mode::Train);
+        let _ = net.forward(&x);
         let _ = net.backward(&Matrix::ones(2, 2));
         let analytic = net.grad_vector();
 
@@ -260,11 +260,11 @@ mod tests {
             let mut plus = base.clone();
             plus[k] += eps;
             net.set_param_vector(&plus);
-            let lp = net.forward(&x, Mode::Eval).sum();
+            let lp = net.forward(&x).sum();
             let mut minus = base.clone();
             minus[k] -= eps;
             net.set_param_vector(&minus);
-            let lm = net.forward(&x, Mode::Eval).sum();
+            let lm = net.forward(&x).sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - analytic[k]).abs() < 1e-2, "param {k}: fd={fd} vs {}", analytic[k]);
         }
@@ -275,10 +275,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let mut net = two_layer(&mut rng);
         let x = Matrix::from_rows(&[&[0.1, 0.4, -0.2]]);
-        let full = net.forward(&x, Mode::Eval);
+        let full = net.forward(&x);
         let (mut local, mut cloud) = net.split_at(1);
-        let mid = local.forward(&x, Mode::Eval);
-        let composed = cloud.forward(&mid, Mode::Eval);
+        let mid = local.forward(&x);
+        let composed = cloud.forward(&mid);
         assert!(composed.approx_eq(&full, 1e-6));
         assert_eq!(local.len(), 1);
         assert_eq!(cloud.len(), 1);

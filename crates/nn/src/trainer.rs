@@ -1,6 +1,6 @@
 //! Mini-batch training loops for classification models.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::Layer;
 use crate::loss::softmax_cross_entropy;
 use crate::optim::Optimizer;
 use crate::profile::LayerProfiler;
@@ -107,7 +107,7 @@ pub fn fit_classifier(
             let bx = x.select_rows(chunk);
             let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             model.zero_grad();
-            let logits = model.forward(&bx, Mode::Train);
+            let logits = model.forward(&bx);
             let (loss, grad) = softmax_cross_entropy(&logits, &by);
             let _ = model.backward(&grad);
             if let Some(max_norm) = config.grad_clip {

@@ -4,7 +4,7 @@
 use crate::accountant::MomentsAccountant;
 use crate::mechanism::clip_update;
 use mdl_nn::loss::softmax_cross_entropy;
-use mdl_nn::{Layer, Mode, ParamVector};
+use mdl_nn::{Layer, ParamVector};
 use mdl_tensor::init::gaussian;
 use mdl_tensor::Matrix;
 use rand::Rng;
@@ -98,7 +98,7 @@ pub fn train_dp_sgd(
             for &i in &lot {
                 let xi = Matrix::row_vector(x.row(i));
                 model.zero_grad();
-                let logits = model.forward(&xi, Mode::Train);
+                let logits = model.forward(&xi);
                 let (loss, grad) = softmax_cross_entropy(&logits, &[labels[i]]);
                 let _ = model.backward(&grad);
                 let mut g = model.grad_vector();

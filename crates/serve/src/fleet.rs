@@ -448,7 +448,7 @@ impl<'a> FleetEngine<'a> {
 mod tests {
     use super::*;
     use crate::loadgen::request_stream;
-    use mdl_nn::{Activation, Dense, Layer, Mode};
+    use mdl_nn::{Activation, Dense, Layer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -532,7 +532,7 @@ mod tests {
         for o in report.outcomes.iter().filter(|o| o.served) {
             let row = stream[o.index as usize].row as usize % inputs.rows();
             let x = Matrix::from_rows(&[inputs.row(row)]);
-            let y = model.forward(&x, Mode::Eval);
+            let y = model.forward(&x);
             assert_eq!(o.argmax, Some(y.argmax_rows()[0]), "request {}", o.index);
         }
     }

@@ -8,11 +8,9 @@
 //! inference" — and only hard examples travel to the cloud for the full
 //! model's answer.
 
-use mdl_nn::loss::softmax_cross_entropy;
-use mdl_nn::{Activation, Adam, Dense, Layer, Mode, Optimizer, Sequential};
+use mdl_nn::{fit_classifier, Activation, Adam, Dense, Layer, Sequential, TrainConfig};
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A two-tier network: shared trunk on the device, an exit head beside it,
@@ -74,6 +72,10 @@ impl EarlyExitNetwork {
 
     /// Trains only the exit head on labelled data (trunk and cloud frozen,
     /// as in the reference design where the main network is pretrained).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` is empty or `labels.len() != x.rows()`.
     pub fn train_exit(
         &mut self,
         x: &Matrix,
@@ -82,28 +84,13 @@ impl EarlyExitNetwork {
         learning_rate: f32,
         rng: &mut impl Rng,
     ) -> Vec<f64> {
-        let rep = self.trunk.forward(x, Mode::Eval);
+        let rep = self.trunk.forward_eval(x);
         let mut opt = Adam::new(learning_rate);
-        let mut order: Vec<usize> = (0..labels.len()).collect();
-        let mut losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            order.shuffle(rng);
-            let mut total = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(32) {
-                let bx = rep.select_rows(chunk);
-                let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                self.exit_head.zero_grad();
-                let logits = self.exit_head.forward(&bx, Mode::Train);
-                let (loss, grad) = softmax_cross_entropy(&logits, &by);
-                let _ = self.exit_head.backward(&grad);
-                opt.step(&mut self.exit_head);
-                total += loss as f64;
-                batches += 1;
-            }
-            losses.push(total / batches.max(1) as f64);
-        }
-        losses
+        let config = TrainConfig { epochs, batch_size: 32, ..Default::default() };
+        fit_classifier(&mut self.exit_head, &mut opt, &rep, labels, &config, rng)
+            .iter()
+            .map(|epoch| epoch.loss)
+            .collect()
     }
 
     /// Normalised entropy (0 = certain, 1 = uniform) of one probability row.
@@ -119,10 +106,10 @@ impl EarlyExitNetwork {
     /// # Panics
     ///
     /// Panics if `labels.len() != x.rows()`.
-    pub fn infer_adaptive(&mut self, x: &Matrix, labels: &[usize], threshold: f64) -> ExitReport {
+    pub fn infer_adaptive(&self, x: &Matrix, labels: &[usize], threshold: f64) -> ExitReport {
         assert_eq!(x.rows(), labels.len(), "one label per example required");
-        let rep = self.trunk.forward(x, Mode::Eval);
-        let exit_probs = softmax_rows(&self.exit_head.forward(&rep, Mode::Eval));
+        let rep = self.trunk.forward_eval(x);
+        let exit_probs = softmax_rows(&self.exit_head.forward_eval(&rep));
         let rep_bytes = 4 * rep.cols() as u64;
 
         let mut local_correct = 0usize;
@@ -151,7 +138,7 @@ impl EarlyExitNetwork {
         if !escalate_rows.is_empty() {
             let hard = rep.select_rows(&escalate_rows);
             upload_bytes += rep_bytes * escalate_rows.len() as u64;
-            let cloud_pred = self.cloud.forward(&hard, Mode::Eval).argmax_rows();
+            let cloud_pred = self.cloud.predict(&hard);
             for (k, &r) in escalate_rows.iter().enumerate() {
                 cloud_total += 1;
                 if cloud_pred[k] == labels[r] {
@@ -208,7 +195,7 @@ mod tests {
     #[test]
     fn threshold_trades_locality_for_accuracy() {
         let mut rng = StdRng::seed_from_u64(500);
-        let (mut ee, _, test) = setup(&mut rng);
+        let (ee, _, test) = setup(&mut rng);
         let strict = ee.infer_adaptive(&test.x, &test.y, 0.05);
         let loose = ee.infer_adaptive(&test.x, &test.y, 0.9);
         assert!(
@@ -223,7 +210,7 @@ mod tests {
     #[test]
     fn confident_local_answers_are_accurate() {
         let mut rng = StdRng::seed_from_u64(501);
-        let (mut ee, _, test) = setup(&mut rng);
+        let (ee, _, test) = setup(&mut rng);
         let report = ee.infer_adaptive(&test.x, &test.y, 0.2);
         // the examples the exit keeps are its easy ones
         assert!(
@@ -236,7 +223,12 @@ mod tests {
     #[test]
     fn zero_threshold_sends_everything_to_cloud() {
         let mut rng = StdRng::seed_from_u64(502);
-        let (mut ee, _, test) = setup(&mut rng);
+        let (mut ee, train, test) = setup(&mut rng);
+        let losses = ee.train_exit(&train.x, &train.y, 3, 0.01, &mut rng);
+        // three more epochs on the trained head, pinned: one shuffle per
+        // epoch of an order that persists across epochs, 32-row batches. The
+        // cloud path below never reads the exit head.
+        assert_eq!(losses, [0.05625229274543623, 0.04835142055526376, 0.045152889331802726]);
         let report = ee.infer_adaptive(&test.x, &test.y, 0.0);
         assert_eq!(report.local_fraction, 0.0);
         assert!(report.accuracy > 0.8, "cloud path retains full accuracy: {report:?}");

@@ -57,7 +57,7 @@ mod proptests {
             let mut net = Sequential::new();
             net.push(Dense::new(6, 8, Activation::Identity, &mut rng));
             net.push(Dense::new(8, 2, Activation::Identity, &mut rng));
-            let mut arden = Arden::from_pretrained(
+            let arden = Arden::from_pretrained(
                 net,
                 ArdenConfig { split_at: 1, nullification_rate: mu, noise_sigma: 0.0, clip_norm: clip },
             );
@@ -77,7 +77,7 @@ mod proptests {
             let mut net = Sequential::new();
             net.push(Dense::new(4, 6, Activation::Relu, &mut rng));
             net.push(Dense::new(6, 2, Activation::Identity, &mut rng));
-            let mut arden = Arden::from_pretrained(
+            let arden = Arden::from_pretrained(
                 net,
                 ArdenConfig { split_at: 1, nullification_rate: 0.0, noise_sigma: 0.0, clip_norm: 1e9 },
             );

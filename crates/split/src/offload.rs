@@ -52,7 +52,7 @@ pub struct OffloadOutcome {
 /// representation: nothing leaves the device, so no perturbation is needed
 /// and the fallback answer is at least as accurate as the cloud path.
 pub fn infer_over_link(
-    arden: &mut Arden,
+    arden: &Arden,
     x: &Matrix,
     link: &mut Link,
     retry: &RetryPolicy,
@@ -84,7 +84,7 @@ pub fn infer_over_link(
 }
 
 fn fallback(
-    arden: &mut Arden,
+    arden: &Arden,
     x: &Matrix,
     cause: NetError,
     attempts: u32,
@@ -128,11 +128,10 @@ mod tests {
     #[test]
     fn clean_link_serves_from_cloud() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut arden = arden(&mut rng);
+        let arden = arden(&mut rng);
         let mut link = Link::new(LinkConfig::ideal(), 1);
         link.begin_round(RoundFate::healthy(), f64::INFINITY);
-        let out =
-            infer_over_link(&mut arden, &batch(), &mut link, &RetryPolicy::no_retry(), &mut rng);
+        let out = infer_over_link(&arden, &batch(), &mut link, &RetryPolicy::no_retry(), &mut rng);
         assert_eq!(out.served_by, ServedBy::Cloud);
         assert_eq!(out.predictions.len(), 5);
         assert_eq!(out.uploaded_bytes, arden.representation_bytes() * 5);
@@ -143,11 +142,10 @@ mod tests {
     #[test]
     fn dead_link_falls_back_on_device_with_cause() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut arden = arden(&mut rng);
+        let arden = arden(&mut rng);
         let mut link = Link::new(LinkConfig::ideal(), 1);
         link.begin_round(RoundFate { partitioned: true, ..RoundFate::healthy() }, 10.0);
-        let out =
-            infer_over_link(&mut arden, &batch(), &mut link, &RetryPolicy::default(), &mut rng);
+        let out = infer_over_link(&arden, &batch(), &mut link, &RetryPolicy::default(), &mut rng);
         assert_eq!(out.served_by, ServedBy::OnDeviceFallback);
         assert_eq!(out.uploaded_bytes, 0, "nothing leaves the device");
         assert!(matches!(out.fallback_cause, Some(NetError::Unreachable)));
@@ -158,24 +156,19 @@ mod tests {
     fn fallback_matches_clean_cloud_answer() {
         // with zero perturbation the two code paths compute the same logits
         let mut rng = StdRng::seed_from_u64(9);
-        let mut arden_a = arden(&mut rng);
+        let arden_a = arden(&mut rng);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let mut arden_b = arden(&mut rng_b);
+        let arden_b = arden(&mut rng_b);
 
         let mut up_link = Link::new(LinkConfig::ideal(), 1);
         up_link.begin_round(RoundFate::healthy(), f64::INFINITY);
-        let served = infer_over_link(
-            &mut arden_a,
-            &batch(),
-            &mut up_link,
-            &RetryPolicy::no_retry(),
-            &mut rng,
-        );
+        let served =
+            infer_over_link(&arden_a, &batch(), &mut up_link, &RetryPolicy::no_retry(), &mut rng);
 
         let mut down_link = Link::new(LinkConfig::ideal(), 1);
         down_link.begin_round(RoundFate { partitioned: true, ..RoundFate::healthy() }, 10.0);
         let fell_back = infer_over_link(
-            &mut arden_b,
+            &arden_b,
             &batch(),
             &mut down_link,
             &RetryPolicy::no_retry(),

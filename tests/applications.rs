@@ -131,3 +131,48 @@ fn table_one_ordering_holds_on_a_medium_cohort() {
         get("XGBoost")
     );
 }
+
+/// Asking a model for an answer takes `&self`, so one trained model serves
+/// every thread of an app: the types are `Sync`, and four threads predicting
+/// at once on a shared `&DeepMood` reproduce the single-thread answers.
+#[test]
+fn trained_applications_answer_through_a_shared_reference() {
+    fn assert_sync<T: Sync>() {}
+    assert_sync::<DeepMood>();
+    assert_sync::<Arden>();
+    assert_sync::<mdl_core::split::EarlyExitNetwork>();
+
+    let mut rng = StdRng::seed_from_u64(9105);
+    let data: Vec<(Vec<Matrix>, usize)> = (0..24)
+        .map(|i| {
+            let (label, t) = (i % 2, 5 + i % 4);
+            let drift = if label == 0 { 0.3 } else { -0.3 };
+            let v0 = Matrix::from_fn(t, 2, |r, c| drift * r as f32 + 0.1 * c as f32);
+            let v1 =
+                Matrix::from_fn(t + 2, 3, |r, c| ((1 + label) as f32 * r as f32 + c as f32).sin());
+            (vec![v0, v1], label)
+        })
+        .collect();
+    let sessions: Vec<(Vec<&Matrix>, usize)> =
+        data.iter().map(|(views, y)| (views.iter().collect(), *y)).collect();
+    let mut model =
+        DeepMood::new(&[2, 3], DeepMoodConfig { epochs: 2, ..Default::default() }, &mut rng);
+    let _ = model.train(&sessions, &mut rng);
+
+    let model = &model;
+    let expected = model.predictions(&sessions);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    sessions.iter().map(|(views, _)| model.predict(views)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            assert_eq!(worker.join().expect("predicting thread panicked"), expected);
+        }
+    });
+}

@@ -65,14 +65,14 @@ fn every_compression_family_yields_a_working_smaller_model() {
     assert!(fact.accuracy(&test.x, &test.y) > base_acc - 0.25);
 
     // 3. distillation into a quarter-size student
-    let mut teacher = rebuild(&mut rng);
+    let teacher = rebuild(&mut rng);
     let mut student = Sequential::new();
     student.push(Dense::new(64, 24, Activation::Relu, &mut rng));
     student.push(Dense::new(24, 10, Activation::Identity, &mut rng));
     assert!(student.num_params() * 3 < base_params);
     let mut opt = Adam::new(0.01);
     let _ = distill(
-        &mut teacher,
+        &teacher,
         &mut student,
         &mut opt,
         &train.x,

@@ -29,7 +29,7 @@ fn trained_system(rng: &mut StdRng) -> (EarlyExitNetwork, Dataset) {
 #[test]
 fn threshold_sweeps_out_a_monotone_upload_curve() {
     let mut rng = StdRng::seed_from_u64(9501);
-    let (mut ee, test) = trained_system(&mut rng);
+    let (ee, test) = trained_system(&mut rng);
     let mut last_upload = u64::MAX;
     let mut last_local = -1.0;
     for &threshold in &[0.02, 0.1, 0.3, 0.6, 0.95] {
@@ -50,7 +50,7 @@ fn threshold_sweeps_out_a_monotone_upload_curve() {
 #[test]
 fn escalated_examples_pay_radio_cost_but_buy_accuracy() {
     let mut rng = StdRng::seed_from_u64(9502);
-    let (mut ee, test) = trained_system(&mut rng);
+    let (ee, test) = trained_system(&mut rng);
     let all_cloud = ee.infer_adaptive(&test.x, &test.y, 0.0);
     let mixed = ee.infer_adaptive(&test.x, &test.y, 0.35);
 

@@ -8,9 +8,12 @@
 //! versions first, and the serving tier's per-version plan cache must
 //! recompile across hot swaps so swapped-in models are served exactly.
 
+use mdl_core::deepmood::{
+    FactorizationMachineFusion, FullyConnectedFusion, MultiViewMachineFusion,
+};
 use mdl_core::nn::{
     AvgPool2d, BiGru, Conv2d, Dropout, ImageShape, LayerInfo, Lstm, PlanCache, PlanError,
-    PlanLookup,
+    PlanLookup, SeparableConv2d,
 };
 use mdl_core::prelude::*;
 use mdl_core::tensor::kernel;
@@ -308,7 +311,7 @@ struct Opaque {
 }
 
 impl Layer for Opaque {
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         self.forward_eval(x)
     }
 
@@ -374,6 +377,44 @@ fn every_layer_kind_plans_and_the_edges_are_pinned() {
         let expected = bits(&fold(net, 0..net.len(), &x));
         assert_eq!(bits(&planned(net, 0..net.len(), &x)), expected, "{name}: plan vs fold");
         assert_eq!(bits(&net.forward_eval(&x)), expected, "{name}: forward_eval vs fold");
+    }
+
+    // `&mut` trains, `&` answers — and with no stochastic part inside, the
+    // training forward returns the answer to the bit. Every application that
+    // trains through `forward` and predicts through `forward_eval` leans on
+    // this; 40 rows put the Dense products on the blocked GEMM path.
+    let mut plain_inner = Sequential::new();
+    plain_inner.push(Dense::new(6, 7, Activation::Tanh, &mut rng));
+    plain_inner.push(Gru::new(7, 4, &mut rng));
+    let mut plain_nested = Sequential::new();
+    plain_nested.push(Dense::new(5, 6, Activation::Relu, &mut rng));
+    plain_nested.push(plain_inner);
+    plain_nested.push(Dense::new(4, 2, Activation::Identity, &mut rng));
+    let dense = |act, rng: &mut StdRng| Box::new(Dense::new(24, 20, act, rng));
+    let mut kinds: Vec<(&str, Box<dyn Layer>)> = vec![
+        ("dense identity", dense(Activation::Identity, &mut rng)),
+        ("dense relu", dense(Activation::Relu, &mut rng)),
+        ("dense leaky relu", dense(Activation::LeakyRelu(0.1), &mut rng)),
+        ("dense sigmoid", dense(Activation::Sigmoid, &mut rng)),
+        ("dense tanh", dense(Activation::Tanh, &mut rng)),
+        ("gru", Box::new(Gru::new(6, 4, &mut rng))),
+        ("bigru", Box::new(BiGru::new(6, 4, &mut rng))),
+        ("lstm", Box::new(Lstm::new(6, 4, &mut rng))),
+        ("conv2d", Box::new(Conv2d::new(image, 4, 3, 1, Activation::Relu, &mut rng))),
+        ("separable", Box::new(SeparableConv2d::new(image, 4, 3, Activation::Relu, &mut rng))),
+        ("avgpool", Box::new(AvgPool2d::new(image))),
+        ("circulant", Box::new(BlockCirculant::new(8, 16, 4, Activation::Relu, &mut rng))),
+        ("fc fusion", Box::new(FullyConnectedFusion::new(6, 8, 3, &mut rng))),
+        ("fm fusion", Box::new(FactorizationMachineFusion::new(6, 3, 2, &mut rng))),
+        ("mvm fusion", Box::new(MultiViewMachineFusion::new(&[2, 4], 3, 2, &mut rng))),
+        ("nested sequential", Box::new(plain_nested)),
+    ];
+    for (name, layer) in &mut kinds {
+        for rows in [3, 40] {
+            let x = input(rows, layer.info().in_dim, 11);
+            let answer = bits(&layer.forward_eval(&x));
+            assert_eq!(bits(&layer.forward(&x)), answer, "{name}, {rows} rows: forward vs eval");
+        }
     }
 
     // no `as_any` at all, mid-stack: compile never evaluates it, a run does once

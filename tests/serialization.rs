@@ -83,8 +83,8 @@ fn gru_models_survive_the_wire_too() {
     net.push(Gru::new(4, 8, &mut rng));
     net.push(Dense::new(8, 3, Activation::Identity, &mut rng));
     let x = Matrix::from_fn(6, 4, |r, c| ((r * 4 + c) as f32 * 0.3).sin());
-    let before = net.forward(&x, Mode::Eval);
+    let before = net.forward(&x);
     let bytes = save_model(&mut net).expect("GRU stacks are saveable");
     let mut back = load_model(&bytes).expect("round trip");
-    assert!(back.forward(&x, Mode::Eval).approx_eq(&before, 0.0));
+    assert!(back.forward(&x).approx_eq(&before, 0.0));
 }

@@ -332,7 +332,7 @@ fn gate(in_dim: usize, macs: u64) -> (Gate, mpsc::Receiver<usize>, mpsc::Sender<
 }
 
 impl Layer for Gate {
-    fn forward(&mut self, x: &Matrix, _mode: Mode) -> Matrix {
+    fn forward(&mut self, x: &Matrix) -> Matrix {
         self.forward_eval(x)
     }
 
