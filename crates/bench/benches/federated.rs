@@ -79,7 +79,7 @@ fn bench_update_transport(c: &mut Criterion) {
     group.bench_function("dense_encode_decode_10k", |bench| {
         bench.iter(|| {
             let u = DenseUpdate { values: values.clone(), num_examples: 100 };
-            std::hint::black_box(DenseUpdate::decode(u.encode()))
+            std::hint::black_box(DenseUpdate::decode(&u.encode()))
         });
     });
     group.bench_function("sparse_top1pct_10k", |bench| {

@@ -11,8 +11,8 @@
 //! cargo run --release --bin exp_gate -- custom_floors.json
 //! ```
 //!
-//! The floors file is a flat list so it can be parsed (and audited)
-//! without a JSON dependency — one object per line:
+//! The floors file is a flat list, read with the workspace's one JSON
+//! parser (`mdl_core::obs::json`):
 //!
 //! ```json
 //! {
@@ -25,10 +25,11 @@
 //!
 //! `better: "higher"` fails when `fresh < floor * 0.85`;
 //! `better: "lower"` fails when `fresh > floor * 1.15`. Every `key`
-//! must be a *unique* top-level key in its bench artifact — the gate
-//! looks the value up by exact `"key":` match, so repeated per-row
-//! keys (like the per-`n` GEMM entries) cannot be gated directly.
+//! must be a *unique* top-level number in its bench artifact, so
+//! repeated per-row keys (like the per-`n` GEMM entries, which live in
+//! nested rows) cannot be gated directly.
 
+use mdl_core::obs::json::Json;
 use std::process::ExitCode;
 
 const SLACK: f64 = 0.15;
@@ -41,51 +42,42 @@ struct Floor {
     higher_is_better: bool,
 }
 
-/// Extracts the string value of `"field": "..."` from a single line.
-fn str_field(line: &str, field: &str) -> Option<String> {
-    let tag = format!("\"{field}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extracts the numeric value of `"field": <number>` from a single line.
-fn num_field(line: &str, field: &str) -> Option<f64> {
-    let tag = format!("\"{field}\":");
-    let rest = line[line.find(&tag)? + tag.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn parse_floors(text: &str) -> Vec<Floor> {
-    let mut floors = Vec::new();
-    for line in text.lines() {
-        let Some(file) = str_field(line, "file") else { continue };
-        let key = str_field(line, "key").expect("floor entry missing \"key\"");
-        let floor = num_field(line, "floor").expect("floor entry missing numeric \"floor\"");
-        let better = str_field(line, "better").expect("floor entry missing \"better\"");
-        let higher_is_better = match better.as_str() {
-            "higher" => true,
-            "lower" => false,
-            other => panic!("\"better\" must be \"higher\" or \"lower\", got {other:?}"),
-        };
-        floors.push(Floor { file, key, floor, higher_is_better });
+    let doc = Json::parse(text).unwrap_or_else(|e| panic!("floors file: {e}"));
+    let entries =
+        doc.get("floors").and_then(Json::as_arr).expect("floors file needs a \"floors\" array");
+    fn field<'a>(entry: &'a Json, name: &str) -> &'a Json {
+        entry.get(name).unwrap_or_else(|| panic!("floor entry missing {name:?}"))
     }
-    floors
+    fn string(entry: &Json, name: &str) -> String {
+        let v = field(entry, name).as_str();
+        v.unwrap_or_else(|| panic!("floor entry {name:?} must be a string")).to_string()
+    }
+    entries
+        .iter()
+        .map(|entry| Floor {
+            file: string(entry, "file"),
+            key: string(entry, "key"),
+            floor: field(entry, "floor").as_f64().expect("floor entry \"floor\" must be a number"),
+            higher_is_better: match string(entry, "better").as_str() {
+                "higher" => true,
+                "lower" => false,
+                other => panic!("\"better\" must be \"higher\" or \"lower\", got {other:?}"),
+            },
+        })
+        .collect()
 }
 
 /// Looks up a unique top-level `"key": <number>` in a bench artifact.
-fn lookup(artifact: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let first = artifact.find(&tag)?;
+fn lookup(artifact: &Json, key: &str) -> Option<f64> {
+    let Json::Obj(members) = artifact else { panic!("bench artifact must be a JSON object") };
+    let mut hits = members.iter().filter(|(k, _)| k == key);
+    let (_, value) = hits.next()?;
     assert!(
-        artifact[first + tag.len()..].find(&tag).is_none(),
+        hits.next().is_none(),
         "key {key:?} appears more than once in the artifact; gate keys must be unique"
     );
-    num_field(&artifact[first..], key)
+    value.as_f64()
 }
 
 fn main() -> ExitCode {
@@ -97,11 +89,12 @@ fn main() -> ExitCode {
     assert!(!floors.is_empty(), "{floors_path} defines no floors");
 
     let mut failures = 0;
-    let mut cache: std::collections::HashMap<String, String> = Default::default();
+    let mut cache: std::collections::HashMap<String, Json> = Default::default();
     for f in &floors {
         let artifact = cache.entry(f.file.clone()).or_insert_with(|| {
-            std::fs::read_to_string(&f.file)
-                .unwrap_or_else(|e| panic!("read {} (run the bench bins first): {e}", f.file))
+            let text = std::fs::read_to_string(&f.file)
+                .unwrap_or_else(|e| panic!("read {} (run the bench bins first): {e}", f.file));
+            Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", f.file))
         });
         let fresh = lookup(artifact, &f.key)
             .unwrap_or_else(|| panic!("{}: key {:?} not found", f.file, f.key));
@@ -159,16 +152,20 @@ mod tests {
 
     #[test]
     fn looks_up_exact_keys_without_prefix_collisions() {
-        let artifact = "{\n  \"p99_us_800rps_int8\": 1500,\n  \"p99_us_800rps\": 1200\n}\n";
-        assert_eq!(lookup(artifact, "p99_us_800rps"), Some(1200.0));
-        assert_eq!(lookup(artifact, "p99_us_800rps_int8"), Some(1500.0));
-        assert_eq!(lookup(artifact, "missing"), None);
+        let artifact = Json::parse(
+            "{\n  \"p99_us_800rps_int8\": 1500,\n  \"rows\": [{\"nested\": 7}],\n  \"p99_us_800rps\": 1200\n}\n",
+        )
+        .unwrap();
+        assert_eq!(lookup(&artifact, "p99_us_800rps"), Some(1200.0));
+        assert_eq!(lookup(&artifact, "p99_us_800rps_int8"), Some(1500.0));
+        assert_eq!(lookup(&artifact, "missing"), None);
+        assert_eq!(lookup(&artifact, "nested"), None, "per-row keys are not top-level");
     }
 
     #[test]
     #[should_panic(expected = "unique")]
     fn rejects_repeated_keys() {
-        let artifact = "{\"n\": 1}\n{\"n\": 2}";
-        let _ = lookup(artifact, "n");
+        let artifact = Json::parse("{\"n\": 1, \"rows\": [], \"n\": 2}").unwrap();
+        let _ = lookup(&artifact, "n");
     }
 }

@@ -40,6 +40,7 @@
 //! ```
 
 use crate::huffman::HuffmanEncoded;
+use mdl_tensor::wire::{Reader, WireError};
 use std::collections::BTreeMap;
 
 /// Wire magic for a serialised delta checkpoint (`MDLD`).
@@ -100,6 +101,12 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+impl From<WireError> for DeltaError {
+    fn from(e: WireError) -> Self {
+        DeltaError::Malformed(e.as_str())
+    }
+}
+
 /// How the changed values are stored. All layouts preserve exact bit
 /// patterns; they differ only in size.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,23 +146,6 @@ fn write_varint(out: &mut Vec<u8>, mut v: u32) {
         }
         out.push(byte | 0x80);
     }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, DeltaError> {
-    let mut v = 0u32;
-    for shift in (0..35).step_by(7) {
-        let byte =
-            *bytes.get(*pos).ok_or(DeltaError::Malformed("varint runs past end of frame"))?;
-        *pos += 1;
-        v |= ((byte & 0x7F) as u32) << shift;
-        if byte & 0x80 == 0 {
-            if shift == 28 && byte > 0x0F {
-                return Err(DeltaError::Malformed("varint overflows u32"));
-            }
-            return Ok(v);
-        }
-    }
-    Err(DeltaError::Malformed("varint longer than five bytes"))
 }
 
 /// Gap-encodes ascending indices (first index, then successive gaps).
@@ -445,49 +435,45 @@ impl DeltaCheckpoint {
 
     /// Parses an `MDLD` frame.
     ///
+    /// Never panics, and never allocates more than a small multiple of
+    /// `bytes.len()`: every declared count — changed indices (a varint is
+    /// at least one byte), raw values and codebook entries (four bytes
+    /// each), the embedded Huffman block — is checked against the bytes
+    /// that remain before anything is reserved for it.
+    ///
     /// # Errors
     ///
     /// [`DeltaError::Malformed`] on a bad magic, truncation, trailing
     /// garbage, or an inconsistent payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DeltaError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DeltaError> {
-            let s = bytes
-                .get(*pos..*pos + n)
-                .ok_or(DeltaError::Malformed("frame shorter than its header claims"))?;
-            *pos += n;
-            Ok(s)
-        };
-        let mut pos = 0usize;
-        if take(&mut pos, 4)? != DELTA_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(4)? != DELTA_MAGIC {
             return Err(DeltaError::Malformed("bad magic — not a delta checkpoint"));
         }
-        if take(&mut pos, 1)?[0] != WIRE_VERSION {
+        if r.u8()? != WIRE_VERSION {
             return Err(DeltaError::Malformed("unsupported wire version"));
         }
-        let u64_at = |pos: &mut usize| -> Result<u64, DeltaError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().expect("8-byte slice")))
-        };
-        let base_version = u64_at(&mut pos)?;
-        let new_version = u64_at(&mut pos)?;
-        let base_hash = u64_at(&mut pos)?;
-        let u32_at = |pos: &mut usize| -> Result<u32, DeltaError> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4-byte slice")))
-        };
-        let total = u32_at(&mut pos)?;
-        let mode = take(&mut pos, 1)?[0];
-        let wide = match take(&mut pos, 1)?[0] {
+        let base_version = r.u64()?;
+        let new_version = r.u64()?;
+        let base_hash = r.u64()?;
+        let total = r.u32()?;
+        let mode = r.u8()?;
+        let wide = match r.u8()? {
             0 => false,
             1 => true,
             _ => return Err(DeltaError::Malformed("wide flag out of range")),
         };
-        let n_indices = u32_at(&mut pos)? as usize;
+        let n_indices = r.u32()? as usize;
         if n_indices > total as usize {
             return Err(DeltaError::Malformed("more changed indices than parameters"));
+        }
+        if n_indices > r.remaining() {
+            return Err(DeltaError::Malformed("more changed indices than bytes to hold them"));
         }
         let mut indices = Vec::with_capacity(n_indices);
         let mut prev = 0u32;
         for i in 0..n_indices {
-            let gap = read_varint(bytes, &mut pos)?;
+            let gap = r.varint()?;
             let idx = if i == 0 {
                 gap
             } else {
@@ -500,52 +486,34 @@ impl DeltaCheckpoint {
             prev = idx;
         }
 
-        let raw_values = |pos: &mut usize, n: usize| -> Result<Vec<u32>, DeltaError> {
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4-byte slice")));
-            }
-            Ok(out)
-        };
-        let coded = |pos: &mut usize| -> Result<(Vec<u32>, HuffmanEncoded), DeltaError> {
-            let book_len = u32::from_le_bytes(take(pos, 4)?.try_into().expect("4-byte slice"));
-            if book_len as usize > MAX_CODEBOOK {
+        let coded = |r: &mut Reader<'_>| -> Result<(Vec<u32>, HuffmanEncoded), DeltaError> {
+            let book_len = r.u32()? as usize;
+            if book_len > MAX_CODEBOOK {
                 return Err(DeltaError::Malformed("codebook exceeds the two-byte code space"));
             }
-            let mut codebook = Vec::with_capacity(book_len as usize);
-            for _ in 0..book_len {
-                codebook.push(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4-byte slice")));
-            }
-            let (codes, used) = HuffmanEncoded::from_bytes(&bytes[*pos..])
+            let codebook = r.u32s(book_len)?;
+            let codes = HuffmanEncoded::read(r)
                 .ok_or(DeltaError::Malformed("huffman block truncated or inconsistent"))?;
-            *pos += used;
             Ok((codebook, codes))
         };
+        if matches!(mode, 2 | 3) && n_indices != 0 {
+            return Err(DeltaError::Malformed("dense layout carries an index list"));
+        }
 
         let payload = match mode {
-            0 => Payload::SparseRaw(raw_values(&mut pos, n_indices)?),
+            0 => Payload::SparseRaw(r.u32s(n_indices)?),
             1 => {
-                let (codebook, codes) = coded(&mut pos)?;
+                let (codebook, codes) = coded(&mut r)?;
                 Payload::SparseCoded { codebook, codes, wide }
             }
             2 => {
-                if n_indices != 0 {
-                    return Err(DeltaError::Malformed("dense layout carries an index list"));
-                }
-                let (codebook, codes) = coded(&mut pos)?;
+                let (codebook, codes) = coded(&mut r)?;
                 Payload::DenseCoded { codebook, codes, wide }
             }
-            3 => {
-                if n_indices != 0 {
-                    return Err(DeltaError::Malformed("dense layout carries an index list"));
-                }
-                Payload::DenseRaw(raw_values(&mut pos, total as usize)?)
-            }
+            3 => Payload::DenseRaw(r.u32s(total as usize)?),
             _ => return Err(DeltaError::Malformed("unknown payload mode")),
         };
-        if pos != bytes.len() {
-            return Err(DeltaError::Malformed("trailing bytes after payload"));
-        }
+        r.finish()?;
         Ok(Self { base_version, new_version, base_hash, total, indices, payload })
     }
 }
@@ -663,6 +631,35 @@ mod tests {
         let mut trailing = wire.clone();
         trailing.push(0);
         assert!(DeltaCheckpoint::from_bytes(&trailing).is_err());
+    }
+
+    /// A 39-byte header whose counts promise gigabytes: at the parent
+    /// commit `from_bytes` reserved `4 · total` (17 GB) for the dense-raw
+    /// values, or `4 · n_indices` for the index list, and aborted.
+    #[test]
+    fn declared_counts_are_checked_against_the_frame_before_allocating() {
+        let header = |total: u32, mode: u8, n_indices: u32| {
+            let mut f = DELTA_MAGIC.to_vec();
+            f.push(WIRE_VERSION);
+            f.extend_from_slice(&[0u8; 24]); // versions + base hash
+            f.extend_from_slice(&total.to_le_bytes());
+            f.extend_from_slice(&[mode, 0]);
+            f.extend_from_slice(&n_indices.to_le_bytes());
+            assert_eq!(f.len(), 39);
+            f
+        };
+        for frame in [
+            header(u32::MAX, 3, 0),
+            header(u32::MAX, 0, u32::MAX),
+            header(u32::MAX, 1, u32::MAX - 1),
+        ] {
+            assert!(matches!(DeltaCheckpoint::from_bytes(&frame), Err(DeltaError::Malformed(_))));
+        }
+        // a codebook length the frame cannot back
+        let mut coded = header(8, 2, 0);
+        coded.extend_from_slice(&(MAX_CODEBOOK as u32).to_le_bytes());
+        coded.extend_from_slice(&[0u8; 64]);
+        assert!(matches!(DeltaCheckpoint::from_bytes(&coded), Err(DeltaError::Malformed(_))));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Canonical Huffman codec — the final stage of Deep Compression
 //! (reference [28]), squeezing the skewed quantization-index stream.
 
+use mdl_tensor::wire::Reader;
 use std::collections::BinaryHeap;
 
 /// A Huffman code table plus an encoded bitstream.
@@ -100,21 +101,34 @@ fn code_lengths(freqs: &[u64]) -> Vec<u8> {
     lengths
 }
 
-/// Assigns canonical codes (symbol-ordered within each length).
-fn canonical_codes(lengths: &[u8]) -> Vec<(u32, u8)> {
+/// Longest code the codec handles: codes are held in a `u32`.
+const MAX_CODE_LEN: u8 = 32;
+
+/// Assigns canonical codes (symbol-ordered within each length). `None`
+/// when a length exceeds [`MAX_CODE_LEN`] or the lengths violate Kraft's
+/// inequality (more codes of some length than that many bits can tell
+/// apart) — no prefix code has those lengths, so a table read off the
+/// wire that fails here is rejected rather than decoded.
+fn canonical_codes(lengths: &[u8]) -> Option<Vec<(u32, u8)>> {
     let max_len = lengths.iter().cloned().max().unwrap_or(0);
+    if max_len > MAX_CODE_LEN {
+        return None;
+    }
     let mut codes = vec![(0u32, 0u8); lengths.len()];
-    let mut code = 0u32;
+    let mut code = 0u64;
     for len in 1..=max_len {
         for (s, &l) in lengths.iter().enumerate() {
             if l == len {
-                codes[s] = (code, len);
+                codes[s] = (code as u32, len);
                 code += 1;
             }
         }
+        if code > 1u64 << len {
+            return None;
+        }
         code <<= 1;
     }
-    codes
+    Some(codes)
 }
 
 impl HuffmanEncoded {
@@ -125,7 +139,8 @@ impl HuffmanEncoded {
             freqs[s as usize] += 1;
         }
         let lengths = code_lengths(&freqs);
-        let codes = canonical_codes(&lengths);
+        let codes = canonical_codes(&lengths)
+            .expect("tree depths form a prefix code no deeper than MAX_CODE_LEN");
 
         let mut bits = Vec::new();
         let mut acc = 0u64;
@@ -157,15 +172,21 @@ impl HuffmanEncoded {
         self.try_decode().expect("huffman bitstream consistent with its code table")
     }
 
-    /// Bounds-checked decode: `None` when the bitstream runs out before
-    /// `len` symbols were produced or a code exceeds the table's depth.
+    /// Bounds-checked decode: `None` when the code table describes no
+    /// prefix code, the bitstream runs out before `len` symbols were
+    /// produced, or a code exceeds the table's depth. Allocates nothing
+    /// for a `len` the bitstream cannot hold (a symbol costs at least one
+    /// bit).
     pub fn try_decode(&self) -> Option<Vec<u8>> {
         if self.len == 0 {
             return Some(Vec::new());
         }
-        let codes = canonical_codes(&self.code_lengths);
+        if self.len > 8 * self.bits.len() {
+            return None;
+        }
+        let codes = canonical_codes(&self.code_lengths)?;
         // build a simple (code,len) → symbol map
-        let mut by_len: Vec<Vec<(u32, u8)>> = vec![Vec::new(); 33];
+        let mut by_len: Vec<Vec<(u32, u8)>> = vec![Vec::new(); MAX_CODE_LEN as usize + 1];
         for (s, &(code, len)) in codes.iter().enumerate() {
             if len > 0 {
                 by_len[len as usize].push((code, s as u8));
@@ -185,7 +206,7 @@ impl HuffmanEncoded {
             bit_pos += 1;
             code = (code << 1) | bit as u32;
             len += 1;
-            if len > 32 {
+            if len > MAX_CODE_LEN {
                 return None;
             }
             if let Ok(found) = by_len[len as usize].binary_search_by_key(&code, |e| e.0) {
@@ -212,22 +233,33 @@ impl HuffmanEncoded {
     }
 
     /// Parses a frame written by [`HuffmanEncoded::to_bytes`], returning
-    /// the codec and the number of bytes consumed. `None` on truncation
-    /// or an inconsistent bitstream.
+    /// the codec and the number of bytes consumed. `None` on truncation,
+    /// a table that is no prefix code, or an inconsistent bitstream.
+    ///
+    /// Never panics, and never allocates more than a small multiple of
+    /// `bytes.len()`: the table and bitstream lengths are checked against
+    /// the bytes that remain, and the symbol count against the bitstream
+    /// (see [`HuffmanEncoded::try_decode`]), before anything is reserved.
     pub fn from_bytes(bytes: &[u8]) -> Option<(Self, usize)> {
-        let table_len = u16::from_le_bytes(bytes.get(0..2)?.try_into().ok()?) as usize;
-        let mut pos = 2;
-        let code_lengths = bytes.get(pos..pos + table_len)?.to_vec();
-        pos += table_len;
-        let len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let bits_len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let bits = bytes.get(pos..pos + bits_len)?.to_vec();
-        pos += bits_len;
+        let mut r = Reader::new(bytes);
+        let decoded = Self::read(&mut r)?;
+        Some((decoded, bytes.len() - r.remaining()))
+    }
+
+    /// Reads one block off a caller's cursor — how [`crate::delta`] embeds
+    /// a Huffman block in its own frame.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let table_len = r.u16().ok()? as usize;
+        if table_len > 256 {
+            return None;
+        }
+        let code_lengths = r.bytes(table_len).ok()?.to_vec();
+        let len = r.u32().ok()? as usize;
+        let bits_len = r.u32().ok()? as usize;
+        let bits = r.bytes(bits_len).ok()?.to_vec();
         let decoded = Self { code_lengths, bits, len };
         decoded.try_decode()?;
-        Some((decoded, pos))
+        Some(decoded)
     }
 
     /// Encoded size in bytes (bitstream + one length byte per symbol slot
@@ -302,7 +334,7 @@ mod tests {
     fn prefix_property_holds() {
         let data = b"the quick brown fox jumps over the lazy dog".to_vec();
         let enc = HuffmanEncoded::encode(&data);
-        let codes = canonical_codes(&enc.code_lengths);
+        let codes = canonical_codes(&enc.code_lengths).expect("encoder-built table");
         let used: Vec<(u32, u8)> = codes.iter().cloned().filter(|&(_, l)| l > 0).collect();
         for (i, &(ca, la)) in used.iter().enumerate() {
             for &(cb, lb) in used.iter().skip(i + 1) {
@@ -321,6 +353,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A 13-byte block with a code length of 200: at the parent commit
+    /// `try_decode` indexed its 33-slot length table with it and panicked.
+    #[test]
+    fn from_bytes_rejects_tables_that_are_no_prefix_code() {
+        let block = |table: &[u8], len: u32, bits: &[u8]| {
+            let mut f = (table.len() as u16).to_le_bytes().to_vec();
+            f.extend_from_slice(table);
+            f.extend_from_slice(&len.to_le_bytes());
+            f.extend_from_slice(&(bits.len() as u32).to_le_bytes());
+            f.extend_from_slice(bits);
+            f
+        };
+        let overlong = block(&[200], 1, &[0, 0]);
+        assert_eq!(overlong.len(), 13);
+        assert_eq!(HuffmanEncoded::from_bytes(&overlong), None);
+        assert_eq!(HuffmanEncoded::from_bytes(&block(&[33], 1, &[0; 8])), None);
+        // three one-bit codes, and a full tree with one code too many
+        assert_eq!(HuffmanEncoded::from_bytes(&block(&[1, 1, 1], 1, &[0])), None);
+        assert_eq!(HuffmanEncoded::from_bytes(&block(&[1, 2, 2, 32], 1, &[0])), None);
+        // more symbols than the bitstream has bits: nothing is reserved
+        assert_eq!(HuffmanEncoded::from_bytes(&block(&[1], u32::MAX, &[0; 4])), None);
+        // a table wider than the byte alphabet
+        assert_eq!(HuffmanEncoded::from_bytes(&block(&[0; 257], 0, &[])), None);
+        // the same shapes, well-formed, still decode: codes 0, 10, 11
+        let (ok, used) = HuffmanEncoded::from_bytes(&block(&[1, 2, 2], 3, &[0b0101_1000]))
+            .expect("complete prefix code");
+        assert_eq!((ok.decode(), used), (vec![0, 1, 2], 2 + 3 + 8 + 1));
     }
 
     #[test]

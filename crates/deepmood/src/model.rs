@@ -45,9 +45,6 @@ pub enum EncoderKind {
 pub struct DeepMoodConfig {
     /// GRU hidden width per view.
     pub hidden_dim: usize,
-    /// Bidirectional encoders (doubles the fused width).
-    /// Deprecated alias for `encoder = EncoderKind::BiGru`.
-    pub bidirectional: bool,
     /// Recurrent cell per view.
     pub encoder: EncoderKind,
     /// The fusion head.
@@ -66,7 +63,6 @@ impl Default for DeepMoodConfig {
     fn default() -> Self {
         Self {
             hidden_dim: 8,
-            bidirectional: false,
             encoder: EncoderKind::Gru,
             fusion: FusionKind::MultiViewMachine { factors: 4 },
             classes: 2,
@@ -223,10 +219,9 @@ impl DeepMood {
     /// Creates the model for views with the given input widths.
     pub fn new(view_input_dims: &[usize], config: DeepMoodConfig, rng: &mut impl Rng) -> Self {
         assert!(!view_input_dims.is_empty(), "need at least one view");
-        let kind = if config.bidirectional { EncoderKind::BiGru } else { config.encoder };
         let encoders: Vec<Encoder> = view_input_dims
             .iter()
-            .map(|&d| match kind {
+            .map(|&d| match config.encoder {
                 EncoderKind::Gru => Encoder::Uni(Box::new(Gru::new(d, config.hidden_dim, rng))),
                 EncoderKind::BiGru => Encoder::Bi(Box::new(BiGru::new(d, config.hidden_dim, rng))),
                 EncoderKind::Lstm => Encoder::Mem(Box::new(Lstm::new(d, config.hidden_dim, rng))),
@@ -460,7 +455,7 @@ mod tests {
         let mut model = DeepMood::new(
             &[2, 3],
             DeepMoodConfig {
-                bidirectional: true,
+                encoder: EncoderKind::BiGru,
                 epochs: 12,
                 hidden_dim: 5,
                 learning_rate: 0.02,

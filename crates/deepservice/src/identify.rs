@@ -21,7 +21,6 @@ pub fn view_dims() -> Vec<usize> {
 pub fn deepservice_config(users: usize) -> DeepMoodConfig {
     DeepMoodConfig {
         hidden_dim: 14,
-        bidirectional: false,
         encoder: Default::default(),
         fusion: FusionKind::FullyConnected { hidden: 32 },
         classes: users,

@@ -58,7 +58,6 @@ pub use update::{weighted_average, DenseUpdate, QuantizedUpdate, SparseUpdate};
 #[cfg(test)]
 mod proptests {
     use crate::update::{weighted_average, DenseUpdate, SparseUpdate};
-    use bytes::Bytes;
     use proptest::prelude::*;
 
     proptest! {
@@ -68,13 +67,13 @@ mod proptests {
             n in 0usize..10_000,
         ) {
             let u = DenseUpdate { values, num_examples: n };
-            let decoded = DenseUpdate::decode(u.encode()).expect("round trip");
+            let decoded = DenseUpdate::decode(&u.encode()).expect("round trip");
             prop_assert_eq!(decoded, u);
         }
 
         #[test]
         fn decode_never_panics(frame in prop::collection::vec(any::<u8>(), 0..128)) {
-            let _ = DenseUpdate::decode(Bytes::from(frame));
+            let _ = DenseUpdate::decode(&frame);
         }
 
         #[test]

@@ -1,6 +1,6 @@
 //! Model-update transport: flat parameter vectors with wire-size accounting.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mdl_tensor::wire::Reader;
 
 /// A dense model update: full parameter (or delta) vector plus the size of
 /// the local dataset that produced it (the FedAvg weighting term `n_k`).
@@ -18,30 +18,29 @@ impl DenseUpdate {
         8 + 4 * self.values.len() as u64
     }
 
-    /// Serialises to a length-prefixed byte frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_bytes() as usize);
-        buf.put_u32(self.values.len() as u32);
-        buf.put_u32(self.num_examples as u32);
+    /// Serialises to a length-prefixed little-endian byte frame:
+    /// `len u32 | num_examples u32 | values f32 × len`.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.wire_bytes() as usize);
+        buf.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.num_examples as u32).to_le_bytes());
         for &v in &self.values {
-            buf.put_f32(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a frame produced by [`DenseUpdate::encode`].
     ///
-    /// Returns `None` on a malformed frame.
-    pub fn decode(mut frame: Bytes) -> Option<Self> {
-        if frame.len() < 8 {
-            return None;
-        }
-        let len = frame.get_u32() as usize;
-        let num_examples = frame.get_u32() as usize;
-        if frame.len() != 4 * len {
-            return None;
-        }
-        let values = (0..len).map(|_| frame.get_f32()).collect();
+    /// Returns `None` on a malformed frame: one that ends before `len`
+    /// values or carries bytes after them. Never panics, and allocates
+    /// nothing for a `len` the frame cannot back.
+    pub fn decode(frame: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(frame);
+        let len = r.u32().ok()? as usize;
+        let num_examples = r.u32().ok()? as usize;
+        let values = r.f32s(len).ok()?;
+        r.finish().ok()?;
         Some(Self { values, num_examples })
     }
 }
@@ -189,17 +188,17 @@ mod tests {
         let u = DenseUpdate { values: vec![1.0, -2.5, 0.0, 3.25], num_examples: 17 };
         let frame = u.encode();
         assert_eq!(frame.len() as u64, u.wire_bytes());
-        let back = DenseUpdate::decode(frame).expect("decode");
+        let back = DenseUpdate::decode(&frame).expect("decode");
         assert_eq!(back, u);
     }
 
     #[test]
     fn dense_decode_rejects_truncated() {
         let u = DenseUpdate { values: vec![1.0, 2.0], num_examples: 1 };
-        let mut frame = u.encode().to_vec();
+        let mut frame = u.encode();
         frame.pop();
-        assert!(DenseUpdate::decode(Bytes::from(frame)).is_none());
-        assert!(DenseUpdate::decode(Bytes::from_static(&[1, 2])).is_none());
+        assert!(DenseUpdate::decode(&frame).is_none());
+        assert!(DenseUpdate::decode(&[1, 2]).is_none());
     }
 
     #[test]

@@ -102,13 +102,24 @@ impl std::fmt::Debug for Gru {
 impl Gru {
     /// Creates a GRU with Xavier-initialised kernels and zero biases.
     pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
+        Self::with_init(input_dim, hidden_dim, Init::Xavier, rng)
+    }
+
+    /// [`Gru::new`] with the kernels drawn from `init` — `Init::Zeros` for
+    /// the model loader, which overwrites every weight anyway.
+    pub(crate) fn with_init(
+        input_dim: usize,
+        hidden_dim: usize,
+        init: Init,
+        rng: &mut impl Rng,
+    ) -> Self {
         Self {
-            w_r: Init::Xavier.sample(input_dim, hidden_dim, rng),
-            w_z: Init::Xavier.sample(input_dim, hidden_dim, rng),
-            w_h: Init::Xavier.sample(input_dim, hidden_dim, rng),
-            u_r: Init::Xavier.sample(hidden_dim, hidden_dim, rng),
-            u_z: Init::Xavier.sample(hidden_dim, hidden_dim, rng),
-            u_h: Init::Xavier.sample(hidden_dim, hidden_dim, rng),
+            w_r: init.sample(input_dim, hidden_dim, rng),
+            w_z: init.sample(input_dim, hidden_dim, rng),
+            w_h: init.sample(input_dim, hidden_dim, rng),
+            u_r: init.sample(hidden_dim, hidden_dim, rng),
+            u_z: init.sample(hidden_dim, hidden_dim, rng),
+            u_h: init.sample(hidden_dim, hidden_dim, rng),
             b_r: Matrix::zeros(1, hidden_dim),
             b_z: Matrix::zeros(1, hidden_dim),
             b_h: Matrix::zeros(1, hidden_dim),
@@ -496,9 +507,19 @@ pub struct BiGru {
 impl BiGru {
     /// Creates a bidirectional GRU with `hidden_dim` units per direction.
     pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
+        Self::with_init(input_dim, hidden_dim, Init::Xavier, rng)
+    }
+
+    /// [`BiGru::new`] with both directions drawn from `init`.
+    pub(crate) fn with_init(
+        input_dim: usize,
+        hidden_dim: usize,
+        init: Init,
+        rng: &mut impl Rng,
+    ) -> Self {
         Self {
-            fwd: Gru::new(input_dim, hidden_dim, rng),
-            bwd: Gru::new(input_dim, hidden_dim, rng),
+            fwd: Gru::with_init(input_dim, hidden_dim, init, rng),
+            bwd: Gru::with_init(input_dim, hidden_dim, init, rng),
         }
     }
 

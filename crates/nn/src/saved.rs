@@ -19,11 +19,15 @@ use crate::dense::Dense;
 use crate::gru::{BiGru, Gru};
 use crate::layer::{Layer, ParamVector};
 use crate::sequential::Sequential;
+use mdl_tensor::wire::{Reader, WireError};
+use mdl_tensor::Init;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const MAGIC: &[u8; 4] = b"MDLM";
 const VERSION: u8 = 1;
+/// `tag u8 | in_dim u32 | out_dim u32 | extra u32`
+const LAYER_ENTRY_BYTES: usize = 13;
 
 /// Errors produced when decoding a saved model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +124,7 @@ pub fn save_model(net: &mut Sequential) -> Option<Vec<u8>> {
     }
     let params = net.param_vector();
 
-    let mut out = Vec::with_capacity(16 + 13 * header.len() + 4 * params.len());
+    let mut out = Vec::with_capacity(16 + LAYER_ENTRY_BYTES * header.len() + 4 * params.len());
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.extend_from_slice(&(header.len() as u16).to_le_bytes());
@@ -137,46 +141,47 @@ pub fn save_model(net: &mut Sequential) -> Option<Vec<u8>> {
     Some(out)
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
+impl From<WireError> for LoadModelError {
+    /// Every cursor failure here means the buffer's length disagrees with
+    /// what its header declares.
+    fn from(_: WireError) -> Self {
+        LoadModelError::Truncated
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], LoadModelError> {
-        if self.at + n > self.buf.len() {
-            return Err(LoadModelError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, LoadModelError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, LoadModelError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("length checked")))
-    }
-
-    fn u32(&mut self) -> Result<u32, LoadModelError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn f32(&mut self) -> Result<f32, LoadModelError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
+/// Parameters a layer-table entry describes, `None` for an unknown tag.
+/// Dimensions are `u32`, so no product here can overflow `u128`; a round
+/// trip fails if this ever disagrees with the built layer's `num_params`.
+fn entry_params(tag: u8, a: u32, b: u32) -> Option<u128> {
+    let (a, b) = (a as u128, b as u128);
+    let gru = 3 * (a * b + b * b + b);
+    match tag {
+        0 => Some(a * b + b),
+        1 => Some(gru),
+        2 => Some(2 * gru),
+        _ => None,
     }
 }
 
 /// Reconstructs a network saved by [`save_model`].
 ///
+/// The whole header is validated before anything is built: the layer
+/// table must fit in the buffer, the parameter count it implies
+/// (counted in `u128`, which `u32` dimensions cannot overflow) must
+/// equal the declared count, and `4 · declared` must be exactly the
+/// bytes that remain. Only then are
+/// the layers constructed, so decoding `n` bytes never allocates more
+/// than a small multiple of `n` — weights, their gradient buffers and
+/// the parameter vector being copied in.
+///
 /// # Errors
 ///
 /// Returns a [`LoadModelError`] on any malformed input; never panics.
+/// [`LoadModelError::Truncated`] covers both a buffer that ends early
+/// and one that carries bytes past the declared parameters.
 pub fn load_model(buf: &[u8]) -> Result<Sequential, LoadModelError> {
-    let mut r = Reader { buf, at: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = Reader::new(buf);
+    if r.bytes(4)? != MAGIC {
         return Err(LoadModelError::BadMagic);
     }
     let version = r.u8()?;
@@ -184,35 +189,33 @@ pub fn load_model(buf: &[u8]) -> Result<Sequential, LoadModelError> {
         return Err(LoadModelError::UnsupportedVersion(version));
     }
     let layer_count = r.u16()? as usize;
-    // init RNG is irrelevant: every weight is overwritten below
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut net = Sequential::new();
+    if LAYER_ENTRY_BYTES * layer_count > r.remaining() {
+        return Err(LoadModelError::Truncated);
+    }
+    let mut table = Vec::with_capacity(layer_count);
+    let mut expected = 0u128;
     for _ in 0..layer_count {
-        let tag = r.u8()?;
-        let a = r.u32()? as usize;
-        let b = r.u32()? as usize;
-        let c = r.u32()?;
-        match tag {
-            0 => {
-                net.push(Dense::new(a, b, activation_from_tag(c), &mut rng));
-            }
-            1 => {
-                net.push(Gru::new(a, b, &mut rng));
-            }
-            2 => {
-                net.push(BiGru::new(a, b, &mut rng));
-            }
-            t => return Err(LoadModelError::UnknownLayer(t)),
-        }
+        let (tag, a, b, c) = (r.u8()?, r.u32()?, r.u32()?, r.u32()?);
+        expected += entry_params(tag, a, b).ok_or(LoadModelError::UnknownLayer(tag))?;
+        table.push((tag, a as usize, b as usize, c));
     }
     let declared = r.u32()? as usize;
-    let expected = net.num_params();
-    if declared != expected {
+    if expected != declared as u128 {
+        let expected = usize::try_from(expected).unwrap_or(usize::MAX);
         return Err(LoadModelError::ParamMismatch { expected, found: declared });
     }
-    let mut params = Vec::with_capacity(declared);
-    for _ in 0..declared {
-        params.push(r.f32()?);
+    let params = r.f32s(declared)?;
+    r.finish()?;
+
+    // every weight is overwritten below, so nothing is sampled
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut net = Sequential::new();
+    for (tag, a, b, c) in table {
+        match tag {
+            0 => net.push(Dense::with_init(a, b, activation_from_tag(c), Init::Zeros, &mut rng)),
+            1 => net.push(Gru::with_init(a, b, Init::Zeros, &mut rng)),
+            _ => net.push(BiGru::with_init(a, b, Init::Zeros, &mut rng)),
+        };
     }
     net.set_param_vector(&params);
     Ok(net)
@@ -283,6 +286,45 @@ mod tests {
         let mut bad_tag = bytes.clone();
         bad_tag[7] = 42; // first layer tag
         assert!(matches!(load_model(&bad_tag).err(), Some(LoadModelError::UnknownLayer(42))));
+    }
+
+    /// 24 bytes declaring one 60000 × 60000 dense layer: at the parent
+    /// commit the layer (14 GB, Xavier-sampled) was built before the
+    /// parameter count was looked at, and the process aborted.
+    #[test]
+    fn declared_dimensions_are_checked_before_a_layer_is_built() {
+        let frame = |declared: u32| {
+            let mut f = b"MDLM\x01\x01\x00\x00".to_vec();
+            f.extend_from_slice(&60_000u32.to_le_bytes());
+            f.extend_from_slice(&60_000u32.to_le_bytes());
+            f.extend_from_slice(&0u32.to_le_bytes());
+            f.extend_from_slice(&declared.to_le_bytes());
+            assert_eq!(f.len(), 24);
+            f
+        };
+        let expected = 60_000usize * 60_000 + 60_000;
+        assert_eq!(
+            load_model(&frame(0)).err(),
+            Some(LoadModelError::ParamMismatch { expected, found: 0 })
+        );
+        // the count agrees, the bytes behind it are not there
+        assert_eq!(load_model(&frame(expected as u32)).err(), Some(LoadModelError::Truncated));
+        // dimensions whose product overflows u64 still count cleanly
+        let mut huge = frame(u32::MAX);
+        huge[7] = 2; // BiGru
+        huge[8..16].fill(0xFF);
+        assert!(matches!(
+            load_model(&huge).err(),
+            Some(LoadModelError::ParamMismatch { expected: usize::MAX, .. })
+        ));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(605);
+        let mut bytes = save_model(&mut sample_net(&mut rng)).expect("saveable");
+        bytes.push(0);
+        assert_eq!(load_model(&bytes).err(), Some(LoadModelError::Truncated));
     }
 
     #[test]

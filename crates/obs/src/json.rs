@@ -107,9 +107,10 @@ impl Json {
     }
 
     /// Parses a JSON document (must be a single value, optionally padded
-    /// with whitespace).
+    /// with whitespace). Never panics: arrays and objects nested deeper
+    /// than 64 levels are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -178,9 +179,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap is what keeps a hostile document
+/// from overflowing the stack; snapshots nest four deep.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,11 +230,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -398,6 +419,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"open", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// Two million `[` overflowed the stack (SIGABRT) at the parent commit.
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = "[".repeat(2_000_000);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError { message: "nesting too deep", offset: MAX_DEPTH })
+        );
+        let mixed = "{\"a\":[".repeat(1_000_000);
+        assert_eq!(Json::parse(&mixed).unwrap_err().message, "nesting too deep");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&past_cap).is_err());
+        // siblings do not accumulate depth
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::router::{ClientProfile, Route};
 use crate::server::{InferenceResponse, ServeClient};
 use crate::slo::SloClass;
 use crossbeam::channel::Receiver;
+use mdl_tensor::wire::Reader;
 use mdl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,18 +116,18 @@ impl RequestRecord {
         out
     }
 
-    /// Inverse of [`RequestRecord::to_bytes`]; `None` on short input or
-    /// an out-of-range class rank.
+    /// Inverse of [`RequestRecord::to_bytes`]; `None` unless `bytes` is
+    /// exactly one record with an in-range class rank. Never panics.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < Self::WIRE_BYTES {
-            return None;
-        }
-        Some(Self {
-            index: u32::from_le_bytes(bytes[0..4].try_into().ok()?),
-            arrival_ns: u64::from_le_bytes(bytes[4..12].try_into().ok()?),
-            class: SloClass::from_rank(bytes[12] as usize)?,
-            row: u32::from_le_bytes(bytes[13..17].try_into().ok()?),
-        })
+        let mut r = Reader::new(bytes);
+        let rec = Self {
+            index: r.u32().ok()?,
+            arrival_ns: r.u64().ok()?,
+            class: SloClass::from_rank(r.u8().ok()? as usize)?,
+            row: r.u32().ok()?,
+        };
+        r.finish().ok()?;
+        Some(rec)
     }
 }
 

@@ -23,7 +23,10 @@
 //!   L2 norms and clipping (for differential privacy);
 //! - [`fft`]: radix-2 FFT and circulant products (for CirCNN-style layers);
 //! - [`stats`]: softmax/log-sum-exp, one-hot encoding, correlation and
-//!   quantile helpers used by the applications' analytics.
+//!   quantile helpers used by the applications' analytics;
+//! - [`wire`]: the one bounded little-endian [`wire::Reader`] every decoder
+//!   of outside bytes (saved models, deltas, Huffman blocks, updates,
+//!   request records) reads through.
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@ pub mod linalg;
 pub mod matrix;
 pub mod quant;
 pub mod stats;
+pub mod wire;
 
 pub use arena::{Arena, ArenaBuilder, BufferId};
 pub use init::Init;
