@@ -359,7 +359,7 @@ fn main() {
     let v2 = server.swap_model(model(43));
     std::thread::sleep(Duration::from_millis(20));
     // precision swap mid-run: same lifecycle, 4x smaller weights
-    let v3 = server.swap_quantized(quantized(43));
+    let v3 = server.swap_model(quantized(43));
     let report = loader.join().expect("load thread");
     println!(
         "\nhot swap under load: swapped to v{v2} (f32) then v{v3} (int8) mid-run; \

@@ -2,9 +2,8 @@
 //! to mimic a large teacher's softened predictions.
 
 use mdl_nn::loss::{distillation, softmax_cross_entropy};
-use mdl_nn::{Layer, Optimizer};
+use mdl_nn::{fit_batches, EpochStats, Layer, Optimizer, TrainConfig};
 use mdl_tensor::Matrix;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Hyper-parameters of a distillation run.
@@ -26,19 +25,12 @@ impl Default for DistillConfig {
     }
 }
 
-/// Per-epoch distillation record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistillStats {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Mean combined loss.
-    pub loss: f64,
-}
-
 /// Trains `student` to match `teacher` on inputs `x` with labels `labels`.
 ///
 /// The combined objective is
-/// `alpha · KD(student, teacher; T) + (1 − alpha) · CE(student, labels)`.
+/// `alpha · KD(student, teacher; T) + (1 − alpha) · CE(student, labels)`;
+/// the returned per-epoch `loss` is its mean over the epoch's batches and
+/// `accuracy` the student's against `labels`.
 ///
 /// # Panics
 ///
@@ -51,38 +43,29 @@ pub fn distill(
     labels: &[usize],
     config: &DistillConfig,
     rng: &mut impl Rng,
-) -> Vec<DistillStats> {
+) -> Vec<EpochStats> {
     assert_eq!(x.rows(), labels.len(), "one label per example required");
-    assert!(!labels.is_empty(), "training set must be non-empty");
     // teacher logits are fixed; compute once
     let teacher_logits = teacher.forward_eval(x);
+    let train =
+        TrainConfig { epochs: config.epochs, batch_size: config.batch_size, ..Default::default() };
+    fit_batches(labels.len(), &train, rng, |chunk| {
+        let bx = x.select_rows(chunk);
+        let bt = teacher_logits.select_rows(chunk);
+        let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
 
-    let n = labels.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        order.shuffle(rng);
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size.max(1)) {
-            let bx = x.select_rows(chunk);
-            let bt = teacher_logits.select_rows(chunk);
-            let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+        student.zero_grad();
+        let logits = student.forward(&bx);
+        let (soft_loss, soft_grad) = distillation(&logits, &bt, config.temperature);
+        let (hard_loss, hard_grad) = softmax_cross_entropy(&logits, &by);
+        let grad = soft_grad.scale(config.alpha).add(&hard_grad.scale(1.0 - config.alpha));
+        let _ = student.backward(&grad);
+        opt.step(student);
 
-            student.zero_grad();
-            let logits = student.forward(&bx);
-            let (soft_loss, soft_grad) = distillation(&logits, &bt, config.temperature);
-            let (hard_loss, hard_grad) = softmax_cross_entropy(&logits, &by);
-            let grad = soft_grad.scale(config.alpha).add(&hard_grad.scale(1.0 - config.alpha));
-            let _ = student.backward(&grad);
-            opt.step(student);
-
-            total += (config.alpha * soft_loss + (1.0 - config.alpha) * hard_loss) as f64;
-            batches += 1;
-        }
-        history.push(DistillStats { epoch, loss: total / batches.max(1) as f64 });
-    }
-    history
+        let loss = config.alpha * soft_loss + (1.0 - config.alpha) * hard_loss;
+        let correct = logits.argmax_rows().iter().zip(&by).filter(|(p, y)| p == y).count();
+        (loss as f64, 1, correct)
+    })
 }
 
 #[cfg(test)]

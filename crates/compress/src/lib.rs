@@ -45,7 +45,7 @@ pub mod sparse;
 
 pub use circulant::BlockCirculant;
 pub use delta::{param_hash, snap_to_codebook, uniform_codebook, DeltaCheckpoint, DeltaError};
-pub use distill::{distill, DistillConfig, DistillStats};
+pub use distill::{distill, DistillConfig};
 pub use huffman::HuffmanEncoded;
 pub use lowrank::{factorize_dense, factorize_network, rank_for_energy, Factorized};
 pub use pipeline::{deep_compress, CompressedModel, CompressionReport, DeepCompressionConfig};

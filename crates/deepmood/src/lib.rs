@@ -26,5 +26,5 @@ pub use evaluate::{
     per_participant_analysis, train_and_evaluate, MoodEvaluation, ParticipantPoint,
 };
 pub use fusion::{FactorizationMachineFusion, FullyConnectedFusion, MultiViewMachineFusion};
-pub use model::{DeepMood, DeepMoodConfig, DeepMoodEpoch, EncoderKind, FusionKind};
+pub use model::{DeepMood, DeepMoodConfig, EncoderKind, FusionKind};
 pub use normalize::ViewNormalizer;

@@ -3,9 +3,8 @@
 
 use crate::fusion::{FactorizationMachineFusion, FullyConnectedFusion, MultiViewMachineFusion};
 use mdl_nn::loss::softmax_cross_entropy;
-use mdl_nn::{Adam, BiGru, Gru, Layer, LayerInfo, Lstm, Optimizer};
+use mdl_nn::{fit_batches, Adam, BiGru, EpochStats, Gru, Layer, Lstm, Optimizer, TrainConfig};
 use mdl_tensor::Matrix;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Which late-fusion head sits on top of the view encoders.
@@ -73,78 +72,49 @@ impl Default for DeepMoodConfig {
     }
 }
 
-enum Encoder {
-    Uni(Box<Gru>),
-    Bi(Box<BiGru>),
-    Mem(Box<Lstm>),
+/// One view's recurrent encoder: a sequence layer whose output rows are
+/// per-step states. The encoded state reads the first `fwd` columns at the
+/// last row and the rest — a `BiGru`'s reversed direction, which finishes
+/// on the first step; nothing for `Gru` / `Lstm` — at row 0.
+struct Encoder {
+    cell: Box<dyn Layer>,
+    fwd: usize,
 }
 
 impl Encoder {
-    fn out_dim(&self) -> usize {
-        match self {
-            Encoder::Uni(g) => g.hidden_dim(),
-            Encoder::Bi(g) => 2 * g.hidden_dim(),
-            Encoder::Mem(l) => l.hidden_dim(),
-        }
+    fn new(kind: EncoderKind, input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
+        let cell: Box<dyn Layer> = match kind {
+            EncoderKind::Gru => Box::new(Gru::new(input_dim, hidden_dim, rng)),
+            EncoderKind::BiGru => Box::new(BiGru::new(input_dim, hidden_dim, rng)),
+            EncoderKind::Lstm => Box::new(Lstm::new(input_dim, hidden_dim, rng)),
+        };
+        Self { cell, fwd: hidden_dim }
+    }
+
+    fn final_state(&self, states: &Matrix) -> Matrix {
+        let mut out = Matrix::row_vector(states.row(states.rows() - 1));
+        out.row_mut(0)[self.fwd..].copy_from_slice(&states.row(0)[self.fwd..]);
+        out
     }
 
     /// Read-only final state (`1 × out`) — the answer path.
     fn encode(&self, seq: &Matrix) -> Matrix {
-        match self {
-            Encoder::Uni(g) => g.encode(seq),
-            Encoder::Bi(g) => g.encode(seq),
-            Encoder::Mem(l) => l.encode(seq),
-        }
+        self.final_state(&self.cell.forward_eval(seq))
     }
 
     /// Training forward: the same final state, with every step cached for
     /// [`Encoder::backward_encoded`].
     fn forward(&mut self, seq: &Matrix) -> Matrix {
-        let states = match self {
-            Encoder::Uni(g) => g.forward(seq),
-            Encoder::Bi(g) => g.forward(seq),
-            Encoder::Mem(l) => l.forward(seq),
-        };
-        let mut out = Matrix::row_vector(states.row(states.rows() - 1));
-        if let Encoder::Bi(g) = self {
-            // the reversed direction finishes on the first row
-            let h = g.hidden_dim();
-            out.row_mut(0)[h..].copy_from_slice(&states.row(0)[h..]);
-        }
-        out
+        let states = self.cell.forward(seq);
+        self.final_state(&states)
     }
 
     /// Backpropagates a gradient on the encoded state through time.
-    fn backward_encoded(&mut self, d: &Matrix, t_len: usize) {
-        match self {
-            Encoder::Uni(g) => {
-                let h = g.hidden_dim();
-                let mut gout = Matrix::zeros(t_len, h);
-                gout.row_mut(t_len - 1).copy_from_slice(d.row(0));
-                let _ = g.backward(&gout);
-            }
-            Encoder::Bi(g) => {
-                let h = g.hidden_dim();
-                let mut gout = Matrix::zeros(t_len, 2 * h);
-                gout.row_mut(t_len - 1)[..h].copy_from_slice(&d.row(0)[..h]);
-                gout.row_mut(0)[h..].copy_from_slice(&d.row(0)[h..]);
-                let _ = g.backward(&gout);
-            }
-            Encoder::Mem(l) => {
-                let h = l.hidden_dim();
-                let mut gout = Matrix::zeros(t_len, h);
-                gout.row_mut(t_len - 1).copy_from_slice(d.row(0));
-                let _ = l.backward(&gout);
-            }
-        }
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        match self {
-            Encoder::Uni(g) => g.visit_params(f),
-            Encoder::Bi(g) => g.visit_params(f),
-            Encoder::Mem(l) => l.visit_params(f),
-        }
+    fn backward_encoded(&mut self, d: &[f32], t_len: usize) {
+        let mut gout = Matrix::zeros(t_len, d.len());
+        gout.row_mut(t_len - 1)[..self.fwd].copy_from_slice(&d[..self.fwd]);
+        gout.row_mut(0)[self.fwd..].copy_from_slice(&d[self.fwd..]);
+        let _ = self.cell.backward(&gout);
     }
 }
 
@@ -169,50 +139,9 @@ impl std::fmt::Debug for DeepMood {
     }
 }
 
-/// Parameter-only adapter so stock optimizers can drive the composite model.
-struct ParamsOnly<'a>(&'a mut DeepMood);
-
-impl Layer for ParamsOnly<'_> {
-    fn forward(&mut self, _x: &Matrix) -> Matrix {
-        unreachable!("ParamsOnly is only used for optimizer parameter visits")
-    }
-
-    fn forward_eval(&self, _x: &Matrix) -> Matrix {
-        unreachable!("ParamsOnly is only used for optimizer parameter visits")
-    }
-
-    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
-        unreachable!("ParamsOnly is only used for optimizer parameter visits")
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        self.0.visit_params(f);
-    }
-
-    fn info(&self) -> LayerInfo {
-        LayerInfo { kind: "params-only", in_dim: 0, out_dim: 0, params: 0, macs: 0 }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        // ParamsOnly is a transient borrow adapter; it is never downcast.
-        unreachable!("ParamsOnly does not support downcasting")
-    }
-}
-
 /// Late fusion's input: the per-view final states side by side (`1 × Σ out`).
 fn fuse(encoded: impl Iterator<Item = Matrix>) -> Matrix {
     encoded.reduce(|fused, enc| fused.hstack(&enc)).expect("a DeepMood has at least one view")
-}
-
-/// Per-epoch training record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeepMoodEpoch {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Mean cross-entropy.
-    pub loss: f64,
-    /// Training accuracy.
-    pub accuracy: f64,
 }
 
 impl DeepMood {
@@ -221,13 +150,9 @@ impl DeepMood {
         assert!(!view_input_dims.is_empty(), "need at least one view");
         let encoders: Vec<Encoder> = view_input_dims
             .iter()
-            .map(|&d| match config.encoder {
-                EncoderKind::Gru => Encoder::Uni(Box::new(Gru::new(d, config.hidden_dim, rng))),
-                EncoderKind::BiGru => Encoder::Bi(Box::new(BiGru::new(d, config.hidden_dim, rng))),
-                EncoderKind::Lstm => Encoder::Mem(Box::new(Lstm::new(d, config.hidden_dim, rng))),
-            })
+            .map(|&d| Encoder::new(config.encoder, d, config.hidden_dim, rng))
             .collect();
-        let view_dims: Vec<usize> = encoders.iter().map(|e| e.out_dim()).collect();
+        let view_dims: Vec<usize> = encoders.iter().map(|e| e.cell.info().out_dim).collect();
         let fused: usize = view_dims.iter().sum();
         let head: Box<dyn Layer> = match config.fusion {
             FusionKind::FullyConnected { hidden } => {
@@ -257,7 +182,7 @@ impl DeepMood {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         for e in &mut self.encoders {
-            e.visit_params(f);
+            e.cell.visit_params(f);
         }
         self.head.visit_params(f);
     }
@@ -292,51 +217,49 @@ impl DeepMood {
         let (loss, grad) = softmax_cross_entropy(&logits, &[label]);
         let d_fused = self.head.backward(&grad);
         let mut at = 0;
-        for (e, v) in self.encoders.iter_mut().zip(views.iter()) {
-            let w = e.out_dim();
-            let d = Matrix::row_vector(&d_fused.row(0)[at..at + w]);
-            e.backward_encoded(&d, v.rows());
+        for ((e, v), &w) in self.encoders.iter_mut().zip(views).zip(&self.view_dims) {
+            e.backward_encoded(&d_fused.row(0)[at..at + w], v.rows());
             at += w;
         }
         (loss, correct)
     }
 
-    /// Trains on labelled multi-view sessions with mini-batch Adam.
+    /// Trains on labelled multi-view sessions with mini-batch Adam — the
+    /// multi-view instance of [`fit_batches`]: each session runs forward and
+    /// backward through time on its own, gradients accumulate over the batch
+    /// and are averaged before the step.
     ///
     /// Each element of `sessions` is `(views, label)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sessions` is empty.
     pub fn train(
         &mut self,
         sessions: &[(Vec<&Matrix>, usize)],
         rng: &mut impl Rng,
-    ) -> Vec<DeepMoodEpoch> {
-        assert!(!sessions.is_empty(), "training set must be non-empty");
+    ) -> Vec<EpochStats> {
         let mut opt = Adam::new(self.config.learning_rate);
-        let mut order: Vec<usize> = (0..sessions.len()).collect();
-        let mut history = Vec::with_capacity(self.config.epochs);
-        for epoch in 0..self.config.epochs {
-            order.shuffle(rng);
-            let mut total_loss = 0.0f64;
-            let mut correct = 0usize;
-            for chunk in order.chunks(self.config.batch_size.max(1)) {
-                self.zero_grad();
-                for &i in chunk {
-                    let (views, label) = &sessions[i];
-                    let (loss, ok) = self.accumulate(views, *label);
-                    total_loss += loss as f64;
-                    correct += usize::from(ok);
-                }
-                // average accumulated gradients over the batch
-                let scale = 1.0 / chunk.len() as f32;
-                self.visit_params(&mut |_, g| g.scale_mut(scale));
-                opt.step(&mut ParamsOnly(self));
+        let config = TrainConfig {
+            epochs: self.config.epochs,
+            batch_size: self.config.batch_size,
+            ..Default::default()
+        };
+        fit_batches(sessions.len(), &config, rng, |chunk| {
+            self.zero_grad();
+            let (mut loss, mut correct) = (0.0f64, 0usize);
+            for &i in chunk {
+                let (views, label) = &sessions[i];
+                let (l, ok) = self.accumulate(views, *label);
+                loss += l as f64;
+                correct += usize::from(ok);
             }
-            history.push(DeepMoodEpoch {
-                epoch,
-                loss: total_loss / sessions.len() as f64,
-                accuracy: correct as f64 / sessions.len() as f64,
-            });
-        }
-        history
+            // average accumulated gradients over the batch
+            let scale = 1.0 / chunk.len() as f32;
+            self.visit_params(&mut |_, g| g.scale_mut(scale));
+            opt.step_params(&mut |f| self.visit_params(f));
+            (loss, chunk.len(), correct)
+        })
     }
 
     /// Accuracy over labelled sessions.
@@ -465,6 +388,25 @@ mod tests {
         );
         let history = model.train(&sessions, &mut rng);
         assert!(history.last().unwrap().accuracy > 0.8, "{history:?}");
+    }
+
+    /// The read-only and the training encoders read the same rows of the
+    /// cell's per-step states: the last row, except a `BiGru`'s reversed
+    /// half, which finishes on row 0.
+    #[test]
+    fn encoder_reads_the_matching_rows_of_forward_eval() {
+        let x = Matrix::from_fn(6, 2, |r, c| (r as f32 - c as f32) * 0.1);
+        for kind in [EncoderKind::Gru, EncoderKind::BiGru, EncoderKind::Lstm] {
+            let mut rng = StdRng::seed_from_u64(24);
+            let mut enc = Encoder::new(kind, 2, 3, &mut rng);
+            let states = enc.cell.forward_eval(&x);
+            let width = if kind == EncoderKind::BiGru { 6 } else { 3 };
+            assert_eq!(states.shape(), (6, width), "{kind:?}");
+            let mut want = states.row(5)[..3].to_vec();
+            want.extend_from_slice(&states.row(0)[3..]);
+            assert_eq!(enc.encode(&x).row(0), &want[..], "{kind:?} encode");
+            assert_eq!(enc.forward(&x).row(0), &want[..], "{kind:?} training forward");
+        }
     }
 
     #[test]

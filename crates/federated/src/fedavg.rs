@@ -22,7 +22,6 @@ use mdl_net::{Fabric, NetError, TransportMetrics};
 use mdl_nn::{fit_classifier, ParamVector, Sgd, TrainConfig};
 use mdl_sim::{run_legacy_loop, LegacyConfig, LocalUpdate};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Hyper-parameters of a federated run.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,26 +212,15 @@ pub fn run_federated_over(
         // nondeterministically
         |c, seed, params_ref| {
             let data = &clients[c];
-            let mut local = spec.build_with(params_ref);
-            let mut opt = Sgd::new(config.learning_rate);
-            let mut local_rng = StdRng::seed_from_u64(seed);
-            let batch = config.batch_size.min(data.len().max(1));
-            let _ = fit_classifier(
-                &mut local,
-                &mut opt,
-                &data.x,
-                &data.y,
-                &TrainConfig {
-                    epochs: config.local_epochs,
-                    batch_size: batch,
-                    shuffle: true,
-                    grad_clip: None,
-                    kernel_threads: config.kernel_threads,
-                    obs: None,
-                },
-                &mut local_rng,
+            let raw = spec.train_client(
+                params_ref,
+                data,
+                config.local_epochs,
+                config.batch_size,
+                config.learning_rate,
+                config.kernel_threads,
+                seed,
             );
-            let raw = local.param_vector();
             if config.quantize_uploads {
                 let q = crate::update::QuantizedUpdate::quantize(&raw, data.len());
                 let values = q.dequantize();
@@ -305,6 +293,7 @@ mod tests {
     use super::*;
     use mdl_data::partition::{partition_dataset, Partition};
     use mdl_data::synthetic::gaussian_blobs;
+    use rand::SeedableRng;
 
     fn setup(rng: &mut StdRng) -> (MlpSpec, Vec<Dataset>, Dataset) {
         let data = gaussian_blobs(400, 4, 0.5, rng);

@@ -4,7 +4,8 @@
 //! ships a [`MlpSpec`] (architecture + init seed) and a flat parameter
 //! vector; every participant can then materialise an identical model.
 
-use mdl_nn::{Activation, Dense, ParamVector, Sequential};
+use mdl_data::Dataset;
+use mdl_nn::{fit_classifier, Activation, Dense, ParamVector, Sequential, Sgd, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,6 +53,31 @@ impl MlpSpec {
         let mut net = self.build();
         net.set_param_vector(params);
         net
+    }
+
+    /// One client's local step, the same under FedAvg, population FedAvg
+    /// and DP-FedAvg: materialise the model at `global`, run `epochs` of
+    /// shuffled mini-batch SGD over `data` from a generator seeded with
+    /// `seed` (`kernel_threads` as in [`TrainConfig`]) and return the
+    /// trained parameters. Who is selected and how the result is clipped,
+    /// weighted or noised is what differs, and stays with the caller.
+    #[allow(clippy::too_many_arguments)] // the step's hyper-parameters, one each
+    pub fn train_client(
+        &self,
+        global: &[f32],
+        data: &Dataset,
+        epochs: usize,
+        batch_size: usize,
+        learning_rate: f32,
+        kernel_threads: Option<usize>,
+        seed: u64,
+    ) -> Vec<f32> {
+        let mut local = self.build_with(global);
+        let config = TrainConfig { epochs, batch_size, kernel_threads, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut opt = Sgd::new(learning_rate);
+        let _ = fit_classifier(&mut local, &mut opt, &data.x, &data.y, &config, &mut rng);
+        local.param_vector()
     }
 
     /// Number of scalar parameters of the architecture.

@@ -14,7 +14,7 @@ use crate::fedavg::evaluate_params;
 use crate::model::MlpSpec;
 use mdl_data::synthetic::gaussian_blobs;
 use mdl_data::Dataset;
-use mdl_nn::{fit_classifier, ParamVector, Sgd, TrainConfig};
+use mdl_nn::ParamVector;
 use mdl_obs::Obs;
 use mdl_sim::{keyed_hash, ClientTrainer, Population, PopulationReport, SimConfig, SimError};
 use rand::rngs::StdRng;
@@ -101,27 +101,15 @@ impl ClientTrainer for PopulationTask {
     }
 
     fn train(&self, client: u64, seed: u64, global: &[f32]) -> Vec<f32> {
-        let data = self.client_data(client);
-        let mut local = self.spec.build_with(global);
-        let mut opt = Sgd::new(self.learning_rate);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let batch = self.batch_size.min(data.len().max(1));
-        let _ = fit_classifier(
-            &mut local,
-            &mut opt,
-            &data.x,
-            &data.y,
-            &TrainConfig {
-                epochs: self.local_epochs,
-                batch_size: batch,
-                shuffle: true,
-                grad_clip: None,
-                kernel_threads: self.kernel_threads,
-                obs: None,
-            },
-            &mut rng,
-        );
-        local.param_vector()
+        self.spec.train_client(
+            global,
+            &self.client_data(client),
+            self.local_epochs,
+            self.batch_size,
+            self.learning_rate,
+            self.kernel_threads,
+            seed,
+        )
     }
 }
 

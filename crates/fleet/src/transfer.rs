@@ -20,6 +20,7 @@
 
 use mdl_net::{Fabric, TransportMetrics};
 use mdl_obs::{Buckets, Obs};
+use mdl_tensor::stats::nearest_rank;
 
 /// Shape of one distribution: chunking, rounds, and retry budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,12 +156,8 @@ impl DistributionReport {
     pub fn transfer_percentile_s(&self, p: f64) -> f64 {
         let mut times: Vec<f64> =
             self.devices.iter().filter(|d| d.completed()).map(|d| d.transfer_s).collect();
-        if times.is_empty() {
-            return 0.0;
-        }
         times.sort_by(f64::total_cmp);
-        let rank = ((p * times.len() as f64).ceil() as usize).clamp(1, times.len());
-        times[rank - 1]
+        nearest_rank(&times, p).unwrap_or(0.0)
     }
 }
 

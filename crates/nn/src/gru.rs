@@ -21,8 +21,8 @@ use rand::Rng;
 /// A single-direction GRU over one sequence.
 ///
 /// Both forwards treat the input as a `T × input_dim` sequence and return
-/// all hidden states as `T × hidden_dim`; [`Gru::encode`] takes the last
-/// row for a sequence embedding.
+/// all hidden states as `T × hidden_dim`; the last row is the sequence
+/// embedding.
 ///
 /// # Examples
 ///
@@ -161,13 +161,6 @@ impl Gru {
     /// Gate biases `[b_r, b_z, b_h]`, each `1 × hidden_dim`.
     pub fn biases(&self) -> [&Matrix; 3] {
         [&self.b_r, &self.b_z, &self.b_h]
-    }
-
-    /// Runs the sequence and returns only the final hidden state (`1 × h`).
-    pub fn encode(&self, seq: &Matrix) -> Matrix {
-        let states = self.forward_eval(seq);
-        let last = states.rows() - 1;
-        Matrix::row_vector(states.row(last))
     }
 
     /// Runs the recurrence into `cache`, reusing its buffers across calls.
@@ -527,18 +520,6 @@ impl BiGru {
     pub fn hidden_dim(&self) -> usize {
         self.fwd.hidden_dim()
     }
-
-    /// Final fused state: `[h_fwd(T); h_bwd(T)]` as `1 × 2h`.
-    pub fn encode(&self, seq: &Matrix) -> Matrix {
-        let states = self.forward_eval(seq);
-        let last = states.rows() - 1;
-        let h = self.hidden_dim();
-        let mut out = Matrix::zeros(1, 2 * h);
-        // forward state is best at the last step, backward at the first row
-        out.row_mut(0)[..h].copy_from_slice(&states.row(last)[..h]);
-        out.row_mut(0)[h..].copy_from_slice(&states.row(0)[h..]);
-        out
-    }
 }
 
 fn reverse_rows(m: &Matrix) -> Matrix {
@@ -689,16 +670,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn encode_returns_last_state() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut gru = Gru::new(2, 3, &mut rng);
-        let x = Matrix::from_fn(6, 2, |r, c| (r as f32 - c as f32) * 0.1);
-        let states = gru.forward(&x);
-        let enc = gru.encode(&x);
-        assert_eq!(enc.row(0), states.row(5));
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use profile::LayerProfiler;
 pub use quantized::QuantizedModel;
 pub use saved::{load_model, save_model, LoadModelError};
 pub use sequential::Sequential;
-pub use trainer::{clip_gradients, fit_classifier, EpochStats, TrainConfig};
+pub use trainer::{clip_gradients, fit_batches, fit_classifier, EpochStats, TrainConfig};
 
 #[cfg(test)]
 mod proptests {

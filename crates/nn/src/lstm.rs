@@ -139,12 +139,6 @@ impl Lstm {
         [&self.b[0], &self.b[1], &self.b[2], &self.b[3]]
     }
 
-    /// Runs the sequence and returns only the final hidden state (`1 × h`).
-    pub fn encode(&self, seq: &Matrix) -> Matrix {
-        let states = self.forward_eval(seq);
-        Matrix::row_vector(states.row(states.rows() - 1))
-    }
-
     /// Runs the recurrence into `cache`, reusing its buffers across calls.
     ///
     /// All four gates' input projections `X·W + b` are evaluated as fused
@@ -555,8 +549,9 @@ mod tests {
         let mut correct = 0;
         for _ in 0..100 {
             let (x, y) = make(&mut rng);
-            let enc = lstm.encode(&x);
-            let pred = head.forward_eval(&enc).argmax_rows()[0];
+            let states = lstm.forward_eval(&x);
+            let last = Matrix::row_vector(states.row(states.rows() - 1));
+            let pred = head.forward_eval(&last).argmax_rows()[0];
             correct += usize::from(pred == y);
         }
         assert!(correct > 85, "LSTM should remember the first token: {correct}/100");

@@ -7,11 +7,22 @@
 use crate::layer::Layer;
 use mdl_tensor::Matrix;
 
+/// What [`Layer::visit_params`] hands each `(value, gradient)` pair to.
+type ParamFn<'a> = dyn FnMut(&mut Matrix, &mut Matrix) + 'a;
+
 /// A stateful first-order optimizer.
 pub trait Optimizer: Send {
     /// Applies one update to every parameter of `model` using the gradients
     /// accumulated since the last [`Layer::zero_grad`].
-    fn step(&mut self, model: &mut dyn Layer);
+    fn step(&mut self, model: &mut dyn Layer) {
+        self.step_params(&mut |f| model.visit_params(f));
+    }
+
+    /// [`Optimizer::step`] over a bare parameter walk — all an optimizer
+    /// reads of a model — for a composite that is not itself a [`Layer`]:
+    /// `visit` must call its argument once per `(value, gradient)` pair, in
+    /// the same order on every call.
+    fn step_params(&mut self, visit: &mut dyn FnMut(&mut ParamFn<'_>));
 
     /// Current base learning rate.
     fn learning_rate(&self) -> f32;
@@ -48,13 +59,13 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step_params(&mut self, visit: &mut dyn FnMut(&mut ParamFn<'_>)) {
         let mut idx = 0usize;
         let lr = self.lr;
         let momentum = self.momentum;
         let wd = self.weight_decay;
         let velocity = &mut self.velocity;
-        model.visit_params(&mut |value, grad| {
+        visit(&mut |value, grad| {
             if wd > 0.0 {
                 value.scale_mut(1.0 - lr * wd);
             }
@@ -107,7 +118,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step_params(&mut self, visit: &mut dyn FnMut(&mut ParamFn<'_>)) {
         self.t += 1;
         let (b1, b2, eps, lr, t) = (self.beta1, self.beta2, self.eps, self.lr, self.t);
         let bc1 = 1.0 - b1.powi(t as i32);
@@ -115,7 +126,7 @@ impl Optimizer for Adam {
         let mut idx = 0usize;
         let m_all = &mut self.m;
         let v_all = &mut self.v;
-        model.visit_params(&mut |value, grad| {
+        visit(&mut |value, grad| {
             if m_all.len() <= idx {
                 m_all.push(Matrix::zeros(value.rows(), value.cols()));
                 v_all.push(Matrix::zeros(value.rows(), value.cols()));
@@ -163,11 +174,11 @@ impl AdaGrad {
 }
 
 impl Optimizer for AdaGrad {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step_params(&mut self, visit: &mut dyn FnMut(&mut ParamFn<'_>)) {
         let (lr, eps) = (self.lr, self.eps);
         let mut idx = 0usize;
         let accum = &mut self.accum;
-        model.visit_params(&mut |value, grad| {
+        visit(&mut |value, grad| {
             if accum.len() <= idx {
                 accum.push(Matrix::zeros(value.rows(), value.cols()));
             }
@@ -211,11 +222,11 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn step_params(&mut self, visit: &mut dyn FnMut(&mut ParamFn<'_>)) {
         let (lr, decay, eps) = (self.lr, self.decay, self.eps);
         let mut idx = 0usize;
         let mean_sq = &mut self.mean_sq;
-        model.visit_params(&mut |value, grad| {
+        visit(&mut |value, grad| {
             if mean_sq.len() <= idx {
                 mean_sq.push(Matrix::zeros(value.rows(), value.cols()));
             }

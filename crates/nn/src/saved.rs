@@ -47,6 +47,17 @@ pub enum LoadModelError {
         /// Parameters present in the buffer.
         found: usize,
     },
+    /// A layer's input width is not the previous layer's output width.
+    WidthMismatch {
+        /// Index of the layer whose input does not fit.
+        layer: usize,
+        /// Output width of the layer before it.
+        expected: usize,
+        /// Input width the entry declares.
+        found: usize,
+    },
+    /// A dense entry carries an activation tag the format does not define.
+    UnknownActivation(u32),
 }
 
 impl std::fmt::Display for LoadModelError {
@@ -59,6 +70,10 @@ impl std::fmt::Display for LoadModelError {
             LoadModelError::ParamMismatch { expected, found } => {
                 write!(f, "expected {expected} parameters, found {found}")
             }
+            LoadModelError::WidthMismatch { layer, expected, found } => {
+                write!(f, "layer {layer} takes {found} inputs, the layer before emits {expected}")
+            }
+            LoadModelError::UnknownActivation(t) => write!(f, "unknown activation tag {t}"),
         }
     }
 }
@@ -75,13 +90,14 @@ fn activation_tag(a: Activation) -> u32 {
     }
 }
 
-fn activation_from_tag(t: u32) -> Activation {
+fn activation_from_tag(t: u32) -> Result<Activation, LoadModelError> {
     match t {
-        1 => Activation::Relu,
-        2 => Activation::Sigmoid,
-        3 => Activation::Tanh,
-        4 => Activation::LeakyRelu(0.01),
-        _ => Activation::Identity,
+        0 => Ok(Activation::Identity),
+        1 => Ok(Activation::Relu),
+        2 => Ok(Activation::Sigmoid),
+        3 => Ok(Activation::Tanh),
+        4 => Ok(Activation::LeakyRelu(0.01)),
+        _ => Err(LoadModelError::UnknownActivation(t)),
     }
 }
 
@@ -166,7 +182,9 @@ fn entry_params(tag: u8, a: u32, b: u32) -> Option<u128> {
 /// Reconstructs a network saved by [`save_model`].
 ///
 /// The whole header is validated before anything is built: the layer
-/// table must fit in the buffer, the parameter count it implies
+/// table must fit in the buffer, every tag in it must be defined, each
+/// layer's input width must be the output width of the one before (`2·b`
+/// after a BiGru), the parameter count it implies
 /// (counted in `u128`, which `u32` dimensions cannot overflow) must
 /// equal the declared count, and `4 · declared` must be exactly the
 /// bytes that remain. Only then are
@@ -194,10 +212,19 @@ pub fn load_model(buf: &[u8]) -> Result<Sequential, LoadModelError> {
     }
     let mut table = Vec::with_capacity(layer_count);
     let mut expected = 0u128;
-    for _ in 0..layer_count {
+    let mut prev_out = None;
+    for layer in 0..layer_count {
         let (tag, a, b, c) = (r.u8()?, r.u32()?, r.u32()?, r.u32()?);
         expected += entry_params(tag, a, b).ok_or(LoadModelError::UnknownLayer(tag))?;
-        table.push((tag, a as usize, b as usize, c));
+        // only a dense entry reads its `extra` field
+        let act = if tag == 0 { activation_from_tag(c)? } else { Activation::Identity };
+        let (a, b) = (a as usize, b as usize);
+        if let Some(expected) = prev_out.filter(|&out| out != a) {
+            return Err(LoadModelError::WidthMismatch { layer, expected, found: a });
+        }
+        // a BiGru emits both directions side by side
+        prev_out = Some(if tag == 2 { b.saturating_mul(2) } else { b });
+        table.push((tag, a, b, act));
     }
     let declared = r.u32()? as usize;
     if expected != declared as u128 {
@@ -210,9 +237,9 @@ pub fn load_model(buf: &[u8]) -> Result<Sequential, LoadModelError> {
     // every weight is overwritten below, so nothing is sampled
     let mut rng = StdRng::seed_from_u64(0);
     let mut net = Sequential::new();
-    for (tag, a, b, c) in table {
+    for (tag, a, b, act) in table {
         match tag {
-            0 => net.push(Dense::with_init(a, b, activation_from_tag(c), Init::Zeros, &mut rng)),
+            0 => net.push(Dense::with_init(a, b, act, Init::Zeros, &mut rng)),
             1 => net.push(Gru::with_init(a, b, Init::Zeros, &mut rng)),
             _ => net.push(BiGru::with_init(a, b, Init::Zeros, &mut rng)),
         };
@@ -286,6 +313,21 @@ mod tests {
         let mut bad_tag = bytes.clone();
         bad_tag[7] = 42; // first layer tag
         assert!(matches!(load_model(&bad_tag).err(), Some(LoadModelError::UnknownLayer(42))));
+
+        // first entry: tag at 7, in_dim at 8, out_dim at 12, activation at 16
+        let mut bad_activation = bytes.clone();
+        bad_activation[16] = 5;
+        assert_eq!(load_model(&bad_activation).err(), Some(LoadModelError::UnknownActivation(5)));
+
+        // 7 -> 7 then 8 -> 3: the same 83 parameters as 6 -> 8 -> 3, so only
+        // the widths say this is not a network (it used to load, and panic
+        // at the first forward)
+        let mut bad_chain = bytes.clone();
+        (bad_chain[8], bad_chain[12]) = (7, 7);
+        assert_eq!(
+            load_model(&bad_chain).err(),
+            Some(LoadModelError::WidthMismatch { layer: 1, expected: 7, found: 8 })
+        );
     }
 
     /// 24 bytes declaring one 60000 × 60000 dense layer: at the parent
@@ -425,6 +467,25 @@ mod proptests {
             prop_assert_eq!(
                 load_model(&bad_tag).err(),
                 Some(LoadModelError::UnknownLayer(unknown))
+            );
+
+            // UnknownActivation: tags 5.. name no activation (the first
+            // entry is dense; its `extra` field is at 16)
+            let mut bad_act = bytes.clone();
+            bad_act[16..20].copy_from_slice(&(4 + count_mask).to_le_bytes());
+            prop_assert_eq!(
+                load_model(&bad_act).err(),
+                Some(LoadModelError::UnknownActivation(4 + count_mask))
+            );
+
+            // WidthMismatch: the Gru after the dense layer (its in_dim is
+            // at 21) declares a width the dense layer does not emit
+            let found = w[1] ^ count_mask as usize;
+            let mut bad_width = bytes.clone();
+            bad_width[21..25].copy_from_slice(&(found as u32).to_le_bytes());
+            prop_assert_eq!(
+                load_model(&bad_width).err(),
+                Some(LoadModelError::WidthMismatch { layer: 1, expected: w[1], found })
             );
 
             // ParamMismatch: the count field disagrees with the header

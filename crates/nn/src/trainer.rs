@@ -1,4 +1,5 @@
-//! Mini-batch training loops for classification models.
+//! The mini-batch training loop: one epoch driver, [`fit_batches`], and
+//! its softmax cross-entropy instance, [`fit_classifier`].
 
 use crate::layer::Layer;
 use crate::loss::softmax_cross_entropy;
@@ -9,7 +10,7 @@ use mdl_tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Configuration for [`fit_classifier`].
+/// Configuration for [`fit_batches`] and [`fit_classifier`].
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
@@ -56,7 +57,91 @@ pub struct EpochStats {
     pub accuracy: f64,
 }
 
-/// Trains `model` with softmax cross-entropy on `(x, labels)`.
+/// The one mini-batch epoch loop of the workspace.
+///
+/// The driver owns everything that is the same for every mini-batch
+/// trainer: it checks the set is non-empty, applies
+/// `config.kernel_threads`, shuffles the example order once per epoch
+/// (when `config.shuffle`), walks it in `config.batch_size` chunks, opens
+/// the `train.fit` / `train.epoch` / `train.batch` spans and `train.*`
+/// instruments when `config.obs` is set, and reduces what the batches
+/// report into one [`EpochStats`] per epoch.
+///
+/// `step` owns the batch: gather the chunk's examples, `zero_grad`,
+/// forward, loss, backward, clip, optimizer step. It returns
+/// `(loss, weight, correct)`; the epoch's loss is `Σ loss / Σ weight` — a
+/// step that reports a batch mean weighs 1, one that reports a per-example
+/// sum weighs `chunk.len()` — and its accuracy is `Σ correct / n`.
+/// `config.grad_clip` is the step's to honour ([`fit_classifier`] does).
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn fit_batches(
+    n: usize,
+    config: &TrainConfig,
+    rng: &mut impl Rng,
+    mut step: impl FnMut(&[usize]) -> (f64, usize, usize),
+) -> Vec<EpochStats> {
+    assert!(n > 0, "training set must be non-empty");
+    if let Some(t) = config.kernel_threads {
+        mdl_tensor::kernel::set_threads(t);
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut history = Vec::with_capacity(config.epochs);
+
+    // resolve instrumentation once; the batch loop then only touches
+    // atomics (counters) and the span ring buffer
+    let instruments = config.obs.as_ref().map(|obs| {
+        (
+            obs.root_span("train.fit"),
+            obs.registry().counter("train.batches"),
+            obs.registry().counter("train.examples"),
+            obs.registry().histogram("train.batch_ns", Buckets::Pow2),
+            obs.clock().clone(),
+        )
+    });
+
+    for epoch in 0..config.epochs {
+        let epoch_span = instruments.as_ref().map(|(fit, _, _, _, _)| fit.child("train.epoch"));
+        if config.shuffle {
+            order.shuffle(rng);
+        }
+        let (mut total_loss, mut total_weight, mut total_correct) = (0.0f64, 0usize, 0usize);
+        for chunk in order.chunks(config.batch_size.max(1)) {
+            let batch_span = epoch_span.as_ref().map(|e| e.child("train.batch"));
+            let t0 = instruments.as_ref().map(|(_, _, _, _, clock)| clock.now_ns());
+            let (loss, weight, correct) = step(chunk);
+            total_loss += loss;
+            total_weight += weight;
+            total_correct += correct;
+            if let Some((_, batch_counter, examples, batch_ns, clock)) = instruments.as_ref() {
+                batch_counter.inc();
+                examples.add(chunk.len() as u64);
+                batch_ns.record(clock.now_ns().saturating_sub(t0.unwrap_or(0)));
+            }
+            drop(batch_span);
+        }
+        let stats = EpochStats {
+            epoch,
+            loss: total_loss / total_weight.max(1) as f64,
+            accuracy: total_correct as f64 / n as f64,
+        };
+        if let Some(obs) = &config.obs {
+            obs.registry().gauge("train.loss").set(stats.loss);
+            obs.registry().gauge("train.accuracy").set(stats.accuracy);
+        }
+        history.push(stats);
+        drop(epoch_span);
+    }
+    if let Some((fit, ..)) = instruments {
+        fit.exit();
+    }
+    history
+}
+
+/// Trains `model` with softmax cross-entropy on `(x, labels)` — the
+/// plain-classifier instance of [`fit_batches`].
 ///
 /// Returns per-epoch loss/accuracy. The model is modified in place.
 ///
@@ -72,77 +157,24 @@ pub fn fit_classifier(
     rng: &mut impl Rng,
 ) -> Vec<EpochStats> {
     assert_eq!(x.rows(), labels.len(), "one label per example required");
-    assert!(!labels.is_empty(), "training set must be non-empty");
-    if let Some(t) = config.kernel_threads {
-        mdl_tensor::kernel::set_threads(t);
-    }
-    let n = labels.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(config.epochs);
-
-    // resolve instrumentation once; the batch loop then only touches
-    // atomics (counters) and the span ring buffer
-    let instruments = config.obs.as_ref().map(|obs| {
+    if let Some(obs) = &config.obs {
         model.set_profiler(Some(LayerProfiler::new(obs)));
-        (
-            obs.root_span("train.fit"),
-            obs.registry().counter("train.batches"),
-            obs.registry().counter("train.examples"),
-            obs.registry().histogram("train.batch_ns", Buckets::Pow2),
-            obs.clock().clone(),
-        )
-    });
-
-    for epoch in 0..config.epochs {
-        let epoch_span = instruments.as_ref().map(|(fit, _, _, _, _)| fit.child("train.epoch"));
-        if config.shuffle {
-            order.shuffle(rng);
-        }
-        let mut total_loss = 0.0f64;
-        let mut correct = 0usize;
-        let mut batches = 0usize;
-        for chunk in order.chunks(config.batch_size.max(1)) {
-            let batch_span = epoch_span.as_ref().map(|e| e.child("train.batch"));
-            let t0 = instruments.as_ref().map(|(_, _, _, _, clock)| clock.now_ns());
-            let bx = x.select_rows(chunk);
-            let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-            model.zero_grad();
-            let logits = model.forward(&bx);
-            let (loss, grad) = softmax_cross_entropy(&logits, &by);
-            let _ = model.backward(&grad);
-            if let Some(max_norm) = config.grad_clip {
-                clip_gradients(model, max_norm);
-            }
-            opt.step(model);
-
-            total_loss += loss as f64;
-            batches += 1;
-            for (p, &y) in logits.argmax_rows().iter().zip(by.iter()) {
-                if *p == y {
-                    correct += 1;
-                }
-            }
-            if let Some((_, batch_counter, examples, batch_ns, clock)) = instruments.as_ref() {
-                batch_counter.inc();
-                examples.add(chunk.len() as u64);
-                batch_ns.record(clock.now_ns().saturating_sub(t0.unwrap_or(0)));
-            }
-            drop(batch_span);
-        }
-        let stats = EpochStats {
-            epoch,
-            loss: total_loss / batches.max(1) as f64,
-            accuracy: correct as f64 / n as f64,
-        };
-        if let Some(obs) = &config.obs {
-            obs.registry().gauge("train.loss").set(stats.loss);
-            obs.registry().gauge("train.accuracy").set(stats.accuracy);
-        }
-        history.push(stats);
-        drop(epoch_span);
     }
-    if let Some((fit, ..)) = instruments {
-        fit.exit();
+    let history = fit_batches(labels.len(), config, rng, |chunk| {
+        let bx = x.select_rows(chunk);
+        let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+        model.zero_grad();
+        let logits = model.forward(&bx);
+        let (loss, grad) = softmax_cross_entropy(&logits, &by);
+        let _ = model.backward(&grad);
+        if let Some(max_norm) = config.grad_clip {
+            clip_gradients(model, max_norm);
+        }
+        opt.step(model);
+        let correct = logits.argmax_rows().iter().zip(&by).filter(|(p, y)| p == y).count();
+        (loss as f64, 1, correct)
+    });
+    if config.obs.is_some() {
         model.set_profiler(None);
     }
     history

@@ -18,10 +18,10 @@ use crate::accountant::MomentsAccountant;
 use crate::mechanism::clip_update;
 use mdl_data::Dataset;
 use mdl_federated::{MlpSpec, RoundRecord};
-use mdl_nn::{fit_classifier, ParamVector, Sgd, TrainConfig};
+use mdl_nn::ParamVector;
 use mdl_tensor::init::gaussian;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Hyper-parameters of a DP-FedAvg run.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,28 +126,18 @@ pub fn run_dp_fedavg(
 
         let mut sum_delta = vec![0.0f32; dim];
         for &c in &selected {
-            let data = &clients[c];
-            let mut local = spec.build_with(&params);
-            let mut opt = Sgd::new(config.learning_rate);
-            let mut local_rng = StdRng::seed_from_u64(rng.gen());
-            let _ = fit_classifier(
-                &mut local,
-                &mut opt,
-                &data.x,
-                &data.y,
-                &TrainConfig {
-                    epochs: config.local_epochs,
-                    batch_size: config.batch_size.min(data.len().max(1)),
-                    shuffle: true,
-                    grad_clip: None,
-                    kernel_threads: None,
-                    obs: None,
-                },
-                &mut local_rng,
+            let trained = spec.train_client(
+                &params,
+                &clients[c],
+                config.local_epochs,
+                config.batch_size,
+                config.learning_rate,
+                None,
+                rng.gen(),
             );
             // 2. clip the model delta to S
             let mut delta: Vec<f32> =
-                local.param_vector().iter().zip(params.iter()).map(|(a, b)| a - b).collect();
+                trained.iter().zip(params.iter()).map(|(a, b)| a - b).collect();
             let pre = clip_update(&mut delta, config.clip_norm);
             if pre > config.clip_norm {
                 clipped += 1;
@@ -198,6 +188,7 @@ mod tests {
     use super::*;
     use mdl_data::partition::{partition_dataset, Partition};
     use mdl_data::synthetic::gaussian_blobs;
+    use rand::SeedableRng;
 
     fn setup(rng: &mut StdRng) -> (MlpSpec, Vec<Dataset>, Dataset) {
         let data = gaussian_blobs(500, 3, 0.5, rng);

@@ -51,6 +51,7 @@ use crate::slo::SloClass;
 use mdl_nn::{PlanCache, PlanLookup, PlanModel, Sequential};
 use mdl_obs::{Buckets, Obs};
 use mdl_sim::EventQueue;
+use mdl_tensor::stats::nearest_rank;
 use mdl_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -134,11 +135,7 @@ impl ClassStats {
     /// Exact `p`-th percentile of the served latencies (`0 < p <= 100`),
     /// in virtual nanoseconds; 0 when nothing was served.
     pub fn percentile_ns(&self, p: f64) -> u64 {
-        if self.latency_ns.is_empty() {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.latency_ns.len() as f64).ceil().max(1.0) as usize;
-        self.latency_ns[rank.min(self.latency_ns.len()) - 1]
+        nearest_rank(&self.latency_ns, p / 100.0).unwrap_or(0)
     }
 }
 

@@ -25,6 +25,7 @@ use crate::router::{ClientProfile, Route};
 use crate::server::{InferenceResponse, ServeClient};
 use crate::slo::SloClass;
 use crossbeam::channel::Receiver;
+use mdl_tensor::stats::nearest_rank;
 use mdl_tensor::wire::Reader;
 use mdl_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -199,20 +200,12 @@ impl LoadReport {
     /// Exact `p`-th percentile latency (`0 < p <= 100`) from the sorted
     /// **served** samples; shed responses never contribute.
     pub fn percentile(&self, p: f64) -> Duration {
-        Self::exact_percentile(&self.latencies, p)
+        nearest_rank(&self.latencies, p / 100.0).unwrap_or_default()
     }
 
     /// Exact `p`-th percentile latency of the shed fallback path.
     pub fn shed_percentile(&self, p: f64) -> Duration {
-        Self::exact_percentile(&self.shed_latencies, p)
-    }
-
-    fn exact_percentile(sorted: &[Duration], p: f64) -> Duration {
-        if sorted.is_empty() {
-            return Duration::ZERO;
-        }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-        sorted[rank.min(sorted.len()) - 1]
+        nearest_rank(&self.shed_latencies, p / 100.0).unwrap_or_default()
     }
 
     /// Completed requests per second.
@@ -280,8 +273,8 @@ impl LoadReport {
             class_served,
             class_shed,
             mean_batch_size: if batched == 0 { 0.0 } else { batch_sum as f64 / batched as f64 },
-            gen_late_p50: Self::exact_percentile(&late, 50.0),
-            gen_late_p99: Self::exact_percentile(&late, 99.0),
+            gen_late_p50: nearest_rank(&late, 0.50).unwrap_or_default(),
+            gen_late_p99: nearest_rank(&late, 0.99).unwrap_or_default(),
         }
     }
 }

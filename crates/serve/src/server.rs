@@ -35,7 +35,7 @@ use crate::slo::SloClass;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mdl_compress::CompressedModel;
 use mdl_nn::saved::LoadModelError;
-use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, QuantizedModel, Sequential};
+use mdl_nn::{Layer, PlanCache, PlanLookup, PlanModel, Sequential};
 use mdl_obs::Obs;
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
@@ -501,7 +501,7 @@ pub struct InferenceServer {
 
 impl InferenceServer {
     /// Starts the workers around an initial model (f32
-    /// [`Sequential`] or int8 [`QuantizedModel`]). `fallback` is the
+    /// [`Sequential`] or int8 [`mdl_nn::QuantizedModel`]). `fallback` is the
     /// optional early-exit network used for load shedding; without one,
     /// overload falls back to queue backpressure only.
     pub fn start(
@@ -576,12 +576,6 @@ impl InferenceServer {
         let version = self.shared.registry.swap(model);
         self.shared.metrics.record_swap();
         version
-    }
-
-    /// Atomically swaps in an int8 model (alias of
-    /// [`InferenceServer::swap_model`], kept for call-site clarity).
-    pub fn swap_quantized(&self, model: QuantizedModel) -> u64 {
-        self.swap_model(model)
     }
 
     /// Lowers a `mdl_compress::quantize` artifact straight onto the int8

@@ -131,6 +131,8 @@ pub fn median(xs: &[f32]) -> f32 {
 }
 
 /// `p`-quantile (0 ≤ p ≤ 1) with linear interpolation; `0.0` when empty.
+/// [`nearest_rank`] is the other convention: it never invents a value
+/// between two samples.
 pub fn quantile(xs: &[f32], p: f64) -> f32 {
     if xs.is_empty() {
         return 0.0;
@@ -142,6 +144,16 @@ pub fn quantile(xs: &[f32], p: f64) -> f32 {
     let hi = pos.ceil() as usize;
     let frac = (pos - lo as f64) as f32;
     v[lo] * (1.0 - frac) + v[hi] * frac
+}
+
+/// Nearest-rank `p`-quantile (0 ≤ p ≤ 1) of an ascending slice: the
+/// sample at 1-based rank `⌈p·n⌉`, clamped into the slice; `None` when
+/// empty. Unlike the interpolating [`quantile`] the answer is always a
+/// sample that occurred, so a p99 latency is one some request saw and the
+/// result is exact for any `T`.
+pub fn nearest_rank<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied()
 }
 
 #[cfg(test)]
@@ -220,5 +232,22 @@ mod tests {
         assert_eq!(quantile(&[0.0, 10.0], 0.5), 5.0);
         assert_eq!(quantile(&[1.0, 2.0, 3.0], 0.0), 1.0);
         assert_eq!(quantile(&[1.0, 2.0, 3.0], 1.0), 3.0);
+    }
+
+    #[test]
+    fn nearest_rank_returns_a_sample_and_clamps() {
+        let xs: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&xs, 0.5), Some(50));
+        assert_eq!(nearest_rank(&xs, 0.99), Some(99));
+        assert_eq!(nearest_rank(&xs, 0.991), Some(100));
+        assert_eq!(nearest_rank(&xs, 1.0), Some(100));
+        // out-of-range and NaN ranks clamp into the slice
+        assert_eq!(nearest_rank(&xs, 0.0), Some(1));
+        assert_eq!(nearest_rank(&xs, -1.0), Some(1));
+        assert_eq!(nearest_rank(&xs, 7.0), Some(100));
+        assert_eq!(nearest_rank(&xs, f64::NAN), Some(1));
+        // where the interpolating convention invents 5.0
+        assert_eq!(nearest_rank(&[0.0, 10.0], 0.5), Some(0.0));
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
     }
 }

@@ -112,7 +112,7 @@ fn server_hot_swaps_between_f32_and_int8_under_a_live_client() {
     assert_eq!(server.precision(), "f32");
     let before = client.submit(&input, profile).unwrap().recv().unwrap();
 
-    let v2 = server.swap_quantized(qm);
+    let v2 = server.swap_model(qm);
     assert_eq!(server.precision(), "int8");
     let after = client.submit(&input, profile).unwrap().recv().unwrap();
     assert_eq!(after.model_version, v2);

@@ -248,7 +248,7 @@ impl Surface for Mdlm {
     // per 4 B parameter (value, gradient buffer, the vector copied from).
     const C: usize = 256;
     const K: usize = 4096;
-    // unknown activation tags fold to Identity
+    // a recurrent entry's unused `extra` field is read and dropped
     const ONE_ENCODING: bool = false;
 
     fn decode(input: &[u8]) -> Option<Sequential> {
@@ -543,8 +543,9 @@ fn golden_frames_decode_and_re_encode_byte_for_byte() {
     assert_eq!(RequestRecord::from_bytes(&golden["request-record"]), Some(golden_record()));
 }
 
-/// The four frames that aborted or panicked the process at the parent
-/// commit (ccc01d1) now return an error.
+/// The four frames that aborted or panicked the process at ccc01d1, and
+/// the two malformed ones `load_model` still accepted at 250b5cb, are
+/// errors.
 #[test]
 fn parent_commit_reproducers_are_errors() {
     // 39-byte MDLD: dense-raw with total = u32::MAX reserved 17 179 869 180 B
@@ -568,6 +569,29 @@ fn parent_commit_reproducers_are_errors() {
         "{result:?}"
     );
     assert!(requested < 4096, "{requested} bytes requested");
+
+    // two frames `load_model` accepted at 250b5cb: a 3 -> 2 dense layer
+    // feeding a 3 -> 2 one (the right parameter count, so it loaded and
+    // panicked at the first forward), and activation tag 9 read as Identity
+    let two_dense = |first: [u32; 3], second: [u32; 3], params: u32| {
+        let mut f = b"MDLM\x01\x02\x00".to_vec();
+        for fields in [first, second] {
+            f.push(0);
+            f.extend(fields.iter().flat_map(|v| v.to_le_bytes()));
+        }
+        f.extend_from_slice(&params.to_le_bytes());
+        f.resize(f.len() + 4 * params as usize, 0);
+        f
+    };
+    assert_eq!(
+        load_model(&two_dense([3, 2, 1], [3, 2, 1], 16)).err(),
+        Some(LoadModelError::WidthMismatch { layer: 1, expected: 2, found: 3 })
+    );
+    assert_eq!(
+        load_model(&two_dense([3, 2, 1], [2, 2, 9], 14)).err(),
+        Some(LoadModelError::UnknownActivation(9))
+    );
+    assert!(load_model(&two_dense([3, 2, 1], [2, 2, 4], 14)).is_ok(), "the frames are well formed");
 
     // 13-byte Huffman block: a code length of 200 indexed a 33-slot table
     let huffman = [1, 0, 200, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0];
