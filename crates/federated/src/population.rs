@@ -41,8 +41,8 @@ pub struct PopulationTask {
     pub local_epochs: usize,
     /// Local mini-batch size.
     pub batch_size: usize,
-    /// GEMM threads inside one client's training (keep low: clients
-    /// already train on parallel engine waves).
+    /// GEMM threads inside one client's training (keep low: the engine
+    /// already trains clients on one worker per core).
     pub kernel_threads: Option<usize>,
     /// Number of blob classes.
     pub classes: usize,

@@ -9,10 +9,12 @@
 //! * [`ShardedAggregator`] accumulates updates into fixed-point `i128`
 //!   shard accumulators. Integer addition is associative and commutative,
 //!   so the final mean is **bit-identical for any shard count, any
-//!   accumulation order, and any thread count** — the property tests pin
-//!   1 shard vs 8 shards to the bit. This is the population-scale path:
-//!   updates stream in and are dropped immediately; nothing is ever
-//!   buffered per client.
+//!   accumulation order, and any split over partial aggregators that are
+//!   [`merge`](ShardedAggregator::merge)d afterwards** — the property
+//!   tests pin all three to the bit. This is the population-scale path:
+//!   each training worker streams its clients' updates into its own
+//!   aggregator and drops them immediately; nothing is ever buffered per
+//!   client.
 
 /// One client's locally-trained result, ready for upload.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,6 +143,26 @@ impl ShardedAggregator {
         true
     }
 
+    /// Folds everything `other` accumulated into `self`, as if each of its
+    /// updates had been streamed here: the sums are integers, so merging
+    /// partial aggregators in any order and any grouping gives the same
+    /// [`mean`](Self::mean) bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two aggregate different dimensions.
+    pub fn merge(&mut self, other: &Self) {
+        assert_eq!(self.dim, other.dim, "merging aggregators of different dimensions");
+        let into = &mut self.shards[0];
+        for shard in &other.shards {
+            for (a, &b) in into.acc.iter_mut().zip(&shard.acc) {
+                *a += b;
+            }
+            into.weight += shard.weight;
+            into.updates += shard.updates;
+        }
+    }
+
     /// The weighted mean over everything streamed in, or `None` when the
     /// total weight is zero. Shard totals are reduced with integer adds,
     /// so the result is independent of how updates were split across
@@ -162,6 +184,47 @@ impl ShardedAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeedStream;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // However the updates are dealt to 1–9 partial aggregators (of
+        // whatever shard counts) and in whatever order and grouping those
+        // are merged, the result is the single aggregator's, to the bit.
+        #[test]
+        fn merged_partials_equal_one_aggregator(
+            seed in any::<u64>(),
+            updates in 0usize..=64,
+            partials in 1usize..=9,
+            dim in 1usize..12,
+        ) {
+            let mut draw = SeedStream::new(seed, updates as u64, partials as u64);
+            let mut single = ShardedAggregator::new(dim, 1);
+            let mut parts: Vec<ShardedAggregator> = (0..partials)
+                .map(|_| ShardedAggregator::new(dim, 1 + (draw.next_u64() % 3) as usize))
+                .collect();
+            for _ in 0..updates {
+                let values: Vec<f32> =
+                    (0..dim).map(|_| (draw.next_f64() as f32 - 0.5) * 20.0).collect();
+                let n = draw.next_u64() % 1000;
+                prop_assert!(single.accumulate(0, &values, n));
+                let part = (draw.next_u64() % partials as u64) as usize;
+                prop_assert!(parts[part].accumulate(draw.next_u64() as usize, &values, n));
+            }
+            while parts.len() > 1 {
+                let from = parts.swap_remove((draw.next_u64() % parts.len() as u64) as usize);
+                let into = (draw.next_u64() % parts.len() as u64) as usize;
+                parts[into].merge(&from);
+            }
+            let merged = &parts[0];
+            prop_assert_eq!(merged.mean(), single.mean());
+            prop_assert_eq!(merged.updates(), updates as u64);
+            let weight = |a: &ShardedAggregator| a.shards.iter().map(|s| s.weight).sum::<u128>();
+            prop_assert_eq!(weight(merged), weight(&single));
+        }
+    }
 
     #[test]
     fn buffered_mean_matches_hand_arithmetic() {

@@ -11,10 +11,17 @@
 //! lazily-advanced [`Population`], pushes traffic through per-client
 //! `mdl-net` links keyed by stable client id, charges local compute
 //! against the round deadline, trains only the clients whose uploads
-//! actually arrived, and streams their updates into a shard-count-
-//! invariant fixed-point aggregator. Every draw is a stateless function
-//! of `(seed, round, client id)`, so a 100k-client round is bit-identical
-//! across runs, thread counts and cohort compositions.
+//! actually arrived, and streams their updates into fixed-point
+//! aggregators. Every draw is a stateless function of `(seed, round,
+//! client id)`, so a 100k-client round is bit-identical across runs,
+//! worker counts and cohort compositions.
+//!
+//! Both engines train a round's clients through `for_each_claimed`, the
+//! one place this crate spawns threads: a fixed set of workers — one per
+//! core, at most `MAX_WORKERS`, the calling thread among them — claim
+//! client after client from a shared counter. A client costs tens of
+//! microseconds to train, less than a thread costs to spawn, so threads
+//! are per round and never per client.
 
 use crate::aggregate::{BufferedAggregator, LocalUpdate, ShardedAggregator};
 use crate::cohort::{sample_cohort, CohortSpec};
@@ -29,6 +36,7 @@ use mdl_obs::{Counter, Obs, Span};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Domain separators: link jitter, local-training seeds and edge
 // assignment must never alias each other or the fault/cohort streams.
@@ -36,6 +44,49 @@ const LINK_DOMAIN: u64 = 0x1111_C000_0000_0000;
 const TRAIN_DOMAIN: u64 = 0x7124_1000_0000_0000;
 const EDGE_DOMAIN: u64 = 0xED6E_0000_0000_0000;
 const EDGE_LINK_DOMAIN: u64 = 0xED6E_1111_0000_0000;
+
+/// Most workers a round trains on, however many cores there are.
+const MAX_WORKERS: usize = 8;
+
+/// Workers a round may use on this host: one per core the process may run
+/// on, at most [`MAX_WORKERS`].
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_WORKERS)
+}
+
+/// Runs `job(i, &mut state)` once for every `i < jobs` on up to `workers`
+/// threads, the calling thread being one of them, and returns each
+/// worker's state. A worker builds its state with `init`, then claims
+/// the next unclaimed index until none is left; which worker ran which
+/// index is up to the scheduler, so the states must combine the same way
+/// whatever the split. With one worker nothing is spawned.
+fn for_each_claimed<S, I, J>(workers: usize, jobs: usize, init: I, job: J) -> Vec<S>
+where
+    S: Send,
+    I: Fn() -> S + Sync,
+    J: Fn(usize, &mut S) + Sync,
+{
+    // Relaxed: the counter only hands out indices, each exactly once;
+    // everything a job reads was written before the scope opened and
+    // everything it writes comes back through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return state;
+            }
+            job(i, &mut state);
+        }
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers.min(jobs)).map(|_| scope.spawn(work)).collect();
+        let mut states = vec![work()];
+        states.extend(spawned.into_iter().map(|h| h.join().expect("training worker panicked")));
+        states
+    })
+}
 
 /// Hyper-parameters of the legacy fixed-cohort loop that the engine needs
 /// to drive a round; everything model-specific stays behind the closures.
@@ -54,13 +105,14 @@ pub struct LegacyConfig {
 /// Drives the classic FedAvg loop over a [`Fabric`], consuming `rng`
 /// exactly as the original monolithic implementation did: eligibility
 /// sample, shuffle, per-selected `(seed, failure)` draws — in that order,
-/// nothing more. Training runs on one scoped thread per selected client
-/// with pre-drawn seeds, so thread scheduling cannot perturb results.
+/// nothing more. Training runs on the round's workers with pre-drawn
+/// seeds and the results go back into selection order, so thread
+/// scheduling cannot perturb results.
 ///
 /// * `sample_eligible` returns the eligible client indices (consuming
 ///   `rng` however the availability model requires).
 /// * `train` maps `(client, seed, global params)` to a [`LocalUpdate`];
-///   it runs on a scoped thread and must not touch shared mutable state.
+///   it runs on a worker thread and must not touch shared mutable state.
 /// * `evaluate` is called after every quorum-successful round with
 ///   `(round, params, total_bytes, participants)`; returning `true`
 ///   stops the run early.
@@ -85,6 +137,7 @@ where
 {
     let mut params = initial_params;
     let mut consecutive_quorum_misses = 0usize;
+    let workers = host_workers();
 
     let fed_obs = fabric.obs().cloned();
     let fed_counters = fed_obs.as_ref().map(|o| {
@@ -110,7 +163,7 @@ where
         let selected = &eligible[..m];
 
         // seeds and failure fates drawn in selection order before any
-        // thread spawns — bit-determinism does not depend on scheduling
+        // worker starts — bit-determinism does not depend on scheduling
         let fates: Vec<(u64, bool)> = selected
             .iter()
             .map(|_| {
@@ -123,28 +176,22 @@ where
             .iter()
             .map(|&c| fabric.send_down(c, cfg.param_bytes).is_ok() && !fabric.client_dropped(c))
             .collect();
-        let params_ref = &params;
-        let train_ref = &train;
-        let results: Vec<Option<LocalUpdate>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = selected
-                .iter()
-                .zip(fates.iter().zip(reached.iter()))
-                .map(|(&c, (&(seed, fails), &reached))| {
-                    scope.spawn(move || {
-                        if fails || !reached {
-                            return None;
-                        }
-                        Some(train_ref(c, seed, params_ref))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-        });
+        let mut trained: Vec<(usize, LocalUpdate)> =
+            for_each_claimed(workers, selected.len(), Vec::new, |i, done| {
+                let (seed, fails) = fates[i];
+                if !fails && reached[i] {
+                    done.push((i, train(selected[i], seed, &params)));
+                }
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        // uploads and the float average go in selection order
+        trained.sort_unstable_by_key(|&(i, _)| i);
 
         let mut agg = BufferedAggregator::new();
-        for (&c, update) in selected.iter().zip(results) {
-            let Some(update) = update else { continue };
-            if fabric.send_up(c, update.wire_bytes).is_ok() {
+        for (i, update) in trained {
+            if fabric.send_up(selected[i], update.wire_bytes).is_ok() {
                 agg.push(update.values, update.num_examples);
             }
         }
@@ -221,12 +268,11 @@ pub struct SimConfig {
     pub quorum_fraction: f64,
     /// Consecutive quorum misses tolerated before giving up.
     pub max_failed_rounds: usize,
-    /// Shard accumulators in the streaming aggregator (memory is
-    /// O(shards × dim); the mean is bit-identical for any value).
+    /// Unread by the engine, which keeps one accumulator per training
+    /// worker. It stays only because `benchmark/src/probes.rs` sizes its
+    /// aggregator probe from it and no PR but a benchmark one may edit
+    /// that file (ROADMAP 1(i)).
     pub shards: usize,
-    /// Clients trained concurrently per wave (wall-clock knob only;
-    /// results are bit-identical for any value).
-    pub wave: usize,
     /// Local-training cost model: multiply–accumulates per example per
     /// round, divided by the device's `macs_per_sec` and charged against
     /// the round deadline.
@@ -251,7 +297,6 @@ impl Default for SimConfig {
             quorum_fraction: 0.5,
             max_failed_rounds: 5,
             shards: 4,
-            wave: 8,
             macs_per_example: 1.0e6,
             topology: Topology::Flat,
             seed: 0,
@@ -290,8 +335,8 @@ impl std::error::Error for SimError {}
 
 /// The model-specific half of a population simulation: the engine knows
 /// *when* and *whether* a client trains, the trainer knows *what* that
-/// means. Runs on scoped worker threads, so it must be `Sync` and must
-/// derive everything from `(client, seed, global)`.
+/// means. Runs on the round's worker threads, so it must be `Sync` and
+/// must derive everything from `(client, seed, global)`.
 pub trait ClientTrainer: Sync {
     /// Local dataset size of `client` — the FedAvg weight `n_k`, also
     /// used to price the client's compute time against the deadline.
@@ -322,7 +367,8 @@ pub struct RoundOutcome {
     pub eligible: usize,
     /// Clients selected into the cohort.
     pub cohort: usize,
-    /// Updates that reached the server.
+    /// Updates that reached the server and were averaged (one of the
+    /// wrong length is dropped on arrival and counts nowhere).
     pub delivered: usize,
     /// Whether the quorum was met (the global model advanced).
     pub quorum_met: bool,
@@ -407,11 +453,13 @@ struct PendingRound {
 ///
 /// Per round: advance the population to the round's virtual start time,
 /// gate eligibility, sample the cohort, simulate each selected client's
-/// download → local compute → upload over its own faulty link, train the
-/// survivors wave-parallel (seeds pre-drawn from `(seed, round, id)`),
-/// and stream their updates into the sharded aggregator. Arrivals and
-/// round boundaries are discrete events on a virtual-time queue that
-/// drives `obs`'s sim clock.
+/// download → local compute → upload over its own faulty link, then
+/// train the survivors on one worker per core (seeds pre-drawn from
+/// `(seed, round, id)`), each worker streaming its clients' updates into
+/// its own fixed-point aggregator; the partial sums are merged with
+/// integer adds, so the mean does not depend on how many workers there
+/// were or who trained whom. Arrivals and round boundaries are discrete
+/// events on a virtual-time queue that drives `obs`'s sim clock.
 ///
 /// # Errors
 ///
@@ -419,6 +467,18 @@ struct PendingRound {
 /// quorum misses; [`SimError::EmptyPopulation`] for a zero-client
 /// population.
 pub fn run_population<T: ClientTrainer>(
+    cfg: &SimConfig,
+    population: &mut Population,
+    initial_params: Vec<f32>,
+    trainer: &T,
+    obs: Option<&Obs>,
+) -> Result<PopulationReport, SimError> {
+    run_population_on(host_workers(), cfg, population, initial_params, trainer, obs)
+}
+
+/// [`run_population`] with the round's worker count chosen by the caller.
+fn run_population_on<T: ClientTrainer>(
+    workers: usize,
     cfg: &SimConfig,
     population: &mut Population,
     initial_params: Vec<f32>,
@@ -532,33 +592,30 @@ pub fn run_population<T: ClientTrainer>(
                     delivered.sort_unstable_by_key(|&(id, _)| id);
                 }
 
-                // wave-parallel local training for the survivors only;
-                // seeds pre-drawn, accumulation order fixed by cohort
-                // order — and the fixed-point aggregator is order- and
-                // shard-invariant anyway
-                let mut agg = ShardedAggregator::new(dim, cfg.shards);
-                let wave = cfg.wave.max(1);
-                let params_ref = &params;
-                for (w, chunk) in delivered.chunks(wave).enumerate() {
-                    let results: Vec<Vec<f32>> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = chunk
-                            .iter()
-                            .map(|&(id, _)| {
-                                let seed = keyed_hash(cfg.seed ^ TRAIN_DOMAIN, round as u64, id);
-                                scope.spawn(move || trainer.train(id, seed, params_ref))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("client thread panicked"))
-                            .collect()
-                    });
-                    for (i, (values, &(id, _))) in results.iter().zip(chunk.iter()).enumerate() {
-                        agg.accumulate(w * wave + i, values, trainer.num_examples(id));
-                    }
-                }
+                // local training for the survivors only, seeds pre-drawn;
+                // the fixed-point sums make the merged mean the same for
+                // any split of the survivors over the workers
+                let agg = for_each_claimed(
+                    workers,
+                    delivered.len(),
+                    || ShardedAggregator::new(dim, 1),
+                    |i, agg| {
+                        let (id, _) = delivered[i];
+                        let seed = keyed_hash(cfg.seed ^ TRAIN_DOMAIN, round as u64, id);
+                        let values = trainer.train(id, seed, &params);
+                        agg.accumulate(0, &values, trainer.num_examples(id));
+                    },
+                )
+                .into_iter()
+                .reduce(|mut agg, partial| {
+                    agg.merge(&partial);
+                    agg
+                })
+                .expect("the calling thread is always a worker");
+                // an update of the wrong length was dropped, not averaged
+                let accepted = agg.updates() as usize;
                 if let Some(c) = &counters {
-                    c.updates.add(delivered.len() as u64);
+                    c.updates.add(accepted as u64);
                 }
 
                 for &(_, elapsed_s) in &delivered {
@@ -569,7 +626,7 @@ pub fn run_population<T: ClientTrainer>(
                     start_ns: at,
                     eligible: eligible.len(),
                     cohort: cohort.len(),
-                    delivered: delivered.len(),
+                    delivered: accepted,
                     agg,
                     round_transport,
                 });
@@ -692,29 +749,89 @@ mod tests {
     }
 
     #[test]
-    fn wave_width_never_changes_results() {
-        let run = |wave: usize| {
-            let mut pop = Population::new(PopulationSpec::mobile_mix(300, 3));
-            let cfg = SimConfig { wave, ..small_cfg(9) };
-            run_population(&cfg, &mut pop, vec![0.1; 8], &toy_trainer(), None).unwrap()
+    fn worker_count_never_changes_results() {
+        let run = |workers: usize| {
+            let mut pop = Population::new(PopulationSpec::mobile_mix(3000, 3));
+            run_population_on(workers, &small_cfg(9), &mut pop, vec![0.1; 8], &toy_trainer(), None)
+                .unwrap()
         };
-        let serial = run(1);
-        for wave in [2, 7, 32] {
-            assert_eq!(serial, run(wave), "wave={wave}");
+        let alone = run(1);
+        assert!(
+            alone.rounds.iter().all(|r| r.delivered > 7),
+            "survivors to share: {:?}",
+            alone.rounds
+        );
+        for workers in [2, 7, 32] {
+            assert_eq!(alone, run(workers), "workers={workers}");
         }
     }
 
     #[test]
-    fn shard_count_never_changes_results() {
-        let run = |shards: usize| {
-            let mut pop = Population::new(PopulationSpec::mobile_mix(300, 3));
-            let cfg = SimConfig { shards, ..small_cfg(9) };
-            run_population(&cfg, &mut pop, vec![0.1; 8], &toy_trainer(), None).unwrap()
-        };
-        let one = run(1);
-        for shards in [2, 8, 13] {
-            assert_eq!(one, run(shards), "shards={shards}");
+    fn every_index_is_claimed_once_and_one_worker_spawns_nothing() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 7, 32] {
+            let states = for_each_claimed(workers, 100, Vec::new, |i, seen: &mut Vec<usize>| {
+                assert!(workers > 1 || std::thread::current().id() == caller);
+                seen.push(i);
+            });
+            assert_eq!(states.len(), workers);
+            let mut seen: Vec<usize> = states.into_iter().flatten().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..100).collect::<Vec<_>>(), "workers={workers}");
         }
+        // never more workers than jobs, and the caller alone when there are none
+        assert_eq!(for_each_claimed(8, 3, || (), |_, _| ()).len(), 3);
+        assert_eq!(for_each_claimed(8, 0, || (), |_, _| ()).len(), 1);
+    }
+
+    #[test]
+    fn a_rejected_update_is_not_counted_as_delivered() {
+        // 20 always-on Wi-Fi clients, all selected, no faults: every
+        // upload lands, and client 7's is one value short
+        const BAD: u64 = 7;
+        let trainer = (
+            |client: u64| 10 + client,
+            |client: u64, _seed: u64, global: &[f32]| {
+                let keep = if client == BAD { global.len() - 1 } else { global.len() };
+                global[..keep].iter().map(|g| g + client as f32).collect::<Vec<f32>>()
+            },
+        );
+        let run = |quorum_fraction: f64| {
+            let mut pop =
+                Population::new(PopulationSpec::always_eligible(20, NetworkProfile::wifi(), 1));
+            let cfg = SimConfig {
+                rounds: 1,
+                cohort: CohortSpec::fraction(1.0),
+                quorum_fraction,
+                max_failed_rounds: 1,
+                ..SimConfig::default()
+            };
+            let obs = Obs::sim();
+            let result = run_population(&cfg, &mut pop, vec![0.0; 4], &trainer, Some(&obs));
+            (result, obs.snapshot())
+        };
+
+        // 19 of 20 meets a 19-update quorum, and the mean is of those 19
+        let (report, snap) = run(0.95);
+        let report = report.expect("19 of 20 is a 95% quorum");
+        assert_eq!((report.rounds[0].cohort, report.rounds[0].delivered), (20, 19));
+        assert!(report.rounds[0].quorum_met);
+        assert_eq!(snap.counter("fed.updates"), Some(19));
+        assert_eq!(snap.counter("sim.arrivals"), Some(20), "the upload itself arrived");
+        let mut good = ShardedAggregator::new(4, 1);
+        for client in (0..20u64).filter(|&c| c != BAD) {
+            good.accumulate(0, &[client as f32; 4], 10 + client);
+        }
+        assert_eq!(Some(report.final_params), good.mean());
+
+        // and misses a 20-update one, though 20 uploads arrived
+        let (result, snap) = run(1.0);
+        assert_eq!(
+            result.unwrap_err(),
+            SimError::QuorumUnreachable { round: 1, needed: 20, got: 19 }
+        );
+        assert_eq!(snap.counter("fed.updates"), Some(19));
+        assert_eq!(snap.counter("fed.quorum_misses"), Some(1));
     }
 
     #[test]

@@ -9,18 +9,20 @@
 //! * **virtual time** — a deterministic [`EventQueue`] schedules round
 //!   starts, update arrivals and round ends; the `mdl-obs` sim clock
 //!   advances event by event, so timestamps are a pure function of seeds;
-//! * **compact availability state** — each client is ~80 bytes of
+//! * **compact availability state** — each client is 65 bytes of
 //!   lazily-advanced ON/OFF renewal chains ([`Population`]) built from
 //!   `mdl-mobile` [`AvailabilityProfile`](mdl_mobile::AvailabilityProfile)
 //!   dwell parameters, gating eligibility (idle ∧ charging ∧ unmetered);
+//!   a scan reads 9 of them unless a chain is due to flip;
 //! * **stateless keyed draws** — cohort sampling ([`sample_cohort`]),
 //!   fault fates, link jitter and training seeds all hash
 //!   `(seed, round, client id)`, so no RNG stream ever needs aligning
 //!   across cohorts of different sizes;
-//! * **streaming aggregation** — updates fold into a fixed-point
-//!   [`ShardedAggregator`] whose mean is bit-identical for any shard
-//!   count, accumulation order or thread count, in O(shards × dim)
-//!   memory.
+//! * **streaming aggregation** — a round's survivors are trained by one
+//!   worker per core, each folding updates into its own fixed-point
+//!   [`ShardedAggregator`]; the partials merge with integer adds, so the
+//!   mean is bit-identical for any worker count, split or accumulation
+//!   order, in O(workers × dim) memory.
 //!
 //! [`run_population`] composes all four into the population engine;
 //! [`run_legacy_loop`] drives the classic fixed-cohort loop with the
