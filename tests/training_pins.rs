@@ -5,6 +5,11 @@
 //! owned a private epoch loop; a hash that moves means the RNG draw order,
 //! the batch composition or the optimizer's visit order changed.
 //!
+//! Distributed selective SGD keeps its own local-phase loop; its two pins,
+//! one model below and one above the size at which a wave's participants
+//! train in parallel, hold how a wave's local phases are scheduled to the
+//! results of a seeded run.
+//!
 //! DeepMood exposes no weight accessor, so its pin is the logits of every
 //! training session (a function of every weight) plus the per-epoch
 //! accuracies. The per-epoch *loss* is deliberately not pinned: it is a
@@ -167,4 +172,42 @@ fn population_fedavg_final_params_are_pinned() {
     assert!(report.rounds.iter().all(|r| r.delivered > 0), "every round must train someone");
     let got = hash_params(&report.final_params);
     assert_eq!(got, 0x17998999b881402c, "population FedAvg drifted: {got:#018x}");
+}
+
+/// The E1 architecture: local phases far below the threshold at which
+/// participants train on threads of their own.
+#[test]
+fn selective_sgd_small_model_final_params_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x7125);
+    let data = mdl_core::data::synthetic::synthetic_digits(300, 0.08, &mut rng);
+    let (train, test) = data.split(0.8, &mut rng);
+    let parts = partition_dataset(&train, 6, Partition::Iid, &mut rng);
+    let spec = MlpSpec::new(vec![64, 32, 10], 42);
+    // θ_d < 1 so the per-participant download shuffle is pinned too
+    let config =
+        SelectiveConfig { rounds: 3, download_fraction: 0.5, eval_every: 3, ..Default::default() };
+    let run = run_selective_sgd(&spec, &parts, &test, &config, &mut rng);
+    let got = hash_params(&run.final_params);
+    assert_eq!(got, 0x490fc149bbd9c4bc, "selective SGD (E1 spec) drifted: {got:#018x}");
+}
+
+/// A 64→512→3 model whose local phases are large enough to train a wave's
+/// participants in parallel.
+#[test]
+fn selective_sgd_wide_model_final_params_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(204);
+    let data = mdl_core::data::synthetic::gaussian_blobs(240, 3, 0.5, &mut rng);
+    let (train, test) = data.split(0.8, &mut rng);
+    let parts = partition_dataset(&train, 6, Partition::Iid, &mut rng);
+    let wide = |d: &Dataset| Dataset {
+        x: Matrix::from_fn(d.len(), 64, |r, c| if c < 2 { d.x[(r, c)] } else { 0.0 }),
+        y: d.y.clone(),
+        classes: d.classes,
+    };
+    let parts: Vec<Dataset> = parts.iter().map(wide).collect();
+    let spec = MlpSpec::new(vec![64, 512, 3], 5);
+    let config = SelectiveConfig { rounds: 3, local_steps: 2, ..Default::default() };
+    let run = run_selective_sgd(&spec, &parts, &wide(&test), &config, &mut rng);
+    let got = hash_params(&run.final_params);
+    assert_eq!(got, 0x370bf1d5df919363, "selective SGD (wide spec) drifted: {got:#018x}");
 }
