@@ -45,11 +45,6 @@ pub struct FedConfig {
     pub failure_prob: f64,
     /// Upload 8-bit quantized parameters instead of fp32 (4× less uplink).
     pub quantize_uploads: bool,
-    /// GEMM kernel threads used inside each client's local step (`None`
-    /// keeps the process default). Clients already train on one scoped
-    /// thread each, so keep this low to avoid oversubscription; changing
-    /// it never changes results — the kernel is bit-deterministic.
-    pub kernel_threads: Option<usize>,
 }
 
 impl Default for FedConfig {
@@ -64,7 +59,6 @@ impl Default for FedConfig {
             target_accuracy: None,
             failure_prob: 0.0,
             quantize_uploads: false,
-            kernel_threads: None,
         }
     }
 }
@@ -206,7 +200,7 @@ pub fn run_federated_over(
         rng,
         // 1. per-round eligibility (Bernoulli idle/charging/unmetered)
         |rng| availability.sample_eligible(rng),
-        // 2. one client's local training, on a scoped engine thread with
+        // 2. one client's local training, on one of the round's workers with
         // a pre-drawn seed; client-local training stays uninstrumented —
         // spans from concurrent client threads would interleave
         // nondeterministically
@@ -218,7 +212,6 @@ pub fn run_federated_over(
                 config.local_epochs,
                 config.batch_size,
                 config.learning_rate,
-                config.kernel_threads,
                 seed,
             );
             if config.quantize_uploads {

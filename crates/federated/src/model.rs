@@ -58,10 +58,9 @@ impl MlpSpec {
     /// One client's local step, the same under FedAvg, population FedAvg
     /// and DP-FedAvg: materialise the model at `global`, run `epochs` of
     /// shuffled mini-batch SGD over `data` from a generator seeded with
-    /// `seed` (`kernel_threads` as in [`TrainConfig`]) and return the
-    /// trained parameters. Who is selected and how the result is clipped,
-    /// weighted or noised is what differs, and stays with the caller.
-    #[allow(clippy::too_many_arguments)] // the step's hyper-parameters, one each
+    /// `seed` and return the trained parameters. Who is selected and how
+    /// the result is clipped, weighted or noised is what differs, and stays
+    /// with the caller.
     pub fn train_client(
         &self,
         global: &[f32],
@@ -69,11 +68,10 @@ impl MlpSpec {
         epochs: usize,
         batch_size: usize,
         learning_rate: f32,
-        kernel_threads: Option<usize>,
         seed: u64,
     ) -> Vec<f32> {
         let mut local = self.build_with(global);
-        let config = TrainConfig { epochs, batch_size, kernel_threads, ..Default::default() };
+        let config = TrainConfig { epochs, batch_size, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut opt = Sgd::new(learning_rate);
         let _ = fit_classifier(&mut local, &mut opt, &data.x, &data.y, &config, &mut rng);

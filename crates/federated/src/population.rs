@@ -41,9 +41,6 @@ pub struct PopulationTask {
     pub local_epochs: usize,
     /// Local mini-batch size.
     pub batch_size: usize,
-    /// GEMM threads inside one client's training (keep low: the engine
-    /// already trains clients on one worker per core).
-    pub kernel_threads: Option<usize>,
     /// Number of blob classes.
     pub classes: usize,
     /// Blob noise (σ around each class centre).
@@ -65,7 +62,6 @@ impl PopulationTask {
             learning_rate: 0.2,
             local_epochs: 1,
             batch_size: 16,
-            kernel_threads: Some(1),
             classes: 4,
             noise: 0.5,
             min_examples: 20,
@@ -107,7 +103,6 @@ impl ClientTrainer for PopulationTask {
             self.local_epochs,
             self.batch_size,
             self.learning_rate,
-            self.kernel_threads,
             seed,
         )
     }

@@ -10,9 +10,10 @@
 //! participants all download from the global as the previous wave left
 //! it, and the server applies uploads in participant order between
 //! waves. This keeps the asynchronous flavour (bounded staleness)
-//! while parallelising the expensive local training, and a seeded run
-//! stays deterministic because all randomness is pre-drawn in
-//! participant order.
+//! while parallelising the expensive local training through
+//! `mdl_tensor::par` (on one worker when a local phase is too small to pay
+//! for a thread). A seeded run gives the same bits for any worker count:
+//! all randomness is pre-drawn in participant order.
 
 use crate::comm::CommLedger;
 use crate::fedavg::RoundRecord;
@@ -21,6 +22,7 @@ use crate::update::SparseUpdate;
 use mdl_data::Dataset;
 use mdl_net::{Fabric, TransportMetrics};
 use mdl_nn::{loss::softmax_cross_entropy, Layer, ParamVector};
+use mdl_tensor::par::{for_each_claimed, host_workers};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -85,7 +87,8 @@ impl SelectiveRun {
 const WAVE_SIZE: usize = 4;
 
 /// Estimated MACs of one local phase (`2 · params · steps · batch`) below
-/// which spawning threads costs more than it saves.
+/// which a wave trains on one worker: spawning threads would cost more
+/// than it saves.
 const PARALLEL_WORK_THRESHOLD: u64 = 2_000_000;
 
 /// One participant's local phase: refresh the downloaded coordinates, run
@@ -163,6 +166,22 @@ pub fn run_selective_sgd_over(
     fabric: &mut Fabric,
     rng: &mut StdRng,
 ) -> SelectiveRun {
+    let phase_macs =
+        2 * spec.num_params() as u64 * config.local_steps as u64 * config.batch_size as u64;
+    let workers = if phase_macs < PARALLEL_WORK_THRESHOLD { 1 } else { host_workers() };
+    run_selective_sgd_on(workers, spec, participants, test, config, fabric, rng)
+}
+
+/// [`run_selective_sgd_over`] on `workers` workers per wave.
+fn run_selective_sgd_on(
+    workers: usize,
+    spec: &MlpSpec,
+    participants: &[Dataset],
+    test: &Dataset,
+    config: &SelectiveConfig,
+    fabric: &mut Fabric,
+    rng: &mut StdRng,
+) -> SelectiveRun {
     assert!(!participants.is_empty(), "need at least one participant");
     assert_eq!(fabric.clients(), participants.len(), "fabric must cover every participant");
     assert!(
@@ -190,9 +209,13 @@ pub fn run_selective_sgd_over(
 
         // Pre-draw every participant's randomness in participant order so
         // the run stays deterministic no matter how the threads interleave.
+        // The θ_d downloads go over the fabric before the waves start; a
+        // participant whose download was lost (or who is partitioned or
+        // dropped) keeps training from its stale copy, refreshing nothing.
         let draws: Vec<(Vec<usize>, Vec<Vec<usize>>)> = participants
             .iter()
-            .map(|data| {
+            .enumerate()
+            .map(|(p, data)| {
                 let mut coords: Vec<usize> = (0..dim).collect();
                 if k_down < dim {
                     coords.shuffle(rng);
@@ -205,64 +228,39 @@ pub fn run_selective_sgd_over(
                             .collect()
                     })
                     .collect();
+                if fabric.send_down(p, down_bytes).is_err() {
+                    coords.clear();
+                }
                 (coords, batches)
             })
             .collect();
 
-        // Local phases run concurrently in waves of WAVE_SIZE. Everyone in a
-        // wave downloads from the global as left by the previous wave, and the
-        // server applies each wave's uploads in participant order, so staleness
-        // is bounded by the wave width and gradients keep arriving one wave at
-        // a time instead of summing a whole round's worth from one snapshot
-        // (which overshoots badly at high participant counts).
-        //
-        // Tiny models are trained inline instead: thread spawn/join costs more
-        // than the local phase itself below the work threshold, and the two
-        // paths produce bit-identical results (randomness is pre-drawn and
-        // uploads are applied in participant order either way).
-        let spawn_threads = 2 * dim as u64 * config.local_steps as u64 * config.batch_size as u64
-            >= PARALLEL_WORK_THRESHOLD;
-
-        // The θ_d download goes over the fabric before the waves start; a
-        // participant whose download was lost (or who is partitioned or
-        // dropped) keeps training from its stale copy without the refresh.
-        let refreshed: Vec<bool> =
-            (0..participants.len()).map(|p| fabric.send_down(p, down_bytes).is_ok()).collect();
-
+        // Everyone in a wave downloads from the global as left by the
+        // previous wave, so staleness is bounded by the wave width and
+        // gradients arrive one wave at a time instead of summing a whole
+        // round's worth from one snapshot (which overshoots badly at high
+        // participant counts).
         let mut draws = draws.into_iter();
         for (wave_idx, (wave, wave_locals)) in
             participants.chunks(WAVE_SIZE).zip(locals.chunks_mut(WAVE_SIZE)).enumerate()
         {
             let wave_start = wave_idx * WAVE_SIZE;
-            let wave_draws: Vec<_> = draws.by_ref().take(wave.len()).collect();
-            let members = wave.iter().enumerate().zip(wave_locals.iter_mut()).zip(wave_draws);
-            let refreshed = &refreshed;
-            let outcomes: Vec<SparseUpdate> = if spawn_threads {
-                std::thread::scope(|s| {
-                    let global = &global;
-                    let handles: Vec<_> = members
-                        .map(|(((off, data), local), (coords, batches))| {
-                            s.spawn(move || {
-                                let coords =
-                                    if refreshed[wave_start + off] { &coords[..] } else { &[] };
-                                local_phase(spec, config, global, data, local, coords, &batches)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("participant thread")).collect()
-                })
-            } else {
-                members
-                    .map(|(((off, data), local), (coords, batches))| {
-                        let coords = if refreshed[wave_start + off] { &coords[..] } else { &[] };
-                        local_phase(spec, config, &global, data, local, coords, &batches)
-                    })
-                    .collect()
-            };
+            let members = wave.iter().zip(wave_locals).zip(draws.by_ref().take(wave.len()));
+            let mut outcomes: Vec<(usize, SparseUpdate)> = for_each_claimed(
+                workers,
+                members.enumerate(),
+                Vec::new,
+                |(off, ((data, local), (coords, batches))), done| {
+                    let update = local_phase(spec, config, &global, data, local, &coords, &batches);
+                    done.push((off, update));
+                },
+                |a, b| a.into_iter().chain(b).collect(),
+            );
 
             // The server applies the wave's uploads in participant order —
             // but only the uploads the fabric actually delivered.
-            for (off, update) in outcomes.into_iter().enumerate() {
+            outcomes.sort_unstable_by_key(|&(off, _)| off);
+            for (off, update) in outcomes {
                 if fabric.send_up(wave_start + off, update.wire_bytes()).is_ok() {
                     update.apply_to(&mut global, 1.0);
                 }
@@ -360,10 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_path_is_deterministic() {
-        // 64->512->3 is ~34k params: crosses PARALLEL_WORK_THRESHOLD, so the
-        // local phases really run on spawned threads; two seeded runs must
-        // still agree bit-for-bit.
+    fn worker_count_never_changes_results() {
+        // 64->512->3 is ~34k params: crosses PARALLEL_WORK_THRESHOLD, so
+        // `run_selective_sgd` trains its waves on several workers too
         let mut rng = StdRng::seed_from_u64(204);
         let data = gaussian_blobs(240, 3, 0.5, &mut rng);
         let (train, test) = data.split(0.8, &mut rng);
@@ -380,16 +377,19 @@ mod tests {
         let parts: Vec<Dataset> = parts.iter().map(&wide).collect();
         let test = wide(&test);
         let config = SelectiveConfig { rounds: 3, local_steps: 2, ..Default::default() };
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            run_selective_sgd(&spec, &parts, &test, &config, &mut rng)
+        let run = |workers: usize| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut fabric = Fabric::ideal(parts.len());
+            let run =
+                run_selective_sgd_on(workers, &spec, &parts, &test, &config, &mut fabric, &mut rng);
+            let accuracies: Vec<u64> =
+                run.history.iter().map(|r| r.test_accuracy.to_bits()).collect();
+            (run.final_params, accuracies)
         };
-        let (a, b) = (run(7), run(7));
-        assert_eq!(a.final_params, b.final_params, "thread scheduling leaked into the result");
-        assert_eq!(
-            a.history.iter().map(|r| r.test_accuracy).collect::<Vec<_>>(),
-            b.history.iter().map(|r| r.test_accuracy).collect::<Vec<_>>()
-        );
+        let alone = run(1);
+        for workers in [2, 4, 7] {
+            assert_eq!(alone, run(workers), "workers={workers}");
+        }
     }
 
     #[test]

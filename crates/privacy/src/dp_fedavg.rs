@@ -132,7 +132,6 @@ pub fn run_dp_fedavg(
                 config.local_epochs,
                 config.batch_size,
                 config.learning_rate,
-                None,
                 rng.gen(),
             );
             // 2. clip the model delta to S

@@ -16,10 +16,9 @@
 //! client id)`, so a 100k-client round is bit-identical across runs,
 //! worker counts and cohort compositions.
 //!
-//! Both engines train a round's clients through `for_each_claimed`, the
-//! one place this crate spawns threads: a fixed set of workers — one per
-//! core, at most `MAX_WORKERS`, the calling thread among them — claim
-//! client after client from a shared counter. A client costs tens of
+//! Both engines train a round's clients through `mdl_tensor::par`: a
+//! fixed set of workers — one per core, at most eight, the calling thread
+//! among them — claim client after client. A client costs tens of
 //! microseconds to train, less than a thread costs to spawn, so threads
 //! are per round and never per client.
 
@@ -33,10 +32,10 @@ use mdl_net::{
     Direction, Fabric, FaultPlan, Link, LinkConfig, NetError, RetryPolicy, TransportMetrics,
 };
 use mdl_obs::{Counter, Obs, Span};
+use mdl_tensor::par::{for_each_claimed, host_workers};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 // Domain separators: link jitter, local-training seeds and edge
 // assignment must never alias each other or the fault/cohort streams.
@@ -44,49 +43,6 @@ const LINK_DOMAIN: u64 = 0x1111_C000_0000_0000;
 const TRAIN_DOMAIN: u64 = 0x7124_1000_0000_0000;
 const EDGE_DOMAIN: u64 = 0xED6E_0000_0000_0000;
 const EDGE_LINK_DOMAIN: u64 = 0xED6E_1111_0000_0000;
-
-/// Most workers a round trains on, however many cores there are.
-const MAX_WORKERS: usize = 8;
-
-/// Workers a round may use on this host: one per core the process may run
-/// on, at most [`MAX_WORKERS`].
-fn host_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(MAX_WORKERS)
-}
-
-/// Runs `job(i, &mut state)` once for every `i < jobs` on up to `workers`
-/// threads, the calling thread being one of them, and returns each
-/// worker's state. A worker builds its state with `init`, then claims
-/// the next unclaimed index until none is left; which worker ran which
-/// index is up to the scheduler, so the states must combine the same way
-/// whatever the split. With one worker nothing is spawned.
-fn for_each_claimed<S, I, J>(workers: usize, jobs: usize, init: I, job: J) -> Vec<S>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    J: Fn(usize, &mut S) + Sync,
-{
-    // Relaxed: the counter only hands out indices, each exactly once;
-    // everything a job reads was written before the scope opened and
-    // everything it writes comes back through `join`.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut state = init();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= jobs {
-                return state;
-            }
-            job(i, &mut state);
-        }
-    };
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers.min(jobs)).map(|_| scope.spawn(work)).collect();
-        let mut states = vec![work()];
-        states.extend(spawned.into_iter().map(|h| h.join().expect("training worker panicked")));
-        states
-    })
-}
 
 /// Hyper-parameters of the legacy fixed-cohort loop that the engine needs
 /// to drive a round; everything model-specific stays behind the closures.
@@ -163,29 +119,30 @@ where
         let selected = &eligible[..m];
 
         // seeds and failure fates drawn in selection order before any
-        // worker starts — bit-determinism does not depend on scheduling
+        // worker starts — bit-determinism does not depend on scheduling; a
+        // client trains if it neither fails nor misses the broadcast
         let fates: Vec<(u64, bool)> = selected
             .iter()
-            .map(|_| {
+            .map(|&c| {
                 let seed: u64 = rng.gen();
                 let fails = cfg.failure_prob > 0.0 && rng.gen::<f64>() < cfg.failure_prob;
-                (seed, fails)
+                let reached =
+                    fabric.send_down(c, cfg.param_bytes).is_ok() && !fabric.client_dropped(c);
+                (seed, !fails && reached)
             })
             .collect();
-        let reached: Vec<bool> = selected
-            .iter()
-            .map(|&c| fabric.send_down(c, cfg.param_bytes).is_ok() && !fabric.client_dropped(c))
-            .collect();
-        let mut trained: Vec<(usize, LocalUpdate)> =
-            for_each_claimed(workers, selected.len(), Vec::new, |i, done| {
-                let (seed, fails) = fates[i];
-                if !fails && reached[i] {
+        let mut trained: Vec<(usize, LocalUpdate)> = for_each_claimed(
+            workers,
+            0..selected.len(),
+            Vec::new,
+            |i, done| {
+                let (seed, trains) = fates[i];
+                if trains {
                     done.push((i, train(selected[i], seed, &params)));
                 }
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            },
+            |a, b| a.into_iter().chain(b).collect(),
+        );
         // uploads and the float average go in selection order
         trained.sort_unstable_by_key(|&(i, _)| i);
 
@@ -597,21 +554,18 @@ fn run_population_on<T: ClientTrainer>(
                 // any split of the survivors over the workers
                 let agg = for_each_claimed(
                     workers,
-                    delivered.len(),
+                    delivered.iter(),
                     || ShardedAggregator::new(dim, 1),
-                    |i, agg| {
-                        let (id, _) = delivered[i];
+                    |&(id, _), agg| {
                         let seed = keyed_hash(cfg.seed ^ TRAIN_DOMAIN, round as u64, id);
                         let values = trainer.train(id, seed, &params);
                         agg.accumulate(0, &values, trainer.num_examples(id));
                     },
-                )
-                .into_iter()
-                .reduce(|mut agg, partial| {
-                    agg.merge(&partial);
-                    agg
-                })
-                .expect("the calling thread is always a worker");
+                    |mut agg, partial| {
+                        agg.merge(&partial);
+                        agg
+                    },
+                );
                 // an update of the wrong length was dropped, not averaged
                 let accepted = agg.updates() as usize;
                 if let Some(c) = &counters {
@@ -764,24 +718,6 @@ mod tests {
         for workers in [2, 7, 32] {
             assert_eq!(alone, run(workers), "workers={workers}");
         }
-    }
-
-    #[test]
-    fn every_index_is_claimed_once_and_one_worker_spawns_nothing() {
-        let caller = std::thread::current().id();
-        for workers in [1, 2, 7, 32] {
-            let states = for_each_claimed(workers, 100, Vec::new, |i, seen: &mut Vec<usize>| {
-                assert!(workers > 1 || std::thread::current().id() == caller);
-                seen.push(i);
-            });
-            assert_eq!(states.len(), workers);
-            let mut seen: Vec<usize> = states.into_iter().flatten().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..100).collect::<Vec<_>>(), "workers={workers}");
-        }
-        // never more workers than jobs, and the caller alone when there are none
-        assert_eq!(for_each_claimed(8, 3, || (), |_, _| ()).len(), 3);
-        assert_eq!(for_each_claimed(8, 0, || (), |_, _| ()).len(), 1);
     }
 
     #[test]

@@ -69,16 +69,17 @@
 //!
 //! # Threading model
 //!
-//! Row panels are split into contiguous chunks, one per worker, spawned
-//! on `std::thread::scope` threads; each worker blocks its own chunk by
-//! `MC` with its own packed-A buffer and shares the packed B. The worker count comes from
-//! [`threads`] (the `MDL_THREADS` environment variable, defaulting to the
-//! machine's available parallelism) and can be overridden at runtime with
-//! [`set_threads`]. Products smaller than a fixed flop threshold, and all
+//! Row panels are split into contiguous chunks, one per worker of a
+//! [`par::for_each_claimed`] call; each blocks its chunk by `MC` in its
+//! thread's packed-A buffer and shares the packed B. The worker count is
+//! [`threads`] (`MDL_THREADS`, defaulting to the available parallelism;
+//! [`set_threads`] overrides it), and one inside another call's worker or
+//! below a fixed flop threshold: one worker spawns nothing. Those and all
 //! skinny products below `SMALL_M` rows — gemv RNN timesteps and
-//! micro-batched inference, where packing B would dominate — stay on the
-//! calling thread with no packing and no heap allocation.
+//! micro-batched inference, where packing B would dominate — allocate
+//! nothing.
 
+use crate::par;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -107,7 +108,7 @@ const SMALL_MACS: usize = 8 * 1024;
 /// which measures slower than streaming B until roughly this many rows
 /// (micro-batched inference is the m ≤ 8 extreme of this regime).
 const SMALL_M: usize = 32;
-/// Products with fewer multiply–accumulates than this are never threaded;
+/// Products with fewer multiply–accumulates than this run on one worker;
 /// below it, spawn overhead dominates any speedup.
 const PAR_MIN_MACS: usize = 1 << 20;
 
@@ -156,9 +157,10 @@ pub fn set_threads(n: usize) {
 }
 
 thread_local! {
-    /// Reused packing buffers (B panels, A panel) so steady-state calls
-    /// from a training loop allocate nothing.
-    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Reused packing buffers (the caller's B panels, each worker's A
+    /// block) so steady-state calls from a training loop allocate nothing.
+    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 #[inline(always)]
@@ -667,42 +669,27 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
     let simd = is_x86_feature_detected!("avx2") && !int8::force_scalar();
     #[cfg(not(target_arch = "x86_64"))]
     let simd = false;
-    // one packed A block: at most `MC` rows, fewer when a worker owns fewer
-    let block_len = |owned: usize| owned.min(MC / MR) * k * MR;
-    PACK.with(|bufs| {
-        let (pb, ap) = &mut *bufs.borrow_mut();
+    PACK_B.with_borrow_mut(|pb| {
         pack_b(tb, k, n, b, pb);
-        if nt <= 1 {
-            grow(ap, block_len(panels));
-            run_row_panels(simd, ta, m, n, k, a, pb, out, 0, panels, acc, ap, epi);
-            return;
-        }
+        let pb: &[f32] = pb;
         // Contiguous panel chunks -> contiguous, disjoint row ranges of
         // the output; the chunk boundaries never influence the arithmetic
         // performed for a panel, so any split gives identical bits.
         let per = panels.div_ceil(nt);
-        let pb_ref: &[f32] = pb;
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = out;
-            let mut row0 = 0usize;
-            for t in 0..nt {
-                let p_lo = t * per;
-                let p_hi = ((t + 1) * per).min(panels);
-                if p_lo >= p_hi {
-                    break;
-                }
-                let rows_end = (p_hi * MR).min(m);
-                let (mine, tail) = rest.split_at_mut((rows_end - row0) * n);
-                rest = tail;
-                row0 = rows_end;
-                scope.spawn(move || {
-                    let mut ap = vec![0.0; block_len(p_hi - p_lo)];
-                    run_row_panels(
-                        simd, ta, m, n, k, a, pb_ref, mine, p_lo, p_hi, acc, &mut ap, epi,
-                    );
+        par::for_each_claimed(
+            nt,
+            out.chunks_mut(per * MR * n).enumerate(),
+            || (),
+            |(t, rows), ()| {
+                let (p_lo, p_hi) = (t * per, ((t + 1) * per).min(panels));
+                PACK_A.with_borrow_mut(|ap| {
+                    // one packed A block: at most `MC` rows, fewer when the chunk has fewer
+                    grow(ap, (p_hi - p_lo).min(MC / MR) * k * MR);
+                    run_row_panels(simd, ta, m, n, k, a, pb, rows, p_lo, p_hi, acc, ap, epi);
                 });
-            }
-        });
+            },
+            |(), ()| (),
+        );
     });
 }
 

@@ -12,6 +12,8 @@
 //!   dispatches to, parallelized over row panels with bit-identical results
 //!   for any thread count, plus [`kernel::int8`] — the explicit-SIMD int8
 //!   GEMM microkernel behind the quantized inference path;
+//! - [`par`]: [`par::for_each_claimed`], the one helper every per-call
+//!   parallel loop of the workspace runs its workers through;
 //! - [`quant`]: per-output-channel symmetric int8 weights ([`Int8Matrix`])
 //!   and the saturating activation-requantize helpers;
 //! - [`arena`]: compile-once shared scratch arenas ([`Arena`]/[`BufferId`])
@@ -50,6 +52,7 @@ pub mod init;
 pub mod kernel;
 pub mod linalg;
 pub mod matrix;
+pub mod par;
 pub mod quant;
 pub mod stats;
 pub mod wire;

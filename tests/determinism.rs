@@ -3,6 +3,11 @@
 //! EXPERIMENTS.md regenerable bit-for-bit.
 
 use mdl_core::prelude::*;
+use mdl_core::tensor::kernel;
+use std::sync::Mutex;
+
+/// `kernel::set_threads` is process-global; tests that touch it serialize.
+static KERNEL_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn data_generators_are_seed_deterministic() {
@@ -87,11 +92,12 @@ fn train_wide(threads: usize) -> Vec<u32> {
 /// be byte-for-byte independent of the kernel thread count.
 #[test]
 fn training_is_kernel_thread_count_invariant() {
+    let _guard = KERNEL_LOCK.lock().unwrap();
     let reference = train_wide(1);
     for threads in [2, 4, 8] {
         assert_eq!(reference, train_wide(threads), "weights diverged at {threads} kernel threads");
     }
-    mdl_core::tensor::kernel::set_threads(1);
+    kernel::set_threads(1);
 }
 
 /// The AVX2 tile kernel multiplies then adds — two roundings, like the
@@ -101,12 +107,43 @@ fn training_is_kernel_thread_count_invariant() {
 #[test]
 fn training_is_kernel_tier_invariant() {
     use mdl_core::tensor::kernel::int8::{force_scalar, set_force_scalar};
+    let _guard = KERNEL_LOCK.lock().unwrap();
     let pinned = force_scalar();
     let dispatched = train_wide(1);
     set_force_scalar(true);
     let portable = train_wide(1);
     set_force_scalar(pinned);
     assert_eq!(dispatched, portable, "weights differ between the dispatched and portable tiers");
+}
+
+/// A federated run trains its clients on workers whose GEMMs never spawn,
+/// so it has no reason to touch the process's kernel thread count — and
+/// leaves it as the caller set it.
+#[test]
+fn federated_runs_leave_the_kernel_thread_count_alone() {
+    let _guard = KERNEL_LOCK.lock().unwrap();
+    kernel::set_threads(3);
+    let task = PopulationTask::blobs(5);
+    let mut pop = Population::new(PopulationSpec::mobile_mix(200, 5));
+    let cfg = SimConfig {
+        rounds: 1,
+        cohort: CohortSpec { fraction: 0.1, min_size: 8, max_size: 16 },
+        quorum_fraction: 0.25,
+        seed: 5,
+        ..SimConfig::default()
+    };
+    run_population_fedavg(&cfg, &mut pop, &task, None).expect("quorum reachable at 200");
+    assert_eq!(kernel::threads(), 3, "run_population_fedavg reset the kernel thread count");
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let data = mdl_core::data::synthetic::gaussian_blobs(80, 2, 0.4, &mut rng);
+    let clients = partition_dataset(&data, 4, Partition::Iid, &mut rng);
+    let spec = MlpSpec::new(vec![2, 6, 2], 1);
+    let availability = AvailabilityModel::always_available(4);
+    let fed = FedConfig { rounds: 2, ..Default::default() };
+    run_federated(&spec, &clients, &data, &fed, &availability, &mut rng);
+    assert_eq!(kernel::threads(), 3, "run_federated reset the kernel thread count");
+    kernel::set_threads(1);
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Steady-state planned execution performs **zero heap allocation**.
+//! Steady-state planned execution performs **zero heap allocation**, and
+//! so does the single-worker blocked GEMM a training step runs.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up run (which may grow thread-local kernel pack buffers and the
@@ -60,6 +61,20 @@ fn planned_execution_is_zero_alloc_in_steady_state() {
     // the zero-alloc guarantee is for the single-threaded kernel path
     // (thread-local packs are grown once during warm-up and reused).
     kernel::set_threads(1);
+
+    // 64·64·64 takes the blocked, packed path on one worker: the parallel
+    // helper spawns nothing and the pack buffers are the thread's own
+    let (a, b) = (vec![0.5f32; 64 * 64], vec![-0.25f32; 64 * 64]);
+    let mut c = vec![0.0f32; 64 * 64];
+    let mut product =
+        || kernel::gemm(kernel::Trans::N, kernel::Trans::N, 64, 64, 64, &a, &b, &mut c, false);
+    product(); // warm-up
+    let n = count_allocs(|| {
+        for _ in 0..4 {
+            product();
+        }
+    });
+    assert_eq!(n, 0, "blocked GEMM allocated {n} times in steady state");
 
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let mut net = Sequential::new();
