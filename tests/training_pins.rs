@@ -172,6 +172,30 @@ fn population_fedavg_final_params_are_pinned() {
     assert!(report.rounds.iter().all(|r| r.delivered > 0), "every round must train someone");
     let got = hash_params(&report.final_params);
     assert_eq!(got, 0x17998999b881402c, "population FedAvg drifted: {got:#018x}");
+    assert_eq!(report.transport.bytes_up, 11_328, "population FedAvg upload bytes moved");
+}
+
+/// FedAvg with 8-bit uploads: the quantizer's arithmetic, and the bytes an
+/// upload is charged.
+#[test]
+fn quantized_fedavg_final_params_and_bytes_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(0x7126);
+    let data = mdl_core::data::synthetic::gaussian_blobs(240, 3, 0.5, &mut rng);
+    let (train, test) = data.split(0.8, &mut rng);
+    let clients = partition_dataset(&train, 6, Partition::Iid, &mut rng);
+    let spec = MlpSpec::new(vec![2, 8, 3], 2);
+    let config = FedConfig {
+        rounds: 3,
+        client_fraction: 0.5,
+        local_epochs: 2,
+        quantize_uploads: true,
+        ..Default::default()
+    };
+    let availability = AvailabilityModel::always_available(clients.len());
+    let run = run_federated(&spec, &clients, &test, &config, &availability, &mut rng);
+    let got = hash_params(&run.final_params);
+    assert_eq!(got, 0x6f0029488439c5a3, "quantized FedAvg drifted: {got:#018x}");
+    assert_eq!(run.ledger.bytes_up, 603, "quantized FedAvg upload bytes moved");
 }
 
 /// The E1 architecture: local phases far below the threshold at which
@@ -189,6 +213,8 @@ fn selective_sgd_small_model_final_params_are_pinned() {
     let run = run_selective_sgd(&spec, &parts, &test, &config, &mut rng);
     let got = hash_params(&run.final_params);
     assert_eq!(got, 0x490fc149bbd9c4bc, "selective SGD (E1 spec) drifted: {got:#018x}");
+    let bytes = (run.transport.bytes_up, run.transport.bytes_down);
+    assert_eq!(bytes, (34_920, 173_736), "selective SGD (E1 spec) bytes moved");
 }
 
 /// A 64→512→3 model whose local phases are large enough to train a wave's
@@ -210,4 +236,6 @@ fn selective_sgd_wide_model_final_params_are_pinned() {
     let run = run_selective_sgd(&spec, &parts, &wide(&test), &config, &mut rng);
     let got = hash_params(&run.final_params);
     assert_eq!(got, 0x370bf1d5df919363, "selective SGD (wide spec) drifted: {got:#018x}");
+    let bytes = (run.transport.bytes_up, run.transport.bytes_down);
+    assert_eq!(bytes, (501_624, 5_014_152), "selective SGD (wide spec) bytes moved");
 }
