@@ -71,19 +71,19 @@ fn bench_selective_round(c: &mut Criterion) {
 }
 
 fn bench_update_transport(c: &mut Criterion) {
-    use mdl_core::federated::{DenseUpdate, SparseUpdate};
+    use mdl_core::federated::Update;
     let mut group = c.benchmark_group("update_transport");
     group.sample_size(50).measurement_time(Duration::from_secs(2));
     let mut rng = StdRng::seed_from_u64(2012);
     let values: Vec<f32> = (0..10_000).map(|_| rng.gen::<f32>() - 0.5).collect();
     group.bench_function("dense_encode_decode_10k", |bench| {
         bench.iter(|| {
-            let u = DenseUpdate { values: values.clone(), num_examples: 100 };
-            std::hint::black_box(DenseUpdate::decode(&u.encode()))
+            let frame = Update::dense(values.clone(), 100).encode();
+            std::hint::black_box(Update::decode(&frame))
         });
     });
     group.bench_function("sparse_top1pct_10k", |bench| {
-        bench.iter(|| std::hint::black_box(SparseUpdate::top_fraction(&values, 0.01, 100)));
+        bench.iter(|| std::hint::black_box(Update::top_fraction(&values, 0.01, 100).encode()));
     });
     group.finish();
 }

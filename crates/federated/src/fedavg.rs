@@ -20,7 +20,7 @@ use crate::scheduler::AvailabilityModel;
 use mdl_data::Dataset;
 use mdl_net::{Fabric, NetError, TransportMetrics};
 use mdl_nn::{fit_classifier, ParamVector, Sgd, TrainConfig};
-use mdl_sim::{run_legacy_loop, LegacyConfig, LocalUpdate};
+use mdl_sim::{run_legacy_loop, LegacyConfig, Update};
 use rand::rngs::StdRng;
 
 /// Hyper-parameters of a federated run.
@@ -137,8 +137,9 @@ pub fn run_federated(
 }
 
 /// Runs FedAvg/FedSGD with every byte flowing through a simulated
-/// transport [`Fabric`]: parameter broadcasts and update uploads can be
-/// delayed, retried, lost to dropout or partitions, or cut off by the
+/// transport [`Fabric`]: parameter broadcasts and update uploads (encoded
+/// [`Update`] frames, charged their length) can be delayed, retried, lost
+/// to dropout or partitions, or cut off by the
 /// per-round deadline. The server aggregates whatever quorum of updates
 /// actually arrived; a round below quorum keeps the previous global model.
 ///
@@ -178,7 +179,6 @@ pub fn run_federated_over(
 
     let mut global = spec.build();
     let params = global.param_vector();
-    let param_bytes = 4 * params.len() as u64 + 8;
     let mut history = Vec::new();
     let mut rounds_to_target = None;
 
@@ -191,7 +191,6 @@ pub fn run_federated_over(
         rounds: config.rounds,
         client_fraction: config.client_fraction,
         failure_prob: config.failure_prob,
-        param_bytes,
     };
     let final_params = run_legacy_loop(
         &legacy,
@@ -214,14 +213,13 @@ pub fn run_federated_over(
                 config.learning_rate,
                 seed,
             );
-            if config.quantize_uploads {
-                let q = crate::update::QuantizedUpdate::quantize(&raw, data.len());
-                let values = q.dequantize();
-                let wire_bytes = 16 + values.len() as u64;
-                LocalUpdate { values, num_examples: data.len() as u64, wire_bytes }
+            let n = u32::try_from(data.len()).expect("a client holds fewer than 2^32 examples");
+            let update = if config.quantize_uploads {
+                Update::quantize(&raw, n)
             } else {
-                LocalUpdate::dense(raw, data.len() as u64)
-            }
+                Update::dense(raw, n)
+            };
+            update.encode()
         },
         // 3. evaluation after each quorum-successful round
         |round, round_params, total_bytes, participants| {

@@ -18,10 +18,10 @@
 use crate::comm::CommLedger;
 use crate::fedavg::RoundRecord;
 use crate::model::MlpSpec;
-use crate::update::SparseUpdate;
 use mdl_data::Dataset;
 use mdl_net::{Fabric, TransportMetrics};
 use mdl_nn::{loss::softmax_cross_entropy, Layer, ParamVector};
+use mdl_sim::{sparse_len, Update};
 use mdl_tensor::par::{for_each_claimed, host_workers};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -92,7 +92,7 @@ const WAVE_SIZE: usize = 4;
 const PARALLEL_WORK_THRESHOLD: u64 = 2_000_000;
 
 /// One participant's local phase: refresh the downloaded coordinates, run
-/// the pre-drawn mini-batch SGD steps, and select the sparse upload.
+/// the pre-drawn mini-batch SGD steps, and encode the sparse upload.
 fn local_phase(
     spec: &MlpSpec,
     config: &SelectiveConfig,
@@ -101,7 +101,7 @@ fn local_phase(
     local: &mut Vec<f32>,
     coords: &[usize],
     batches: &[Vec<usize>],
-) -> SparseUpdate {
+) -> Vec<u8> {
     // download a θ_d fraction of the global parameters
     for &i in coords {
         local[i] = global[i];
@@ -124,7 +124,8 @@ fn local_phase(
 
     // select the θ_u largest-magnitude parameter *changes*
     let delta: Vec<f32> = local.iter().zip(before.iter()).map(|(a, b)| a - b).collect();
-    SparseUpdate::top_fraction(&delta, config.upload_fraction, data.len())
+    let n = u32::try_from(data.len()).expect("a participant holds fewer than 2^32 examples");
+    Update::top_fraction(&delta, config.upload_fraction, n).encode()
 }
 
 /// Runs the distributed selective SGD protocol on an ideal network.
@@ -202,7 +203,7 @@ fn run_selective_sgd_on(
     let mut history = Vec::new();
 
     let k_down = (((dim as f64) * config.download_fraction).ceil() as usize).clamp(1, dim);
-    let down_bytes = 8 * k_down as u64 + 12;
+    let down_bytes = sparse_len(k_down);
 
     for round in 1..=config.rounds {
         fabric.begin_round();
@@ -246,7 +247,7 @@ fn run_selective_sgd_on(
         {
             let wave_start = wave_idx * WAVE_SIZE;
             let members = wave.iter().zip(wave_locals).zip(draws.by_ref().take(wave.len()));
-            let mut outcomes: Vec<(usize, SparseUpdate)> = for_each_claimed(
+            let mut outcomes: Vec<(usize, Vec<u8>)> = for_each_claimed(
                 workers,
                 members.enumerate(),
                 Vec::new,
@@ -258,10 +259,13 @@ fn run_selective_sgd_on(
             );
 
             // The server applies the wave's uploads in participant order —
-            // but only the uploads the fabric actually delivered.
+            // but only the frames the fabric delivered and that decode.
             outcomes.sort_unstable_by_key(|&(off, _)| off);
-            for (off, update) in outcomes {
-                if fabric.send_up(wave_start + off, update.wire_bytes()).is_ok() {
+            for (off, frame) in outcomes {
+                if fabric.send_up(wave_start + off, frame.len() as u64).is_err() {
+                    continue;
+                }
+                if let Ok(update) = Update::decode(&frame) {
                     update.apply_to(&mut global, 1.0);
                 }
             }

@@ -17,6 +17,7 @@
 use crate::accountant::MomentsAccountant;
 use crate::mechanism::clip_update;
 use mdl_data::Dataset;
+use mdl_federated::update::dense_len;
 use mdl_federated::{MlpSpec, RoundRecord};
 use mdl_nn::ParamVector;
 use mdl_tensor::init::gaussian;
@@ -145,7 +146,7 @@ pub fn run_dp_fedavg(
             for (s, &d) in sum_delta.iter_mut().zip(delta.iter()) {
                 *s += d;
             }
-            total_bytes += 8 + 4 * dim as u64;
+            total_bytes += dense_len(dim);
         }
 
         // 3. bounded-sensitivity estimator + 4. Gaussian noise

@@ -2,10 +2,10 @@
 //!
 //! Two aggregators with different contracts:
 //!
-//! * [`BufferedAggregator`] replicates the legacy
-//!   `weighted_average` float arithmetic *operation for operation* — the
-//!   adapter that rewires the classic 10-client loop through the engine
-//!   uses it to stay bit-identical with history.
+//! * [`BufferedAggregator`] replicates the float arithmetic of the
+//!   original FedAvg loop *operation for operation* — the adapter that
+//!   rewires the classic 10-client loop through the engine uses it to
+//!   stay bit-identical with history.
 //! * [`ShardedAggregator`] accumulates updates into fixed-point `i128`
 //!   shard accumulators. Integer addition is associative and commutative,
 //!   so the final mean is **bit-identical for any shard count, any
@@ -16,28 +16,8 @@
 //!   aggregator and drops them immediately; nothing is ever buffered per
 //!   client.
 
-/// One client's locally-trained result, ready for upload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalUpdate {
-    /// Flat parameter vector after local training.
-    pub values: Vec<f32>,
-    /// FedAvg weighting term `n_k`.
-    pub num_examples: u64,
-    /// Bytes this update occupies on the wire.
-    pub wire_bytes: u64,
-}
-
-impl LocalUpdate {
-    /// A dense fp32 update: 4 bytes per value plus an 8-byte header, the
-    /// same wire format as the legacy `DenseUpdate`.
-    pub fn dense(values: Vec<f32>, num_examples: u64) -> Self {
-        let wire_bytes = 8 + 4 * values.len() as u64;
-        Self { values, num_examples, wire_bytes }
-    }
-}
-
 /// Buffers `(values, n_k)` pairs and averages them with exactly the float
-/// arithmetic of the legacy `weighted_average`: `w = (n_k / Σn) as f32`,
+/// arithmetic of the original FedAvg loop: `w = (n_k / Σn) as f32`,
 /// accumulated per update in insertion order.
 #[derive(Debug, Default)]
 pub struct BufferedAggregator {
@@ -223,6 +203,24 @@ mod tests {
             prop_assert_eq!(merged.updates(), updates as u64);
             let weight = |a: &ShardedAggregator| a.shards.iter().map(|s| s.weight).sum::<u128>();
             prop_assert_eq!(weight(merged), weight(&single));
+        }
+
+        // The float mean of two updates lies between them, coordinate by
+        // coordinate.
+        #[test]
+        fn buffered_mean_stays_in_hull(
+            a in prop::collection::vec(-5f32..5.0, 4),
+            b in prop::collection::vec(-5f32..5.0, 4),
+            na in 1u64..100,
+            nb in 1u64..100,
+        ) {
+            let mut agg = BufferedAggregator::new();
+            agg.push(a.clone(), na);
+            agg.push(b.clone(), nb);
+            let mean = agg.mean().expect("positive weight");
+            for i in 0..4 {
+                prop_assert!(mean[i] >= a[i].min(b[i]) - 1e-4 && mean[i] <= a[i].max(b[i]) + 1e-4);
+            }
         }
     }
 

@@ -22,11 +22,12 @@
 //! microseconds to train, less than a thread costs to spawn, so threads
 //! are per round and never per client.
 
-use crate::aggregate::{BufferedAggregator, LocalUpdate, ShardedAggregator};
+use crate::aggregate::{BufferedAggregator, ShardedAggregator};
 use crate::cohort::{sample_cohort, CohortSpec};
 use crate::event::EventQueue;
 use crate::population::Population;
 use crate::seed::keyed_hash;
+use crate::update::{dense_len, Update};
 use mdl_mobile::NetworkProfile;
 use mdl_net::{
     Direction, Fabric, FaultPlan, Link, LinkConfig, NetError, RetryPolicy, TransportMetrics,
@@ -54,8 +55,6 @@ pub struct LegacyConfig {
     pub client_fraction: f64,
     /// Probability a selected client fails mid-round and never reports.
     pub failure_prob: f64,
-    /// Bytes of one global-parameter broadcast.
-    pub param_bytes: u64,
 }
 
 /// Drives the classic FedAvg loop over a [`Fabric`], consuming `rng`
@@ -67,8 +66,11 @@ pub struct LegacyConfig {
 ///
 /// * `sample_eligible` returns the eligible client indices (consuming
 ///   `rng` however the availability model requires).
-/// * `train` maps `(client, seed, global params)` to a [`LocalUpdate`];
-///   it runs on a worker thread and must not touch shared mutable state.
+/// * `train` maps `(client, seed, global params)` to the client's encoded
+///   [`Update`] frame; it runs on a worker thread and must not touch
+///   shared mutable state. The upload is charged the frame's length, and
+///   only a frame that decodes to the model's length is averaged — any
+///   other upload counts nowhere, quorum included.
 /// * `evaluate` is called after every quorum-successful round with
 ///   `(round, params, total_bytes, participants)`; returning `true`
 ///   stops the run early.
@@ -88,10 +90,11 @@ pub fn run_legacy_loop<S, T, E>(
 ) -> Result<Vec<f32>, NetError>
 where
     S: FnMut(&mut StdRng) -> Vec<usize>,
-    T: Fn(usize, u64, &[f32]) -> LocalUpdate + Sync,
+    T: Fn(usize, u64, &[f32]) -> Vec<u8> + Sync,
     E: FnMut(usize, &[f32], u64, usize) -> bool,
 {
     let mut params = initial_params;
+    let param_bytes = dense_len(params.len());
     let mut consecutive_quorum_misses = 0usize;
     let workers = host_workers();
 
@@ -126,12 +129,11 @@ where
             .map(|&c| {
                 let seed: u64 = rng.gen();
                 let fails = cfg.failure_prob > 0.0 && rng.gen::<f64>() < cfg.failure_prob;
-                let reached =
-                    fabric.send_down(c, cfg.param_bytes).is_ok() && !fabric.client_dropped(c);
+                let reached = fabric.send_down(c, param_bytes).is_ok() && !fabric.client_dropped(c);
                 (seed, !fails && reached)
             })
             .collect();
-        let mut trained: Vec<(usize, LocalUpdate)> = for_each_claimed(
+        let mut trained: Vec<(usize, Vec<u8>)> = for_each_claimed(
             workers,
             0..selected.len(),
             Vec::new,
@@ -147,9 +149,13 @@ where
         trained.sort_unstable_by_key(|&(i, _)| i);
 
         let mut agg = BufferedAggregator::new();
-        for (i, update) in trained {
-            if fabric.send_up(selected[i], update.wire_bytes).is_ok() {
-                agg.push(update.values, update.num_examples);
+        for (i, frame) in trained {
+            if fabric.send_up(selected[i], frame.len() as u64).is_err() {
+                continue;
+            }
+            if let Some(update) = Update::decode(&frame).ok().filter(|u| u.dim() == params.len()) {
+                let n = u64::from(update.num_examples);
+                agg.push(update.into_dense(), n);
             }
         }
         let completed = agg.len();
@@ -412,8 +418,9 @@ struct PendingRound {
 /// gate eligibility, sample the cohort, simulate each selected client's
 /// download → local compute → upload over its own faulty link, then
 /// train the survivors on one worker per core (seeds pre-drawn from
-/// `(seed, round, id)`), each worker streaming its clients' updates into
-/// its own fixed-point aggregator; the partial sums are merged with
+/// `(seed, round, id)`), each worker wrapping a client's trained vector in
+/// a dense [`Update`] frame and streaming what it decodes to into its own
+/// fixed-point aggregator; the partial sums are merged with
 /// integer adds, so the mean does not depend on how many workers there
 /// were or who trained whom. Arrivals and round boundaries are discrete
 /// events on a virtual-time queue that drives `obs`'s sim clock.
@@ -446,7 +453,7 @@ fn run_population_on<T: ClientTrainer>(
         return Err(SimError::EmptyPopulation);
     }
     let dim = initial_params.len();
-    let param_bytes = 4 * dim as u64 + 8;
+    let param_bytes = dense_len(dim);
     let counters = obs.map(SimCounters::new);
     let run_span = obs.map(|o| o.root_span("sim.run"));
 
@@ -558,8 +565,12 @@ fn run_population_on<T: ClientTrainer>(
                     || ShardedAggregator::new(dim, 1),
                     |&(id, _), agg| {
                         let seed = keyed_hash(cfg.seed ^ TRAIN_DOMAIN, round as u64, id);
-                        let values = trainer.train(id, seed, &params);
-                        agg.accumulate(0, &values, trainer.num_examples(id));
+                        let n = u32::try_from(trainer.num_examples(id)).expect("n_k below 2^32");
+                        let frame = Update::dense(trainer.train(id, seed, &params), n).encode();
+                        if let Ok(update) = Update::decode(&frame) {
+                            let n = u64::from(update.num_examples);
+                            agg.accumulate(0, &update.into_dense(), n);
+                        }
                     },
                     |mut agg, partial| {
                         agg.merge(&partial);
@@ -768,6 +779,49 @@ mod tests {
         );
         assert_eq!(snap.counter("fed.updates"), Some(19));
         assert_eq!(snap.counter("fed.quorum_misses"), Some(1));
+    }
+
+    #[test]
+    fn a_short_upload_counts_nowhere_in_the_legacy_loop() {
+        // ten clients, all selected, ideal fabric; client 3's upload is one
+        // value short. The other nine weigh 16 in all, so every weight,
+        // product and partial sum is exact and the mean is the same in any
+        // order the shuffled selection uploads in
+        const BAD: usize = 3;
+        let n = |c: usize| -> u32 {
+            if c < 2 {
+                1
+            } else if c == BAD {
+                5
+            } else {
+                2
+            }
+        };
+        let cfg = LegacyConfig { rounds: 1, client_fraction: 1.0, failure_prob: 0.0 };
+        let mut fabric = Fabric::ideal(10);
+        let obs = Obs::sim();
+        fabric.attach_obs(obs.clone());
+        let mut participants = 0;
+        let params = run_legacy_loop(
+            &cfg,
+            vec![0.0; 4],
+            &mut fabric,
+            &mut rand::SeedableRng::seed_from_u64(1),
+            |_| (0..10).collect(),
+            |c, _, global| {
+                let len = if c == BAD { global.len() - 1 } else { global.len() };
+                Update::dense(vec![c as f32; len], n(c)).encode()
+            },
+            |_, _, _, completed| {
+                participants = completed;
+                false
+            },
+        )
+        .expect("an ideal fabric always meets quorum");
+        assert_eq!(participants, 9);
+        assert_eq!(obs.snapshot().counter("fed.updates"), Some(9));
+        let mean: f32 = (0..10).filter(|&c| c != BAD).map(|c| n(c) as f32 * c as f32).sum();
+        assert_eq!(params, vec![mean / 16.0; 4]);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! [`run_legacy_loop`] drives the classic fixed-cohort loop with the
 //! exact RNG consumption of the original implementation, so the
 //! federated crate's public API is now a thin adapter over this crate.
+//! Both engines' uploads travel as [`Update`] frames.
 //!
 //! ```
 //! use mdl_sim::{
@@ -61,8 +62,9 @@ pub mod engine;
 pub mod event;
 pub mod population;
 pub mod seed;
+pub mod update;
 
-pub use aggregate::{BufferedAggregator, LocalUpdate, ShardedAggregator};
+pub use aggregate::{BufferedAggregator, ShardedAggregator};
 pub use cohort::{sample_cohort, CohortSpec};
 pub use engine::{
     run_legacy_loop, run_population, ClientTrainer, LegacyConfig, PopulationReport, RoundOutcome,
@@ -71,11 +73,13 @@ pub use engine::{
 pub use event::EventQueue;
 pub use population::{ClientClass, Population, PopulationSpec};
 pub use seed::{keyed_hash, SeedStream};
+pub use update::{dense_len, quantized_len, sparse_len, FrameError, Payload, Update};
 
 #[cfg(test)]
 mod proptests {
     use crate::cohort::{sample_cohort, CohortSpec};
-    use crate::{LocalUpdate, ShardedAggregator};
+    use crate::update::{dense_len, quantized_len, sparse_len, Payload, Update};
+    use crate::ShardedAggregator;
     use proptest::prelude::*;
 
     proptest! {
@@ -117,22 +121,90 @@ mod proptests {
             dim in 1usize..24,
         ) {
             let mut stream = crate::SeedStream::new(seed, 0, 0);
-            let batch: Vec<LocalUpdate> = (0..updates)
+            let batch: Vec<(Vec<f32>, u64)> = (0..updates)
                 .map(|_| {
                     let values: Vec<f32> = (0..dim)
                         .map(|_| (stream.next_f64() as f32 - 0.5) * 20.0)
                         .collect();
-                    LocalUpdate::dense(values, 1 + stream.next_u64() % 1000)
+                    (values, 1 + stream.next_u64() % 1000)
                 })
                 .collect();
             let fold = |shards: usize| {
                 let mut agg = ShardedAggregator::new(dim, shards);
-                for (i, u) in batch.iter().enumerate() {
-                    agg.accumulate(i, &u.values, u.num_examples);
+                for (i, (values, n)) in batch.iter().enumerate() {
+                    agg.accumulate(i, values, *n);
                 }
                 agg.mean()
             };
             prop_assert_eq!(fold(1), fold(8));
+        }
+
+        // decode ∘ encode is the identity for each update kind, and each
+        // frame is exactly as long as its length function says
+        #[test]
+        fn dense_update_round_trips(
+            values in prop::collection::vec(-1e3f32..1e3, 0..64),
+            n in any::<u32>(),
+        ) {
+            let u = Update::dense(values, n);
+            let frame = u.encode();
+            prop_assert_eq!(frame.len() as u64, dense_len(u.dim()));
+            prop_assert_eq!(Update::decode(&frame), Ok(u));
+        }
+
+        #[test]
+        fn sparse_update_round_trips(
+            delta in prop::collection::vec(-10f32..10.0, 1..64),
+            frac_pct in 1u32..=100,
+            n in any::<u32>(),
+        ) {
+            let u = Update::top_fraction(&delta, frac_pct as f64 / 100.0, n);
+            let Payload::Sparse { entries, .. } = &u.payload else { unreachable!() };
+            let frame = u.encode();
+            prop_assert_eq!(frame.len() as u64, sparse_len(entries.len()));
+            prop_assert_eq!(Update::decode(&frame), Ok(u));
+        }
+
+        #[test]
+        fn quantized_update_round_trips(
+            values in prop::collection::vec(-1e3f32..1e3, 0..64),
+            n in any::<u32>(),
+        ) {
+            let u = Update::quantize(&values, n);
+            let frame = u.encode();
+            prop_assert_eq!(frame.len() as u64, quantized_len(values.len()));
+            prop_assert_eq!(Update::decode(&frame), Ok(u));
+        }
+
+        #[test]
+        fn decode_never_panics(frame in prop::collection::vec(any::<u8>(), 0..128)) {
+            let _ = Update::decode(&frame);
+        }
+
+        #[test]
+        fn sparse_selection_is_subset_with_exact_values(
+            delta in prop::collection::vec(-10f32..10.0, 1..64),
+            frac_pct in 1u32..=100,
+        ) {
+            let s = Update::top_fraction(&delta, frac_pct as f64 / 100.0, 1);
+            let Payload::Sparse { entries, .. } = &s.payload else { unreachable!() };
+            prop_assert!(!entries.is_empty());
+            prop_assert!(entries.len() <= delta.len());
+            for &(i, v) in entries {
+                prop_assert_eq!(delta[i as usize], v);
+            }
+            // entries sorted & unique
+            for w in entries.windows(2) {
+                prop_assert!(w[0].0 < w[1].0);
+            }
+            // kept magnitudes dominate dropped ones
+            let kept: Vec<u32> = entries.iter().map(|e| e.0).collect();
+            let min_kept = entries.iter().map(|e| e.1.abs()).fold(f32::MAX, f32::min);
+            for (i, &v) in delta.iter().enumerate() {
+                if !kept.contains(&(i as u32)) {
+                    prop_assert!(v.abs() <= min_kept + 1e-6);
+                }
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! One hostile-bytes harness for every surface that decodes bytes from
 //! outside the process: `load_model` (`MDLM`), `DeltaCheckpoint::from_bytes`
 //! then `apply` (`MDLD`), `HuffmanEncoded::from_bytes` then `try_decode`,
-//! `DenseUpdate::decode`, `RequestRecord::from_bytes`,
+//! `Update::decode` (the federated update frame), `RequestRecord::from_bytes`,
 //! `ObsSnapshot::from_json` and `ModelRegistry::swap_bytes`.
 //!
 //! Each surface is fed (i) arbitrary bytes, bare and spliced behind a
@@ -21,15 +21,15 @@
 //! The valid frames are `tests/golden/wire_frames.txt`, written by the
 //! encoders as they stood before the decoders moved onto
 //! `mdl_tensor::wire::Reader`; `golden_frames_*` pins today's encoders
-//! to those bytes, so `MDLM` / `MDLD` / Huffman / `RequestRecord` layouts
-//! cannot move by a byte unnoticed.
+//! to those bytes, so `MDLM` / `MDLD` / Huffman / `RequestRecord` / update
+//! frame layouts cannot move by a byte unnoticed.
 //!
 //! The allocator meter is per thread (the `#[test]`s here run in
 //! parallel), and counts bytes requested, not bytes live.
 
 use mdl_core::compress::delta::DeltaCheckpoint;
 use mdl_core::compress::HuffmanEncoded;
-use mdl_core::federated::DenseUpdate;
+use mdl_core::federated::update::{FrameError, Update};
 use mdl_core::nn::{load_model, save_model, BiGru, Gru, LoadModelError};
 use mdl_core::obs::{HistogramSnapshot, SpanNode};
 use mdl_core::prelude::*;
@@ -315,20 +315,29 @@ impl Surface for Huffman {
     }
 }
 
-struct Dense32;
+/// Length of the vectors behind the golden update frames.
+const UPDATE_DIM: usize = 5;
 
-impl Surface for Dense32 {
-    type Value = DenseUpdate;
-    const NAME: &'static str = "DenseUpdate::decode";
+struct Frame;
+
+impl Surface for Frame {
+    type Value = Update;
+    const NAME: &'static str = "Update::decode + apply_to";
+    // f32s, (index, value) entries and codes are kept as they arrive; a
+    // frame of the fixture's length is then densified once by apply_to
     const C: usize = 1;
     const K: usize = 64;
     const ONE_ENCODING: bool = true;
 
-    fn decode(input: &[u8]) -> Option<DenseUpdate> {
-        DenseUpdate::decode(input)
+    fn decode(input: &[u8]) -> Option<Update> {
+        let update = Update::decode(input).ok()?;
+        // what a server does next, against a model of the fixture's length
+        let mut params = [0.0f32; UPDATE_DIM];
+        assert_eq!(update.apply_to(&mut params, 1.0), update.dim() == UPDATE_DIM);
+        Some(update)
     }
 
-    fn encode(update: DenseUpdate) -> Vec<u8> {
+    fn encode(update: Update) -> Vec<u8> {
         update.encode()
     }
 }
@@ -448,6 +457,16 @@ fn build_delta_versions() -> Versions {
     out
 }
 
+/// The input behind each golden update frame. The dense one is byte for
+/// byte the frame dense uploads had before the frame had other kinds.
+fn golden_updates() -> [(&'static str, Update); 3] {
+    [
+        ("update-dense", Update::dense(vec![1.0, -2.5, f32::NAN, 1e-42, -0.0], 17)),
+        ("update-sparse", Update::top_fraction(&[0.25, -4.0, 1e-42, 3.0, -0.0], 0.5, 9)),
+        ("update-quantized", Update::quantize(&[1.0, -2.5, 0.0, 3.25, 0.5], 17)),
+    ]
+}
+
 fn golden_record() -> RequestRecord {
     RequestRecord {
         index: 0x0102_0304,
@@ -512,7 +531,7 @@ fn sample_snapshot() -> ObsSnapshot {
 #[test]
 fn golden_frames_decode_and_re_encode_byte_for_byte() {
     let golden = golden();
-    assert_eq!(golden.len(), 8, "mdlm, five mdld layouts, huffman, request-record");
+    assert_eq!(golden.len(), 11, "mdlm, five mdld layouts, huffman, request-record, 3 updates");
 
     let mut net = golden_net();
     assert_eq!(hex(&save_model(&mut net).unwrap()), hex(&golden["mdlm"]));
@@ -541,6 +560,42 @@ fn golden_frames_decode_and_re_encode_byte_for_byte() {
 
     assert_eq!(hex(&golden_record().to_bytes()), hex(&golden["request-record"]));
     assert_eq!(RequestRecord::from_bytes(&golden["request-record"]), Some(golden_record()));
+
+    for (name, update) in golden_updates() {
+        assert_eq!(update.dim(), UPDATE_DIM, "{name}");
+        assert_eq!(hex(&update.encode()), hex(&golden[name]), "{name}");
+        let back = Update::decode(&golden[name]).expect(name);
+        assert_eq!(hex(&back.encode()), hex(&golden[name]), "{name}");
+    }
+}
+
+/// Update frames no encoder writes are typed errors, decoded without
+/// reserving anything the bytes cannot back.
+#[test]
+fn update_frame_reproducers_are_typed_errors() {
+    let words = |w: &[u32]| -> Vec<u8> { w.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    let sparse = 1u32 << 30;
+    let cases = [
+        // one entry at index 4 of a 4-vector, which a sparse apply used to
+        // index out of bounds
+        (words(&[sparse | 4, 1, 1, 4, 0]), FrameError::BadIndex),
+        // index 2, then 2 again
+        (words(&[sparse | 4, 2, 1, 2, 0, 2, 0]), FrameError::BadIndex),
+        // three entries for a 2-vector
+        (words(&[sparse | 2, 3, 1, 0, 0, 1, 0, 2, 0]), FrameError::BadIndex),
+        // kind 3
+        (words(&[3 << 30, 0]), FrameError::UnknownKind),
+        // a dense frame declaring 2^30 - 1 values, then three bytes
+        (
+            [&words(&[(1 << 30) - 1])[..], &[0, 0, 0]].concat(),
+            FrameError::Wire(mdl_core::tensor::wire::WireError::Truncated),
+        ),
+    ];
+    for (frame, expected) in cases {
+        let (requested, result) = metered(|| Update::decode(&frame));
+        assert_eq!(result, Err(expected), "{}", hex(&frame));
+        assert!(requested <= frame.len(), "{requested} bytes requested for {}", hex(&frame));
+    }
 }
 
 /// The four frames that aborted or panicked the process at ccc01d1, and
@@ -630,9 +685,19 @@ fn huffman_block_survives_hostile_bytes() {
 
 #[test]
 fn dense_update_survives_hostile_bytes() {
-    let update = DenseUpdate { values: vec![1.0, -2.5, f32::NAN, 1e-42, -0.0], num_examples: 17 };
-    let empty = DenseUpdate { values: vec![], num_examples: 0 };
-    hostile::<Dense32>(&[update.encode(), empty.encode()], 4);
+    let mut frames = golden_frames("update-dense");
+    frames.push(Update::dense(vec![], 0).encode());
+    hostile::<Frame>(&frames, 4);
+}
+
+#[test]
+fn sparse_update_survives_hostile_bytes() {
+    hostile::<Frame>(&golden_frames("update-sparse"), 8);
+}
+
+#[test]
+fn quantized_update_survives_hostile_bytes() {
+    hostile::<Frame>(&golden_frames("update-quantized"), 9);
 }
 
 #[test]
