@@ -278,6 +278,40 @@ mod tests {
         }
     }
 
+    /// What the server does with decoded uploads: each one's whole vector
+    /// into a [`BufferedAggregator`](crate::BufferedAggregator), weighted by `n_k`.
+    fn weighted_average(updates: &[Update]) -> Option<Vec<f32>> {
+        let mut agg = crate::BufferedAggregator::new();
+        for u in updates {
+            agg.push(u.clone().into_dense(), u.num_examples as u64);
+        }
+        agg.mean()
+    }
+
+    #[test]
+    fn weighted_average_weights_by_examples() {
+        let a = Update::dense(vec![0.0, 0.0], 30);
+        let b = Update::dense(vec![10.0, 20.0], 10);
+        let avg = weighted_average(&[a, b]).expect("avg");
+        assert!((avg[0] - 2.5).abs() < 1e-6);
+        assert!((avg[1] - 5.0).abs() < 1e-6);
+        // a sparse upload counts as zero where it carries no entry
+        let s = Update::top_fraction(&[0.0, 20.0], 0.5, 10);
+        let avg = weighted_average(&[Update::dense(vec![0.0, 0.0], 30), s]).expect("avg");
+        assert!(avg[0].abs() < 1e-6 && (avg[1] - 5.0).abs() < 1e-6, "{avg:?}");
+    }
+
+    #[test]
+    fn weighted_average_edge_cases() {
+        assert!(weighted_average(&[]).is_none());
+        let a = Update::dense(vec![1.0], 1);
+        let b = Update::dense(vec![1.0, 2.0], 1);
+        assert!(weighted_average(&[a.clone(), b]).is_none());
+        let z = Update::dense(vec![1.0], 0);
+        assert!(weighted_average(&[z]).is_none());
+        assert_eq!(weighted_average(&[a]).unwrap(), vec![1.0]);
+    }
+
     #[test]
     fn dense_round_trip() {
         let u = Update::dense(vec![1.0, -2.5, 0.0, 3.25], 17);
