@@ -99,6 +99,11 @@ fn planned_execution_is_zero_alloc_in_steady_state() {
     let qm = QuantizedModel::from_model(&mut net).expect("stack quantizes");
     let mut plan =
         Plan::compile(PlanModel::Int8(&qm), rows, 12, PlanOptions::default()).expect("plans");
+    // first fit by liveness: the quantized input (72 B) and the GRU states
+    // (96 B) sit side by side, the LSTM states (84 B) don't fit the freed
+    // input span and go after them, and the first Dense output (144 B)
+    // reuses the two freed spans below them
+    assert_eq!(plan.stats().arena_bytes, 252, "int8 arena layout moved");
     plan.run(PlanModel::Int8(&qm), &x, &mut out); // warm-up
     let n = count_allocs(|| {
         for _ in 0..4 {

@@ -2,8 +2,9 @@
 //! `QuantizedModel` must stay within one accuracy point of its f32
 //! parent on a fixed-seed eval, a DeepMood-style recurrent stack must
 //! agree with f32 on essentially every prediction, the serving tier
-//! must hot-swap between the two precisions under a live client, and
-//! the forced-scalar kernel path must be bit-identical to dispatch.
+//! must hot-swap between the two precisions under a live client, the
+//! forced-scalar kernel path must be bit-identical to dispatch, and the
+//! int8 GRU and LSTM outputs are pinned bit for bit.
 
 use mdl_core::nn::Gru;
 use mdl_core::prelude::*;
@@ -141,5 +142,60 @@ fn forced_scalar_kernel_is_bit_identical_to_simd_dispatch() {
         scalar.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "int8 inference must be bit-identical with SIMD forced off ({})",
         int8::simd_level()
+    );
+}
+
+fn fnv(bits: impl Iterator<Item = u32>) -> u64 {
+    bits.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        b.to_le_bytes()
+            .iter()
+            .fold(h, |h, &byte| (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// FNV over the bits of `forward_eval` on a 1-row and a 20-row input.
+fn int8_output_hashes(model: &mut Sequential) -> [u64; 2] {
+    let qm = QuantizedModel::from_model(model).expect("Dense/GRU/LSTM stack quantizes");
+    let d = qm.input_dim();
+    [1, 20].map(|rows| {
+        let x = Matrix::from_fn(rows, d, |t, f| ((t * d + f) as f32 * 0.37).sin() * 0.9);
+        fnv(qm.forward_eval(&x).as_slice().iter().map(|v| v.to_bits()))
+    })
+}
+
+/// Bit pins of the int8 recurrent scans: recurrent layers mid-stack feed
+/// the next layer fixed-scale int8 states, a recurrent layer last emits
+/// its f32 states as the model output. Taken before the GRU and LSTM
+/// scans were folded into one; a hash that moves means the gate math,
+/// the projection order or the state write changed.
+#[test]
+fn int8_recurrent_outputs_are_pinned() {
+    use mdl_core::nn::Lstm;
+    let mut rng = StdRng::seed_from_u64(0x5CA9);
+    let mut mid = Sequential::new();
+    mid.push(Gru::new(5, 12, &mut rng));
+    mid.push(Lstm::new(12, 8, &mut rng));
+    mid.push(Dense::new(8, 3, Activation::Identity, &mut rng));
+    let mut gru_last = Sequential::new();
+    gru_last.push(Dense::new(6, 10, Activation::Tanh, &mut rng));
+    gru_last.push(Gru::new(10, 7, &mut rng));
+    let mut lstm_last = Sequential::new();
+    lstm_last.push(Dense::new(6, 10, Activation::Relu, &mut rng));
+    lstm_last.push(Lstm::new(10, 7, &mut rng));
+
+    assert_eq!(
+        int8_output_hashes(&mut mid),
+        [7643447735454061232, 13090423524598993227],
+        "GRU -> LSTM -> Dense"
+    );
+    assert_eq!(
+        int8_output_hashes(&mut gru_last),
+        [16205922742948657751, 2725066759342519982],
+        "Dense -> GRU"
+    );
+    assert_eq!(
+        int8_output_hashes(&mut lstm_last),
+        [3604074642550150750, 13251930840132166281],
+        "Dense -> LSTM"
     );
 }
