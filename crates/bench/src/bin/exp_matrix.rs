@@ -120,7 +120,7 @@ fn main() {
 
         // the true int8 row: per-channel quantized weights executed
         // through the int8 GEMM, not dequantized back to f32
-        let qm = QuantizedModel::from_model(&mut model).expect("all-Dense model quantizes");
+        let qm = QuantizedModel::from_model(&model).expect("all-Dense model quantizes");
         let q_accuracy = qm.accuracy(&test.x, &test.y);
         for (dev_name, profile) in &devices {
             let cost = profile.inference_cost(&infos, 1.0);

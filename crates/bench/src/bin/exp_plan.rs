@@ -165,8 +165,8 @@ fn main() {
     mdl_core::tensor::kernel::set_threads(1);
 
     let net = model(true);
-    let mut stripped = model(false);
-    let qm = QuantizedModel::from_model(&mut stripped).expect("stripped bench model quantizes");
+    let stripped = model(false);
+    let qm = QuantizedModel::from_model(&stripped).expect("stripped bench model quantizes");
 
     let mut rows = Vec::new();
     for &b in &BATCHES {

@@ -67,8 +67,7 @@ fn fallback() -> Sequential {
 /// The int8 quantization of `model(seed)`, built the way `mdl-serve`
 /// builds it when loading a compression artifact.
 fn quantized(seed: u64) -> QuantizedModel {
-    let mut net = model(seed);
-    QuantizedModel::from_model(&mut net).expect("all-Dense model quantizes")
+    QuantizedModel::from_model(&model(seed)).expect("all-Dense model quantizes")
 }
 
 fn main() {

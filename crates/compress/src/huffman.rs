@@ -47,8 +47,25 @@ impl PartialOrd for HeapNode {
     }
 }
 
-/// Computes Huffman code lengths from symbol frequencies.
+/// Computes Huffman code lengths from symbol frequencies, none longer
+/// than [`MAX_CODE_LEN`]: while the optimal tree is deeper (a skewed,
+/// Fibonacci-like table over 34+ symbols), every nonzero frequency is
+/// halved, keeping a floor of 1, and the tree rebuilt. A table whose tree
+/// already fits is never rescaled.
 fn code_lengths(freqs: &[u64]) -> Vec<u8> {
+    let mut lengths = tree_lengths(freqs);
+    let mut scaled = freqs.to_vec();
+    while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+        for f in scaled.iter_mut().filter(|f| **f > 0) {
+            *f = (*f / 2).max(1);
+        }
+        lengths = tree_lengths(&scaled);
+    }
+    lengths
+}
+
+/// The depth of every symbol in the optimal (unbounded) Huffman tree.
+fn tree_lengths(freqs: &[u64]) -> Vec<u8> {
     let symbols: Vec<usize> =
         freqs.iter().enumerate().filter(|(_, &f)| f > 0).map(|(s, _)| s).collect();
     let mut lengths = vec![0u8; freqs.len()];
@@ -353,6 +370,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A Fibonacci frequency table's optimal tree is one symbol deeper per
+    /// symbol; over 40 symbols it is 39 deep, past what a `u32` code holds.
+    #[test]
+    fn fibonacci_skewed_counts_are_limited_to_32_bit_codes() {
+        let mut freqs = vec![0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in &mut freqs[..40] {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        assert!(tree_lengths(&freqs).iter().any(|&l| l > MAX_CODE_LEN));
+        let lengths = code_lengths(&freqs);
+        assert!(lengths.iter().all(|&l| l <= MAX_CODE_LEN), "{lengths:?}");
+        assert!(lengths[..40].iter().all(|&l| l > 0) && lengths[40..].iter().all(|&l| l == 0));
+        assert!(canonical_codes(&lengths).is_some());
     }
 
     /// A 13-byte block with a code length of 200: at the parent commit

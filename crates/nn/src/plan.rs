@@ -52,8 +52,9 @@
 
 use crate::dense::{Dense, Dropout};
 use crate::gru::{Gru, GruCache};
+use crate::layer::LayerInfo;
 use crate::lstm::{Lstm, LstmCache};
-use crate::quantized::{QGruWs, QLayer, QLstmWs, QuantizedModel, H_SCALE};
+use crate::quantized::{Out, QLayer, QRecurrentWs, QuantizedModel};
 use crate::sequential::Sequential;
 use mdl_tensor::quant::{quantize_value, symmetric_scale};
 use mdl_tensor::{Arena, ArenaBuilder, BufferId, Matrix};
@@ -78,11 +79,11 @@ impl PlanModel<'_> {
         }
     }
 
-    /// Output width of layer `layer`.
-    fn out_dim(self, layer: usize) -> usize {
+    /// Layer `layer`'s structural description.
+    fn info(self, layer: usize) -> LayerInfo {
         match self {
-            PlanModel::F32(seq) => seq.layers()[layer].info().out_dim,
-            PlanModel::Int8(q) => q.layers()[layer].info().out_dim,
+            PlanModel::F32(seq) => seq.layers()[layer].info(),
+            PlanModel::Int8(q) => q.layers()[layer].info(),
         }
     }
 }
@@ -126,8 +127,6 @@ impl std::error::Error for PlanError {}
 /// Compile-time facts about a plan, surfaced to observability.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanStats {
-    /// Executable ops in the plan (including the int8 input quantize).
-    pub ops: usize,
     /// Dense ops, each one GEMM with a fused epilogue.
     pub fused_ops: usize,
     /// Bytes of shared arena backing all inter-layer activations.
@@ -145,12 +144,13 @@ enum Loc {
     Output,
 }
 
-/// One f32 op: layer `layer` of the model applied from `src` to `dst`.
-struct OpF32 {
+/// One op: layer `layer` of the model applied from `src` to `dst`, with
+/// the precision's per-kind state in `kind`.
+struct Op<K> {
     layer: usize,
     src: Loc,
     dst: Loc,
-    kind: KindF32,
+    kind: K,
 }
 
 enum KindF32 {
@@ -167,36 +167,22 @@ enum KindF32 {
     Copy,
 }
 
-enum OpI8 {
-    /// Dynamic-scale input quantization into the arena; writes `slot`.
-    Quantize { dst: BufferId, slot: usize },
-    /// Mid-stack quantized dense: int8 in, int8 out (+ fresh scale).
-    Dense {
-        layer: usize,
-        src: BufferId,
-        dst: BufferId,
-        sin: usize,
-        sout: usize,
-        /// Accumulator-domain bias, refilled each run from the input scale.
-        bq: Vec<i32>,
-        /// Full `rows × out` integer accumulator.
-        acc: Vec<i32>,
-        /// The drain's f32 values (`rows × out`), requantized into `dst`.
-        values: Vec<f32>,
-    },
-    /// Final quantized dense: int8 in, f32 logits out.
-    DenseLast { layer: usize, src: BufferId, sin: usize, bq: Vec<i32>, acc: Vec<i32> },
-    /// Quantized GRU scan; `dst: None` means the f32 states are the
-    /// model output (last layer), otherwise the int8 states feed onward
-    /// through `(buffer, scale slot)`.
-    Gru { layer: usize, src: BufferId, sin: usize, dst: Option<(BufferId, usize)>, ws: QGruWs },
-    /// Quantized LSTM scan (same output convention as `Gru`).
-    Lstm { layer: usize, src: BufferId, sin: usize, dst: Option<(BufferId, usize)>, ws: QLstmWs },
+enum KindI8 {
+    /// One int8 GEMM into the `rows × out` accumulator `acc`, with the
+    /// accumulator-domain bias `bq` refilled each run from the input
+    /// scale. The drain writes `values` (requantized into `dst`), or the
+    /// f32 output directly when `dst` is [`Loc::Output`].
+    Dense { bq: Vec<i32>, acc: Vec<i32>, values: Vec<f32> },
+    /// Quantized GRU or LSTM scan through a plan-owned workspace.
+    Recurrent(QRecurrentWs),
 }
 
+/// An int8 body's `scales[i]` is op `i`'s input scale: the prelude's
+/// dynamic input quantization writes `scales[0]`, op `i` writes
+/// `scales[i + 1]`.
 enum Body {
-    F32 { ops: Vec<OpF32>, arena: Arena<f32> },
-    Int8 { ops: Vec<OpI8>, arena: Arena<i8>, scales: Vec<f32> },
+    F32 { ops: Vec<Op<KindF32>>, arena: Arena<f32> },
+    Int8 { ops: Vec<Op<KindI8>>, arena: Arena<i8>, scales: Vec<f32> },
 }
 
 /// A compiled, shape-specialized execution plan. See the module docs.
@@ -273,7 +259,7 @@ impl Plan {
             return Ok(x.clone());
         }
         if x.rows() == 0 {
-            return Ok(Matrix::zeros(0, model.out_dim(layers.end - 1)));
+            return Ok(Matrix::zeros(0, model.info(layers.end - 1).out_dim));
         }
         let mut plan = Self::compile_range(model, layers, x.rows(), x.cols())?;
         let mut out = Matrix::default();
@@ -287,159 +273,59 @@ impl Plan {
         rows: usize,
         cols: usize,
     ) -> Result<Plan, PlanError> {
-        if range.is_empty() {
-            return Err(PlanError::Empty);
-        }
         let mut b = ArenaBuilder::new();
-        let mut ops = Vec::new();
-        let mut fused_ops = 0usize;
-        let mut cur = Loc::Input;
-        let mut cur_cols = cols;
-        for (i, layer) in range.clone().zip(&seq.layers()[range.clone()]) {
-            let last = i + 1 == range.end;
-            let any = layer.as_any();
-            if any.is_some_and(|a| a.is::<Dropout>()) {
-                // eval-mode identity: alias the location, no op recorded
-                continue;
-            }
-            let info = layer.info();
-            if info.in_dim != cur_cols {
-                return Err(PlanError::Shape { layer: i, expected: info.in_dim, got: cur_cols });
-            }
-            let kind = if any.is_some_and(|a| a.is::<Dense>()) {
-                fused_ops += 1;
-                KindF32::Dense
-            } else if let Some(g) = any.and_then(|a| a.downcast_ref::<Gru>()) {
-                KindF32::Gru(g.plan_cache(rows))
-            } else if let Some(l) = any.and_then(|a| a.downcast_ref::<Lstm>()) {
-                KindF32::Lstm(l.plan_cache(rows))
-            } else {
-                KindF32::Generic(Matrix::zeros(rows, cur_cols))
-            };
-            let dst = if last { Loc::Output } else { Loc::Buf(b.alloc(rows * info.out_dim)) };
-            ops.push(OpF32 { layer: i, src: cur, dst, kind });
-            if let Loc::Buf(id) = cur {
-                b.release(id);
-            }
-            cur = dst;
-            cur_cols = info.out_dim;
-        }
+        let (mut ops, cur, out_cols) =
+            lay_out(PlanModel::F32(seq), range.clone(), rows, cols, &mut b, Loc::Input, |i| {
+                let layer = &seq.layers()[i];
+                let any = layer.as_any();
+                if any.is_some_and(|a| a.is::<Dropout>()) {
+                    // eval-mode identity: alias the location, no op recorded
+                    return None;
+                }
+                Some(if any.is_some_and(|a| a.is::<Dense>()) {
+                    KindF32::Dense
+                } else if let Some(g) = any.and_then(|a| a.downcast_ref::<Gru>()) {
+                    KindF32::Gru(g.plan_cache(rows))
+                } else if let Some(l) = any.and_then(|a| a.downcast_ref::<Lstm>()) {
+                    KindF32::Lstm(l.plan_cache(rows))
+                } else {
+                    KindF32::Generic(Matrix::zeros(rows, layer.info().in_dim))
+                })
+            })?;
         // a trailing (or sole) dropout leaves the chain short of Output
         if !matches!(cur, Loc::Output) {
             let layer = range.end - 1;
-            ops.push(OpF32 { layer, src: cur, dst: Loc::Output, kind: KindF32::Copy });
+            ops.push(Op { layer, src: cur, dst: Loc::Output, kind: KindF32::Copy });
         }
+        let fused_ops = ops.iter().filter(|op| matches!(op.kind, KindF32::Dense)).count();
         let arena = b.build::<f32>();
-        let stats = PlanStats { ops: ops.len(), fused_ops, arena_bytes: arena.size_bytes() };
-        Ok(Plan { rows, in_cols: cols, out_cols: cur_cols, body: Body::F32 { ops, arena }, stats })
+        let stats = PlanStats { fused_ops, arena_bytes: arena.size_bytes() };
+        Ok(Plan { rows, in_cols: cols, out_cols, body: Body::F32 { ops, arena }, stats })
     }
 
     fn compile_i8(q: &QuantizedModel, rows: usize, cols: usize) -> Result<Plan, PlanError> {
-        let layers = q.layers();
-        if layers.is_empty() {
-            return Err(PlanError::Empty);
-        }
-        let first = layers[0].info();
-        if first.in_dim != cols {
-            return Err(PlanError::Shape { layer: 0, expected: first.in_dim, got: cols });
-        }
+        let n = q.layers().len();
         let mut b = ArenaBuilder::new();
-        let mut ops = Vec::new();
-        let mut fused_ops = 0usize;
-        let mut slots = 0usize;
-        let mut next_slot = || {
-            slots += 1;
-            slots - 1
-        };
-
-        let input = b.alloc(rows * cols);
-        ops.push(OpI8::Quantize { dst: input, slot: next_slot() });
-        let mut cur = input;
-        let mut cur_slot = 0usize;
-        let mut cur_cols = cols;
-        for (i, layer) in layers.iter().enumerate() {
-            let last = i + 1 == layers.len();
-            let info = layer.info();
-            if info.in_dim != cur_cols {
-                return Err(PlanError::Shape { layer: i, expected: info.in_dim, got: cur_cols });
-            }
-            let out_dim = info.out_dim;
-            match layer {
-                QLayer::Dense(_) => {
-                    let bq = vec![0i32; out_dim];
-                    let acc = vec![0i32; rows * out_dim];
-                    fused_ops += 1;
-                    if last {
-                        ops.push(OpI8::DenseLast { layer: i, src: cur, sin: cur_slot, bq, acc });
-                    } else {
-                        let values = vec![0.0f32; rows * out_dim];
-                        let dst = b.alloc(rows * out_dim);
-                        let sout = next_slot();
-                        ops.push(OpI8::Dense {
-                            layer: i,
-                            src: cur,
-                            dst,
-                            sin: cur_slot,
-                            sout,
-                            bq,
-                            acc,
-                            values,
-                        });
-                        b.release(cur);
-                        cur = dst;
-                        cur_slot = sout;
+        // the prelude quantizes the caller's input into the first buffer
+        let input = Loc::Buf(b.alloc(rows * cols));
+        let (ops, _, out_cols) =
+            lay_out(PlanModel::Int8(q), 0..n, rows, cols, &mut b, input, |i| {
+                let layer = &q.layers()[i];
+                Some(match layer {
+                    QLayer::Dense(_) => {
+                        let out = layer.info().out_dim;
+                        // the last layer drains straight into the f32 output
+                        let values = if i + 1 == n { Vec::new() } else { vec![0.0; rows * out] };
+                        KindI8::Dense { bq: vec![0; out], acc: vec![0; rows * out], values }
                     }
-                }
-                QLayer::Gru(g) => {
-                    let ws = g.make_ws(rows);
-                    if last {
-                        ops.push(OpI8::Gru { layer: i, src: cur, sin: cur_slot, dst: None, ws });
-                    } else {
-                        let dst = b.alloc(rows * out_dim);
-                        let sout = next_slot();
-                        ops.push(OpI8::Gru {
-                            layer: i,
-                            src: cur,
-                            sin: cur_slot,
-                            dst: Some((dst, sout)),
-                            ws,
-                        });
-                        b.release(cur);
-                        cur = dst;
-                        cur_slot = sout;
-                    }
-                }
-                QLayer::Lstm(l) => {
-                    let ws = l.make_ws(rows);
-                    if last {
-                        ops.push(OpI8::Lstm { layer: i, src: cur, sin: cur_slot, dst: None, ws });
-                    } else {
-                        let dst = b.alloc(rows * out_dim);
-                        let sout = next_slot();
-                        ops.push(OpI8::Lstm {
-                            layer: i,
-                            src: cur,
-                            sin: cur_slot,
-                            dst: Some((dst, sout)),
-                            ws,
-                        });
-                        b.release(cur);
-                        cur = dst;
-                        cur_slot = sout;
-                    }
-                }
-            }
-            cur_cols = out_dim;
-        }
+                    QLayer::Recurrent(r) => KindI8::Recurrent(r.make_ws(rows)),
+                })
+            })?;
+        let fused_ops = ops.iter().filter(|op| matches!(op.kind, KindI8::Dense { .. })).count();
         let arena = b.build::<i8>();
-        let stats = PlanStats { ops: ops.len(), fused_ops, arena_bytes: arena.size_bytes() };
-        Ok(Plan {
-            rows,
-            in_cols: cols,
-            out_cols: cur_cols,
-            body: Body::Int8 { ops, arena, scales: vec![0.0; slots] },
-            stats,
-        })
+        let stats = PlanStats { fused_ops, arena_bytes: arena.size_bytes() };
+        let scales = vec![0.0; ops.len() + 1];
+        Ok(Plan { rows, in_cols: cols, out_cols, body: Body::Int8 { ops, arena, scales }, stats })
     }
 
     /// Rows (batch size / sequence length) the plan was compiled for.
@@ -457,7 +343,7 @@ impl Plan {
         self.out_cols
     }
 
-    /// Compile-time stats (op counts, fused-op count, arena footprint).
+    /// Compile-time stats (fused-op count, arena footprint).
     pub fn stats(&self) -> PlanStats {
         self.stats
     }
@@ -493,6 +379,44 @@ impl Plan {
     }
 }
 
+/// The one chain walk both precisions compile through: starting from
+/// `first`, lays layer `i` of `range` out as an op of kind `kind(i)`
+/// (`None`: no op, the location aliases on). Per op it checks the input
+/// width, allocates `dst` in `b` unless the layer is last, pushes the op
+/// and releases `src`. Returns the ops, the chain's final location and
+/// its width.
+fn lay_out<K>(
+    model: PlanModel<'_>,
+    range: std::ops::Range<usize>,
+    rows: usize,
+    cols: usize,
+    b: &mut ArenaBuilder,
+    first: Loc,
+    mut kind: impl FnMut(usize) -> Option<K>,
+) -> Result<(Vec<Op<K>>, Loc, usize), PlanError> {
+    if range.is_empty() {
+        return Err(PlanError::Empty);
+    }
+    let mut ops = Vec::new();
+    let (mut cur, mut cur_cols) = (first, cols);
+    for i in range.clone() {
+        let Some(kind) = kind(i) else { continue };
+        let info = model.info(i);
+        if info.in_dim != cur_cols {
+            return Err(PlanError::Shape { layer: i, expected: info.in_dim, got: cur_cols });
+        }
+        let last = i + 1 == range.end;
+        let dst = if last { Loc::Output } else { Loc::Buf(b.alloc(rows * info.out_dim)) };
+        ops.push(Op { layer: i, src: cur, dst, kind });
+        if let Loc::Buf(id) = cur {
+            b.release(id);
+        }
+        cur = dst;
+        cur_cols = info.out_dim;
+    }
+    Ok((ops, cur, cur_cols))
+}
+
 /// Resolves an op's read/write pair against the arena and the caller's
 /// input/output buffers.
 fn rw<'a>(
@@ -519,7 +443,7 @@ fn expect_layer<'a, T: 'static>(seq: &'a Sequential, idx: usize, kind: &str) -> 
 }
 
 fn run_f32(
-    ops: &mut [OpF32],
+    ops: &mut [Op<KindF32>],
     arena: &mut Arena<f32>,
     seq: &Sequential,
     rows: usize,
@@ -558,7 +482,7 @@ fn run_f32(
 }
 
 fn run_i8(
-    ops: &mut [OpI8],
+    ops: &mut [Op<KindI8>],
     arena: &mut Arena<i8>,
     scales: &mut [f32],
     q: &QuantizedModel,
@@ -566,73 +490,28 @@ fn run_i8(
     x: &Matrix,
     out: &mut Matrix,
 ) {
-    let layers = q.layers();
-    let dense_at = |idx: usize| match &layers[idx] {
-        QLayer::Dense(d) => d,
-        _ => panic!("plan expects layer {idx} to be dense"),
-    };
-    for op in ops.iter_mut() {
-        match op {
-            OpI8::Quantize { dst, slot } => {
-                let scale = symmetric_scale(x.max_abs());
-                scales[*slot] = scale;
-                for (b, &v) in arena.slice_mut(*dst).iter_mut().zip(x.as_slice()) {
-                    *b = quantize_value(v, scale);
-                }
+    // prelude: dynamic-scale input quantization into the first buffer
+    let Loc::Buf(input) = ops[0].src else { unreachable!("an int8 plan reads the arena") };
+    scales[0] = symmetric_scale(x.max_abs());
+    for (b, &v) in arena.slice_mut(input).iter_mut().zip(x.as_slice()) {
+        *b = quantize_value(v, scales[0]);
+    }
+    for (i, op) in ops.iter_mut().enumerate() {
+        let Loc::Buf(src) = op.src else { unreachable!("an int8 plan reads the arena") };
+        let (xs, dst) = match op.dst {
+            Loc::Buf(d) => {
+                let (xs, os) = arena.read_write(src, d);
+                (xs, Out::Int8(os))
             }
-            OpI8::Dense { layer, src, dst, sin, sout, bq, acc, values } => {
-                let d = dense_at(*layer);
-                let (xs, os) = arena.read_write(*src, *dst);
-                let max_abs = d.eval_into(rows, xs, scales[*sin], bq, acc, values);
-                let scale = symmetric_scale(max_abs);
-                for (slot, &v) in os.iter_mut().zip(values.iter()) {
-                    *slot = quantize_value(v, scale);
-                }
-                scales[*sout] = scale;
+            _ => (arena.slice(src), Out::F32(out.as_mut_slice())),
+        };
+        scales[i + 1] = match (&mut op.kind, &q.layers()[op.layer]) {
+            (KindI8::Dense { bq, acc, values }, QLayer::Dense(d)) => {
+                d.eval_into(xs, scales[i], bq, acc, values, dst)
             }
-            OpI8::DenseLast { layer, src, sin, bq, acc } => {
-                let d = dense_at(*layer);
-                let xs = arena.slice(*src);
-                d.eval_into(rows, xs, scales[*sin], bq, acc, out.as_mut_slice());
-            }
-            OpI8::Gru { layer, src, sin, dst, ws } => {
-                let g = match &layers[*layer] {
-                    QLayer::Gru(g) => g,
-                    _ => panic!("plan expects layer {layer} to be gru"),
-                };
-                let x_scale = scales[*sin];
-                match dst {
-                    Some((d, sout)) => {
-                        let (xs, os) = arena.read_write(*src, *d);
-                        g.scan_ws(rows, xs, x_scale, ws, None, Some(os));
-                        // hidden states always carry the fixed scale
-                        scales[*sout] = H_SCALE;
-                    }
-                    None => {
-                        let xs = arena.slice(*src);
-                        g.scan_ws(rows, xs, x_scale, ws, Some(out.as_mut_slice()), None);
-                    }
-                }
-            }
-            OpI8::Lstm { layer, src, sin, dst, ws } => {
-                let l = match &layers[*layer] {
-                    QLayer::Lstm(l) => l,
-                    _ => panic!("plan expects layer {layer} to be lstm"),
-                };
-                let x_scale = scales[*sin];
-                match dst {
-                    Some((d, sout)) => {
-                        let (xs, os) = arena.read_write(*src, *d);
-                        l.scan_ws(rows, xs, x_scale, ws, None, Some(os));
-                        scales[*sout] = H_SCALE;
-                    }
-                    None => {
-                        let xs = arena.slice(*src);
-                        l.scan_ws(rows, xs, x_scale, ws, Some(out.as_mut_slice()), None);
-                    }
-                }
-            }
-        }
+            (KindI8::Recurrent(ws), QLayer::Recurrent(r)) => r.scan(rows, xs, scales[i], ws, dst),
+            _ => panic!("plan expects layer {} to be of its compiled kind", op.layer),
+        };
     }
 }
 

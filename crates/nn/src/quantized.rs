@@ -24,7 +24,8 @@
 //! matrix product). Gate biases likewise stay f32 for the recurrent
 //! layers: a gate pre-activation mixes two accumulator domains (input
 //! scale × weight scale vs. hidden scale × recurrent scale), so there is
-//! no single integer domain to fold the bias into.
+//! no single integer domain to fold the bias into. GRU and LSTM are one
+//! layer type with one scan; only the per-step gate math differs by cell.
 
 use crate::activation::{sigmoid, Activation};
 use crate::dense::Dense;
@@ -33,12 +34,12 @@ use crate::layer::LayerInfo;
 use crate::lstm::Lstm;
 use crate::plan::{Plan, PlanModel};
 use crate::sequential::Sequential;
-use mdl_tensor::quant::{quantize_value, Int8Matrix};
+use mdl_tensor::quant::{quantize_value, symmetric_scale, Int8Matrix};
 use mdl_tensor::stats::softmax_rows;
 use mdl_tensor::Matrix;
 
 /// Fixed quantization scale for recurrent hidden states (`|h| ≤ 1`).
-pub(crate) const H_SCALE: f32 = 1.0 / 127.0;
+const H_SCALE: f32 = 1.0 / 127.0;
 
 /// One pass over freshly-drained integer accumulators: folds the
 /// accumulator-domain bias, dequantizes through `x_scale` and the
@@ -84,27 +85,32 @@ impl QDense {
 
     /// The layer's whole forward pass over raw slices: folds the f32 bias
     /// into the accumulator domain for this input scale
-    /// (`bq_j = round(b_j / (s_x · s_w_j))`), fills `acc` with one
-    /// dispatched full-batch GEMM, then a single drain pass writes
-    /// `act((acc + bq_j) · s_x · s_w_j)` into `values` (`rows × out`).
-    /// Returns the values' max-abs — what a mid-stack caller requantizes
-    /// by; the final layer's `values` are the model's f32 logits.
+    /// (`bq_j = round(b_j / (s_x · s_w_j))`), fills the `rows × out`
+    /// accumulator `acc` with one dispatched full-batch GEMM, then a
+    /// single drain pass computes `act((acc + bq_j) · s_x · s_w_j)` —
+    /// straight into an f32 `out`, or into `values` that an int8 `out`
+    /// receives requantized by their max-abs. Returns that scale.
     pub(crate) fn eval_into(
         &self,
-        rows: usize,
         x: &[i8],
         x_scale: f32,
         bq: &mut [i32],
         acc: &mut [i32],
         values: &mut [f32],
+        out: Out<'_>,
     ) -> f32 {
         let (out_dim, scales) = (self.w.out_dim(), self.w.scales());
+        let rows = acc.len() / out_dim;
         for ((slot, &b), &sw) in bq.iter_mut().zip(&self.bias).zip(scales) {
             *slot = (b / (x_scale * sw)).round() as i32;
         }
         self.w.gemm_into(rows, x, acc, false);
+        let (values, requantized) = match out {
+            Out::F32(o) => (o, None),
+            Out::Int8(o) => (values, Some(o)),
+        };
         // one arm per activation so the per-element apply constant-folds
-        match self.activation {
+        let max_abs = match self.activation {
             Activation::Identity => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| v),
             Activation::Relu => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| {
                 Activation::Relu.apply(v)
@@ -120,7 +126,14 @@ impl QDense {
             Activation::Tanh => drain_values(acc, bq, scales, x_scale, out_dim, values, |v| {
                 Activation::Tanh.apply(v)
             }),
+        };
+        let scale = symmetric_scale(max_abs);
+        if let Some(o) = requantized {
+            for (slot, &v) in o.iter_mut().zip(values.iter()) {
+                *slot = quantize_value(v, scale);
+            }
         }
+        scale
     }
 
     fn info(&self) -> LayerInfo {
@@ -139,285 +152,197 @@ impl QDense {
     }
 }
 
-/// Reusable workspace for [`QGru::scan_ws`]: the pre-sliced per-sequence
-/// buffers the recurrence runs in, owned by the plan op that scans.
+/// The cell a [`QRecurrent`] runs. Only the per-step gate math differs
+/// by cell, and a scan matches on it once.
+#[derive(Clone, Copy)]
+enum Cell {
+    /// Gates `[r, z, h̃]` (paper Eq. 1 conventions: the update gate keeps
+    /// the *previous* state).
+    Gru,
+    /// Gates `[i, f, o, g]`; the cell state stays f32.
+    Lstm,
+}
+
+/// Where a quantized layer writes its `rows × out` result: int8 for the
+/// next layer, or the model's f32 output when the layer is last.
+pub(crate) enum Out<'a> {
+    Int8(&'a mut [i8]),
+    F32(&'a mut [f32]),
+}
+
+/// A scan's carried state and per-step scratch, each `h` wide.
 #[derive(Default)]
-pub(crate) struct QGruWs {
-    /// Whole-sequence gate bases `[r, z, h̃]`, each `T × h`.
-    a: [Vec<f32>; 3],
-    /// Integer scratch for the whole-sequence input GEMMs (`T × h`).
-    acc: Vec<i32>,
+struct StepState {
     h: Vec<f32>,
     h_q: Vec<i8>,
+    /// LSTM cell state (stays f32 — unbounded, never enters a matrix product).
+    c: Vec<f32>,
+    /// GRU reset-gated state `r ⊙ h`, quantized at `h`'s scale.
     rh_q: Vec<i8>,
+    /// Recurrent products `U_k · h`, gate-major (`gates × h`).
     rec: Vec<i32>,
-    r: Vec<f32>,
-    z: Vec<f32>,
 }
 
-impl QGruWs {
-    /// Sizes every buffer for a `t_len × h_dim` scan and resets the
-    /// hidden state to zero. No-op on the heap once capacities fit.
-    fn prepare(&mut self, t_len: usize, h_dim: usize) {
-        for a in &mut self.a {
-            a.resize(t_len * h_dim, 0.0);
-        }
+/// Reusable workspace for [`QRecurrent::scan`]: the pre-sliced
+/// per-sequence buffers the recurrence runs in, owned by the plan op that
+/// scans.
+#[derive(Default)]
+pub(crate) struct QRecurrentWs {
+    /// Whole-sequence gate bases, time-major: step `t` reads the
+    /// `gates × h` block at `t · gates · h`.
+    a: Vec<f32>,
+    /// Integer scratch for one gate's whole-sequence input GEMM (`T × h`).
+    acc: Vec<i32>,
+    s: StepState,
+}
+
+impl QRecurrentWs {
+    /// Sizes every buffer for a `t_len × h_dim` scan over `gates` gates and
+    /// resets the hidden and cell state to zero. No-op on the heap once
+    /// capacities fit.
+    fn prepare(&mut self, gates: usize, t_len: usize, h_dim: usize) {
+        self.a.resize(gates * t_len * h_dim, 0.0);
         self.acc.resize(t_len * h_dim, 0);
-        self.h.clear();
-        self.h.resize(h_dim, 0.0);
-        self.h_q.clear();
-        self.h_q.resize(h_dim, 0);
-        self.rh_q.resize(h_dim, 0);
-        self.rec.resize(h_dim, 0);
-        self.r.resize(h_dim, 0.0);
-        self.z.resize(h_dim, 0.0);
-    }
-}
-
-/// Quantized GRU (paper Eq. 1 conventions: the update gate keeps the
-/// *previous* state).
-pub(crate) struct QGru {
-    /// Input kernels `[W_r, W_z, W_h]`.
-    wx: [Int8Matrix; 3],
-    /// Recurrent kernels `[U_r, U_z, U_h]`.
-    u: [Int8Matrix; 3],
-    /// Gate biases `[b_r, b_z, b_h]` (f32 — see module docs).
-    b: [Vec<f32>; 3],
-}
-
-impl QGru {
-    fn from_gru(g: &Gru) -> Self {
-        let q = |m: &Matrix| Int8Matrix::quantize(m);
-        let [wr, wz, wh] = g.input_kernels();
-        let [ur, uz, uh] = g.recurrent_kernels();
-        let [br, bz, bh] = g.biases();
-        Self {
-            wx: [q(wr), q(wz), q(wh)],
-            u: [q(ur), q(uz), q(uh)],
-            b: [br.as_slice().to_vec(), bz.as_slice().to_vec(), bh.as_slice().to_vec()],
+        let s = &mut self.s;
+        for v in [&mut s.h, &mut s.c] {
+            v.clear();
+            v.resize(h_dim, 0.0);
         }
+        s.h_q.clear();
+        s.h_q.resize(h_dim, 0);
+        s.rh_q.resize(h_dim, 0);
+        s.rec.resize(gates * h_dim, 0);
+    }
+}
+
+/// Quantized GRU or LSTM: per gate an int8 input kernel, an int8
+/// recurrent kernel and an f32 bias, in the cell's gate order.
+pub(crate) struct QRecurrent {
+    cell: Cell,
+    wx: Vec<Int8Matrix>,
+    u: Vec<Int8Matrix>,
+    /// Gate biases (f32 — see module docs).
+    b: Vec<Vec<f32>>,
+}
+
+impl QRecurrent {
+    fn new(cell: Cell, wx: &[&Matrix], u: &[&Matrix], b: &[&Matrix]) -> Self {
+        let q = |ms: &[&Matrix]| ms.iter().map(|m| Int8Matrix::quantize(m)).collect();
+        Self { cell, wx: q(wx), u: q(u), b: b.iter().map(|b| b.as_slice().to_vec()).collect() }
     }
 
-    /// Input width.
-    pub(crate) fn in_dim(&self) -> usize {
-        self.wx[0].in_dim()
-    }
-
-    /// Hidden width.
-    pub(crate) fn hidden_dim(&self) -> usize {
+    fn hidden_dim(&self) -> usize {
         self.wx[0].out_dim()
     }
 
     /// A workspace pre-sized for `t_len`-step scans, so the first
-    /// [`QGru::scan_ws`] already runs allocation-free.
-    pub(crate) fn make_ws(&self, t_len: usize) -> QGruWs {
-        let mut ws = QGruWs::default();
-        ws.prepare(t_len, self.hidden_dim());
+    /// [`QRecurrent::scan`] already runs allocation-free.
+    pub(crate) fn make_ws(&self, t_len: usize) -> QRecurrentWs {
+        let mut ws = QRecurrentWs::default();
+        ws.prepare(self.wx.len(), t_len, self.hidden_dim());
         ws
     }
 
-    /// Runs the recurrence in a caller-owned workspace, writing the f32
-    /// hidden states (`T × h`) into `states` and/or the fixed-scale int8
-    /// states into `states_q` when provided.
-    pub(crate) fn scan_ws(
+    /// Runs the recurrence over `t_len` int8 steps in a caller-owned
+    /// workspace and writes every step's hidden state into `out`: as f32,
+    /// or quantized at the fixed [`H_SCALE`] for the next layer. Returns
+    /// that scale.
+    pub(crate) fn scan(
         &self,
         t_len: usize,
         x: &[i8],
         x_scale: f32,
-        ws: &mut QGruWs,
-        mut states: Option<&mut [f32]>,
-        mut states_q: Option<&mut [i8]>,
-    ) {
-        let (d, h_dim) = (self.in_dim(), self.hidden_dim());
-        assert_eq!(x.len(), t_len * d, "quantized GRU input length mismatch");
-        assert!(t_len > 0, "quantized GRU requires a non-empty sequence");
-        ws.prepare(t_len, h_dim);
+        ws: &mut QRecurrentWs,
+        mut out: Out<'_>,
+    ) -> f32 {
+        let (d, h_dim, gates) = (self.wx[0].in_dim(), self.hidden_dim(), self.wx.len());
+        let kind = self.info().kind;
+        assert_eq!(x.len(), t_len * d, "quantized {kind} input length mismatch");
+        assert!(t_len > 0, "quantized {kind} requires a non-empty sequence");
+        ws.prepare(gates, t_len, h_dim);
+        let QRecurrentWs { a, acc, s } = ws;
 
         // whole-sequence input projections: one int8 GEMM per gate,
-        // rescaled (+ bias) into f32 pre-activation bases `T × h`
-        for g in 0..3 {
-            self.wx[g].gemm_into(t_len, x, &mut ws.acc, false);
-            for (idx, (slot, &acc)) in ws.a[g].iter_mut().zip(ws.acc.iter()).enumerate() {
-                let j = idx % h_dim;
-                *slot = acc as f32 * x_scale * self.wx[g].scales()[j] + self.b[g][j];
+        // rescaled (+ bias) into f32 pre-activation bases
+        for (k, (w, b)) in self.wx.iter().zip(&self.b).enumerate() {
+            w.gemm_into(t_len, x, acc, false);
+            for (acc_t, a_t) in acc.chunks_exact(h_dim).zip(a.chunks_exact_mut(gates * h_dim)) {
+                let a_k = &mut a_t[k * h_dim..(k + 1) * h_dim];
+                for (((slot, &v), &sw), &bj) in a_k.iter_mut().zip(acc_t).zip(w.scales()).zip(b) {
+                    *slot = v as f32 * x_scale * sw + bj;
+                }
             }
         }
 
-        let QGruWs { a, acc: _, h, h_q, rh_q, rec, r, z } = ws;
-        for t in 0..t_len {
-            let base = |g: usize, j: usize| a[g][t * h_dim + j];
-            self.u[0].gemm_into(1, h_q, rec, false);
-            for j in 0..h_dim {
-                r[j] = sigmoid(base(0, j) + rec[j] as f32 * H_SCALE * self.u[0].scales()[j]);
+        let step: fn(&Self, &[f32], &mut StepState) = match self.cell {
+            Cell::Gru => Self::gru_step,
+            Cell::Lstm => Self::lstm_step,
+        };
+        for (t, base) in a.chunks_exact(gates * h_dim).enumerate() {
+            step(self, base, s);
+            let span = t * h_dim..(t + 1) * h_dim;
+            match &mut out {
+                Out::F32(o) => o[span].copy_from_slice(&s.h),
+                Out::Int8(o) => o[span].copy_from_slice(&s.h_q),
             }
-            self.u[1].gemm_into(1, h_q, rec, false);
-            for j in 0..h_dim {
-                z[j] = sigmoid(base(1, j) + rec[j] as f32 * H_SCALE * self.u[1].scales()[j]);
-            }
-            // |r ⊙ h| ≤ |h| ≤ 1, so the reset-gated state shares h's scale
-            for j in 0..h_dim {
-                rh_q[j] = quantize_value(r[j] * h[j], H_SCALE);
-            }
-            self.u[2].gemm_into(1, rh_q, rec, false);
-            for j in 0..h_dim {
-                let hc = (base(2, j) + rec[j] as f32 * H_SCALE * self.u[2].scales()[j]).tanh();
-                h[j] = z[j] * h[j] + (1.0 - z[j]) * hc;
-                h_q[j] = quantize_value(h[j], H_SCALE);
-            }
-            if let Some(s) = states.as_deref_mut() {
-                s[t * h_dim..(t + 1) * h_dim].copy_from_slice(h);
-            }
-            if let Some(sq) = states_q.as_deref_mut() {
-                sq[t * h_dim..(t + 1) * h_dim].copy_from_slice(h_q);
-            }
+        }
+        H_SCALE
+    }
+
+    /// Gate `k`'s pre-activation at unit `j`: its input base plus the
+    /// dequantized recurrent product.
+    #[inline]
+    fn pre(&self, base: &[f32], rec: &[i32], h_dim: usize, k: usize, j: usize) -> f32 {
+        let kj = k * h_dim + j;
+        base[kj] + rec[kj] as f32 * H_SCALE * self.u[k].scales()[j]
+    }
+
+    fn gru_step(&self, base: &[f32], s: &mut StepState) {
+        let h_dim = s.h.len();
+        let StepState { h, h_q, rh_q, rec, .. } = s;
+        for (u, rec_k) in self.u[..2].iter().zip(rec.chunks_exact_mut(h_dim)) {
+            u.gemm_into(1, h_q, rec_k, false);
+        }
+        // |r ⊙ h| ≤ |h| ≤ 1, so the reset-gated state shares h's scale
+        for j in 0..h_dim {
+            let r = sigmoid(self.pre(base, rec, h_dim, 0, j));
+            rh_q[j] = quantize_value(r * h[j], H_SCALE);
+        }
+        self.u[2].gemm_into(1, rh_q, &mut rec[2 * h_dim..], false);
+        for j in 0..h_dim {
+            let z = sigmoid(self.pre(base, rec, h_dim, 1, j));
+            let hc = self.pre(base, rec, h_dim, 2, j).tanh();
+            h[j] = z * h[j] + (1.0 - z) * hc;
+            h_q[j] = quantize_value(h[j], H_SCALE);
         }
     }
 
-    fn info(&self) -> LayerInfo {
-        let (d, h) = (self.wx[0].in_dim(), self.wx[0].out_dim());
-        LayerInfo {
-            kind: "gru",
-            in_dim: d,
-            out_dim: h,
-            params: 3 * (d * h + h * h + h),
-            macs: (3 * (d * h + h * h)) as u64,
+    fn lstm_step(&self, base: &[f32], s: &mut StepState) {
+        let h_dim = s.h.len();
+        let StepState { h, h_q, c, rec, .. } = s;
+        for (u, rec_k) in self.u.iter().zip(rec.chunks_exact_mut(h_dim)) {
+            u.gemm_into(1, h_q, rec_k, false);
         }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.wx.iter().chain(&self.u).map(Int8Matrix::storage_bytes).sum::<usize>()
-            + self.b.iter().map(|b| 4 * b.len()).sum::<usize>()
-    }
-}
-
-/// Reusable workspace for [`QLstm::scan_ws`] — see [`QGruWs`].
-#[derive(Default)]
-pub(crate) struct QLstmWs {
-    /// Whole-sequence gate bases `[i, f, o, g]`, each `T × h`.
-    a: [Vec<f32>; 4],
-    /// Integer scratch for the whole-sequence input GEMMs (`T × h`).
-    acc: Vec<i32>,
-    h: Vec<f32>,
-    h_q: Vec<i8>,
-    /// Cell state (stays f32 — unbounded, never enters a matrix product).
-    c: Vec<f32>,
-    rec: [Vec<i32>; 4],
-}
-
-impl QLstmWs {
-    /// Sizes every buffer for a `t_len × h_dim` scan and resets the
-    /// hidden and cell state to zero.
-    fn prepare(&mut self, t_len: usize, h_dim: usize) {
-        for a in &mut self.a {
-            a.resize(t_len * h_dim, 0.0);
-        }
-        self.acc.resize(t_len * h_dim, 0);
-        self.h.clear();
-        self.h.resize(h_dim, 0.0);
-        self.h_q.clear();
-        self.h_q.resize(h_dim, 0);
-        self.c.clear();
-        self.c.resize(h_dim, 0.0);
-        for r in &mut self.rec {
-            r.resize(h_dim, 0);
-        }
-    }
-}
-
-/// Quantized LSTM, gate order `[i, f, o, g]`; the cell state stays f32.
-pub(crate) struct QLstm {
-    wx: [Int8Matrix; 4],
-    u: [Int8Matrix; 4],
-    b: [Vec<f32>; 4],
-}
-
-impl QLstm {
-    fn from_lstm(l: &Lstm) -> Self {
-        let q = |m: &Matrix| Int8Matrix::quantize(m);
-        Self {
-            wx: l.input_kernels().map(q),
-            u: l.recurrent_kernels().map(q),
-            b: l.biases().map(|b| b.as_slice().to_vec()),
-        }
-    }
-
-    /// Input width.
-    pub(crate) fn in_dim(&self) -> usize {
-        self.wx[0].in_dim()
-    }
-
-    /// Hidden width.
-    pub(crate) fn hidden_dim(&self) -> usize {
-        self.wx[0].out_dim()
-    }
-
-    /// A workspace pre-sized for `t_len`-step scans, so the first
-    /// [`QLstm::scan_ws`] already runs allocation-free.
-    pub(crate) fn make_ws(&self, t_len: usize) -> QLstmWs {
-        let mut ws = QLstmWs::default();
-        ws.prepare(t_len, self.hidden_dim());
-        ws
-    }
-
-    /// Runs the recurrence in a caller-owned workspace — the LSTM
-    /// counterpart of [`QGru::scan_ws`].
-    pub(crate) fn scan_ws(
-        &self,
-        t_len: usize,
-        x: &[i8],
-        x_scale: f32,
-        ws: &mut QLstmWs,
-        mut states: Option<&mut [f32]>,
-        mut states_q: Option<&mut [i8]>,
-    ) {
-        let (d, h_dim) = (self.in_dim(), self.hidden_dim());
-        assert_eq!(x.len(), t_len * d, "quantized LSTM input length mismatch");
-        assert!(t_len > 0, "quantized LSTM requires a non-empty sequence");
-        ws.prepare(t_len, h_dim);
-
-        // same up-front layout as the GRU: one int8 GEMM per gate
-        for g in 0..4 {
-            self.wx[g].gemm_into(t_len, x, &mut ws.acc, false);
-            for (idx, (slot, &acc)) in ws.a[g].iter_mut().zip(ws.acc.iter()).enumerate() {
-                let j = idx % h_dim;
-                *slot = acc as f32 * x_scale * self.wx[g].scales()[j] + self.b[g][j];
-            }
-        }
-
-        let QLstmWs { a, acc: _, h, h_q, c, rec } = ws;
-        for t in 0..t_len {
-            for (k, rec_k) in rec.iter_mut().enumerate() {
-                self.u[k].gemm_into(1, h_q, rec_k, false);
-            }
-            for j in 0..h_dim {
-                let pre = |k: usize| {
-                    a[k][t * h_dim + j] + rec[k][j] as f32 * H_SCALE * self.u[k].scales()[j]
-                };
-                let i = sigmoid(pre(0));
-                let f = sigmoid(pre(1));
-                let o = sigmoid(pre(2));
-                let g = pre(3).tanh();
-                c[j] = f * c[j] + i * g;
-                h[j] = o * c[j].tanh();
-                h_q[j] = quantize_value(h[j], H_SCALE);
-            }
-            if let Some(s) = states.as_deref_mut() {
-                s[t * h_dim..(t + 1) * h_dim].copy_from_slice(h);
-            }
-            if let Some(sq) = states_q.as_deref_mut() {
-                sq[t * h_dim..(t + 1) * h_dim].copy_from_slice(h_q);
-            }
+        for j in 0..h_dim {
+            let pre = |k: usize| self.pre(base, rec, h_dim, k, j);
+            let (i, f, o, g) = (sigmoid(pre(0)), sigmoid(pre(1)), sigmoid(pre(2)), pre(3).tanh());
+            c[j] = f * c[j] + i * g;
+            h[j] = o * c[j].tanh();
+            h_q[j] = quantize_value(h[j], H_SCALE);
         }
     }
 
     fn info(&self) -> LayerInfo {
-        let (d, h) = (self.wx[0].in_dim(), self.wx[0].out_dim());
+        let (d, h, gates) = (self.wx[0].in_dim(), self.hidden_dim(), self.wx.len());
         LayerInfo {
-            kind: "lstm",
+            kind: match self.cell {
+                Cell::Gru => "gru",
+                Cell::Lstm => "lstm",
+            },
             in_dim: d,
             out_dim: h,
-            params: 4 * (d * h + h * h + h),
-            macs: (4 * (d * h + h * h)) as u64,
+            params: gates * (d * h + h * h + h),
+            macs: (gates * (d * h + h * h)) as u64,
         }
     }
 
@@ -431,24 +356,21 @@ impl QLstm {
 /// compiler ([`crate::plan`]) can specialize ops per variant.
 pub(crate) enum QLayer {
     Dense(QDense),
-    Gru(QGru),
-    Lstm(QLstm),
+    Recurrent(QRecurrent),
 }
 
 impl QLayer {
     pub(crate) fn info(&self) -> LayerInfo {
         match self {
             QLayer::Dense(d) => d.info(),
-            QLayer::Gru(g) => g.info(),
-            QLayer::Lstm(l) => l.info(),
+            QLayer::Recurrent(r) => r.info(),
         }
     }
 
     fn storage_bytes(&self) -> usize {
         match self {
             QLayer::Dense(d) => d.storage_bytes(),
-            QLayer::Gru(g) => g.storage_bytes(),
-            QLayer::Lstm(l) => l.storage_bytes(),
+            QLayer::Recurrent(r) => r.storage_bytes(),
         }
     }
 }
@@ -479,19 +401,18 @@ impl QuantizedModel {
     /// Quantizes a trained f32 model. Returns `None` if any layer is not
     /// Dense/GRU/LSTM (the quantized path covers the paper's model
     /// family; anything else keeps serving f32).
-    ///
-    /// Takes `&mut` only because layer downcasting goes through the
-    /// `as_any_mut` hook; the model is not modified.
-    pub fn from_model(model: &mut Sequential) -> Option<Self> {
+    pub fn from_model(model: &Sequential) -> Option<Self> {
         let mut layers = Vec::new();
-        for layer in model.layers_mut().iter_mut() {
-            let any = layer.as_any_mut();
+        for layer in model.layers() {
+            let any = layer.as_any()?;
             if let Some(d) = any.downcast_ref::<Dense>() {
                 layers.push(QLayer::Dense(QDense::from_dense(d)));
             } else if let Some(g) = any.downcast_ref::<Gru>() {
-                layers.push(QLayer::Gru(QGru::from_gru(g)));
+                let (wx, u, b) = (g.input_kernels(), g.recurrent_kernels(), g.biases());
+                layers.push(QLayer::Recurrent(QRecurrent::new(Cell::Gru, &wx, &u, &b)));
             } else if let Some(l) = any.downcast_ref::<Lstm>() {
-                layers.push(QLayer::Lstm(QLstm::from_lstm(l)));
+                let (wx, u, b) = (l.input_kernels(), l.recurrent_kernels(), l.biases());
+                layers.push(QLayer::Recurrent(QRecurrent::new(Cell::Lstm, &wx, &u, &b)));
             } else {
                 return None;
             }
@@ -509,10 +430,20 @@ impl QuantizedModel {
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is empty or a bias length mismatches its weight
-    /// matrix's output dimension.
+    /// Panics if `parts` is empty, a bias length mismatches its weight
+    /// matrix's output dimension, or a layer's input width is not the
+    /// previous layer's output width.
     pub fn from_dense_parts(parts: Vec<(Int8Matrix, Vec<f32>, Activation)>) -> Self {
         assert!(!parts.is_empty(), "quantized model needs at least one layer");
+        for (i, pair) in parts.windows(2).enumerate() {
+            let (produced, expected) = (pair[0].0.out_dim(), pair[1].0.in_dim());
+            assert_eq!(
+                produced,
+                expected,
+                "layer {} expects width {expected}, layer {i} produces {produced}",
+                i + 1
+            );
+        }
         let layers = parts
             .into_iter()
             .map(|(w, bias, activation)| {
@@ -607,8 +538,8 @@ mod tests {
 
     #[test]
     fn quantized_dense_tracks_f32_outputs() {
-        let mut net = dense_net(9);
-        let q = QuantizedModel::from_model(&mut net).expect("all-dense quantizes");
+        let net = dense_net(9);
+        let q = QuantizedModel::from_model(&net).expect("all-dense quantizes");
         let x = probe(6, 12);
         let f = net.forward_eval(&x);
         let g = q.forward_eval(&x);
@@ -628,7 +559,7 @@ mod tests {
         net.push(Gru::new(5, 12, &mut rng));
         net.push(Lstm::new(12, 8, &mut rng));
         net.push(Dense::new(8, 3, Activation::Identity, &mut rng));
-        let q = QuantizedModel::from_model(&mut net).expect("gru/lstm quantize");
+        let q = QuantizedModel::from_model(&net).expect("gru/lstm quantize");
         let x = probe(20, 5);
         let f = net.forward_eval(&x);
         let g = q.forward_eval(&x);
@@ -644,14 +575,14 @@ mod tests {
         let mut net = Sequential::new();
         net.push(Dense::new(4, 4, Activation::Relu, &mut rng));
         net.push(Dropout::new(4, 0.5, 7));
-        assert!(QuantizedModel::from_model(&mut net).is_none());
-        assert!(QuantizedModel::from_model(&mut Sequential::new()).is_none());
+        assert!(QuantizedModel::from_model(&net).is_none());
+        assert!(QuantizedModel::from_model(&Sequential::new()).is_none());
     }
 
     #[test]
     fn int8_storage_is_a_quarter_of_f32() {
-        let mut net = dense_net(2);
-        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let net = dense_net(2);
+        let q = QuantizedModel::from_model(&net).expect("quantizes");
         let f32_bytes: usize = q.layer_infos().iter().map(|i| 4 * i.params).sum();
         // ~4x on the weights; per-channel scales and f32 biases eat a bit
         // of the ratio on these small layers
@@ -664,8 +595,8 @@ mod tests {
 
     #[test]
     fn quantized_model_is_deterministic() {
-        let mut net = dense_net(5);
-        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let net = dense_net(5);
+        let q = QuantizedModel::from_model(&net).expect("quantizes");
         let x = probe(3, 12);
         let a = q.forward_eval(&x);
         let b = q.forward_eval(&x);
@@ -674,8 +605,8 @@ mod tests {
 
     #[test]
     fn zero_row_input_yields_an_empty_output() {
-        let mut net = dense_net(3);
-        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let net = dense_net(3);
+        let q = QuantizedModel::from_model(&net).expect("quantizes");
         let empty = Matrix::zeros(0, 12);
         assert_eq!(q.forward_eval(&empty).shape(), (0, 4));
         assert!(q.predict(&empty).is_empty());
@@ -685,9 +616,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "input width mismatch: layer 0 expects width 12, plan feeds 5")]
     fn wrong_input_width_panics_with_expected_and_got() {
-        let mut net = dense_net(3);
-        let q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let net = dense_net(3);
+        let q = QuantizedModel::from_model(&net).expect("quantizes");
         let _ = q.forward_eval(&probe(2, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer 1 expects width 6, layer 0 produces 8")]
+    fn dense_parts_whose_widths_do_not_chain_are_rejected_at_construction() {
+        let part = |d_in, d_out| {
+            (Int8Matrix::quantize(&Matrix::ones(d_in, d_out)), vec![0.0; d_out], Activation::Relu)
+        };
+        let _ = QuantizedModel::from_dense_parts(vec![part(4, 8), part(6, 3)]);
     }
 
     #[test]
@@ -696,7 +636,7 @@ mod tests {
         let mut net = dense_net(11);
         let x = probe(2, 12);
         let before = net.forward(&x);
-        let _q = QuantizedModel::from_model(&mut net).expect("quantizes");
+        let _q = QuantizedModel::from_model(&net).expect("quantizes");
         let after = net.forward(&x);
         assert!(before.approx_eq(&after, 0.0));
     }

@@ -289,8 +289,8 @@ mod tests {
 
     #[test]
     fn hot_swaps_between_f32_and_int8_of_the_same_model() {
-        let mut f32_model = net(8);
-        let quantized = QuantizedModel::from_model(&mut f32_model).expect("dense quantizes");
+        let f32_model = net(8);
+        let quantized = QuantizedModel::from_model(&f32_model).expect("dense quantizes");
         let reg = ModelRegistry::new(f32_model);
         assert_eq!(reg.current().model.precision(), "f32");
         let x = mdl_tensor::Matrix::ones(1, 4);

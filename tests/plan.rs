@@ -522,7 +522,7 @@ fn serve_plan_cache_recompiles_on_hot_swap() {
     );
 
     // f32 → int8 swap: the plan cache must re-key onto the quantized path
-    let qm = QuantizedModel::from_model(&mut cloud_model(2)).expect("dense stack quantizes");
+    let qm = QuantizedModel::from_model(&cloud_model(2)).expect("dense stack quantizes");
     let direct_q = qm.predict_proba(&x);
     assert_eq!(server.swap_model(qm), 3);
     let resp = ask(&client);

@@ -96,7 +96,7 @@ fn planned_execution_is_zero_alloc_in_steady_state() {
     });
     assert_eq!(n, 0, "f32 plan allocated {n} times in steady state");
 
-    let qm = QuantizedModel::from_model(&mut net).expect("stack quantizes");
+    let qm = QuantizedModel::from_model(&net).expect("stack quantizes");
     let mut plan =
         Plan::compile(PlanModel::Int8(&qm), rows, 12, PlanOptions::default()).expect("plans");
     // first fit by liveness: the quantized input (72 B) and the GRU states

@@ -32,11 +32,11 @@ fn trained_digits_model() -> (Sequential, Matrix, Vec<usize>) {
 
 #[test]
 fn quantized_classifier_stays_within_one_accuracy_point_of_f32() {
-    let (mut model, x, y) = trained_digits_model();
+    let (model, x, y) = trained_digits_model();
     let f32_acc = model.accuracy(&x, &y);
     assert!(f32_acc > 0.7, "f32 baseline must be a real classifier, got {f32_acc}");
 
-    let qm = QuantizedModel::from_model(&mut model).expect("all-Dense model quantizes");
+    let qm = QuantizedModel::from_model(&model).expect("all-Dense model quantizes");
     let int8_acc = qm.accuracy(&x, &y);
     assert!(
         (f32_acc - int8_acc).abs() <= 0.01,
@@ -56,7 +56,7 @@ fn quantized_deepmood_style_recurrent_stack_matches_f32_predictions() {
     model.push(Gru::new(8, 16, &mut rng));
     model.push(Dense::new(16, 16, Activation::Relu, &mut rng));
     model.push(Dense::new(16, 3, Activation::Identity, &mut rng));
-    let qm = QuantizedModel::from_model(&mut model).expect("Gru+Dense stack quantizes");
+    let qm = QuantizedModel::from_model(&model).expect("Gru+Dense stack quantizes");
 
     let sequences: Vec<Matrix> = (0..150)
         .map(|s| Matrix::from_fn(20, 8, |t, f| ((s * 160 + t * 8 + f) as f32 * 0.173).sin() * 0.8))
@@ -103,7 +103,7 @@ fn server_hot_swaps_between_f32_and_int8_under_a_live_client() {
         net
     };
     let net = build();
-    let qm = QuantizedModel::from_model(&mut build()).expect("all-Dense model quantizes");
+    let qm = QuantizedModel::from_model(&build()).expect("all-Dense model quantizes");
 
     let server = InferenceServer::start(net, None, ServeConfig::default());
     let client = server.client();
@@ -128,8 +128,8 @@ fn server_hot_swaps_between_f32_and_int8_under_a_live_client() {
 
 #[test]
 fn forced_scalar_kernel_is_bit_identical_to_simd_dispatch() {
-    let (mut model, x, _) = trained_digits_model();
-    let qm = QuantizedModel::from_model(&mut model).expect("all-Dense model quantizes");
+    let (model, x, _) = trained_digits_model();
+    let qm = QuantizedModel::from_model(&model).expect("all-Dense model quantizes");
 
     let dispatched = qm.predict_proba(&x);
     int8::set_force_scalar(true);
@@ -154,7 +154,7 @@ fn fnv(bits: impl Iterator<Item = u32>) -> u64 {
 }
 
 /// FNV over the bits of `forward_eval` on a 1-row and a 20-row input.
-fn int8_output_hashes(model: &mut Sequential) -> [u64; 2] {
+fn int8_output_hashes(model: &Sequential) -> [u64; 2] {
     let qm = QuantizedModel::from_model(model).expect("Dense/GRU/LSTM stack quantizes");
     let d = qm.input_dim();
     [1, 20].map(|rows| {
@@ -184,17 +184,17 @@ fn int8_recurrent_outputs_are_pinned() {
     lstm_last.push(Lstm::new(10, 7, &mut rng));
 
     assert_eq!(
-        int8_output_hashes(&mut mid),
+        int8_output_hashes(&mid),
         [7643447735454061232, 13090423524598993227],
         "GRU -> LSTM -> Dense"
     );
     assert_eq!(
-        int8_output_hashes(&mut gru_last),
+        int8_output_hashes(&gru_last),
         [16205922742948657751, 2725066759342519982],
         "Dense -> GRU"
     );
     assert_eq!(
-        int8_output_hashes(&mut lstm_last),
+        int8_output_hashes(&lstm_last),
         [3604074642550150750, 13251930840132166281],
         "Dense -> LSTM"
     );

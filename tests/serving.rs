@@ -289,7 +289,7 @@ fn tied_scores_answer_the_class_predict_answers() {
     let sign = |c: usize| if c == 1 || c == 2 { 1.0 } else { -1.0 };
     let tied = Matrix::from_fn(3072, 4, |r, c| sign(c) * (1 + r % 5) as f32 * 0.01);
     net.push(Dense::from_parts(tied, Matrix::zeros(1, 4), Activation::Identity));
-    let int8 = QuantizedModel::from_model(&mut net).expect("all-Dense model quantizes");
+    let int8 = QuantizedModel::from_model(&net).expect("all-Dense model quantizes");
 
     let x = inputs();
     let expected = [net.predict(&x), int8.predict(&x)];
