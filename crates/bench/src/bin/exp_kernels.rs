@@ -160,7 +160,8 @@ fn fill_i8(buf: &mut [i8], seed: u64) {
     }
 }
 
-/// Int8 GEMM sweep: times the dispatched kernel and the pinned scalar
+/// Int8 GEMM sweep over dense `n × n` activations and an input-major
+/// `n × n` weight: times the dispatched kernel and the pinned scalar
 /// path at each size and hard-asserts both bit-identical to the naive
 /// i32 reference.
 fn bench_int8() -> Vec<Int8Result> {
@@ -168,22 +169,22 @@ fn bench_int8() -> Vec<Int8Result> {
     let mut results = Vec::new();
     for &n in &SIZES {
         let mut a = vec![0i8; n * n];
-        let mut bt = vec![0i8; n * n];
+        let mut w = vec![0i8; n * n];
         fill_i8(&mut a, n as u64);
-        fill_i8(&mut bt, n as u64 + 1);
+        fill_i8(&mut w, n as u64 + 1);
         let mut reference = vec![0i32; n * n];
-        int8::gemm_i8_ref(n, n, n, &a, &bt, &mut reference, false);
+        int8::gemm_i8_ref(n, n, n, &a, &w, &mut reference, false);
         let reps = if n <= 128 { 7 } else { 5 };
 
         let mut out = vec![0i32; n * n];
         let secs_simd = time_best(reps, || {
-            int8::gemm_i8(n, n, n, &a, &bt, &mut out, false);
+            int8::gemm_i8(n, n, n, &a, &w, &mut out, false);
             std::hint::black_box(&out);
         });
         assert_eq!(out, reference, "dispatched int8 GEMM must match the i32 reference (n={n})");
 
         let secs_scalar = time_best(reps, || {
-            int8::gemm_i8_scalar(n, n, n, &a, &bt, &mut out, false);
+            int8::gemm_i8_scalar(n, n, n, &a, &w, &mut out, false);
             std::hint::black_box(&out);
         });
         assert_eq!(out, reference, "scalar int8 GEMM must match the i32 reference (n={n})");

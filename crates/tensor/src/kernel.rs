@@ -231,7 +231,8 @@ pub fn gemm(
         gemm_blocked(ta, tb, m, n, k, a, b, out, acc, NO_EPI);
     }
     if profiling {
-        profile::tally(ta, tb, m, n, k, profile::clock_now_ns().saturating_sub(t0));
+        let op = profile::Op::F32(ta, tb);
+        profile::tally(op, m, n, k, profile::clock_now_ns().saturating_sub(t0));
     }
 }
 
@@ -295,7 +296,8 @@ pub fn gemm_bias_act<E: Fn(f32) -> f32 + Sync>(
         gemm_blocked(Trans::N, Trans::N, m, n, k, a, b, out, true, epi);
     }
     if profiling {
-        profile::tally(Trans::N, Trans::N, m, n, k, profile::clock_now_ns().saturating_sub(t0));
+        let op = profile::Op::F32(Trans::N, Trans::N);
+        profile::tally(op, m, n, k, profile::clock_now_ns().saturating_sub(t0));
     }
 }
 

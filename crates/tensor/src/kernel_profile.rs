@@ -1,10 +1,12 @@
 //! Per-shape GEMM tallies: calls, time and FLOPs for every distinct
-//! `op(A)·op(B)` shape that passes through [`super::gemm`].
+//! `op(A)·op(B)` shape that passes through [`super::gemm`] or
+//! [`super::gemm_bias_act`], and every int8 shape through
+//! [`super::int8::gemm_i8`] (its own [`Op::I8`] tag).
 //!
 //! The collector is a fixed open-addressed table of atomic slots, so the
 //! hot path is lock-free and allocation-free: pack the shape into one
 //! `u64` key, probe, `fetch_add`. It is disabled by default (one relaxed
-//! boolean load per `gemm` call); [`enable`] installs a shared
+//! boolean load per GEMM call); [`enable`] installs a shared
 //! [`Clock`] — a sim clock makes the recorded times a pure function of
 //! the simulation (all zero unless the sim advances mid-call), a wall
 //! clock gives real timings.
@@ -48,29 +50,55 @@ thread_local! {
     static CACHED_CLOCK: RefCell<(u64, Option<Clock>)> = const { RefCell::new((0, None)) };
 }
 
-/// `op:4 | m:20 | n:20 | k:20`; dimensions above 2^20-1 clamp (tallied
-/// together, never miscounted).
-fn pack(ta: Trans, tb: Trans, m: usize, n: usize, k: usize) -> u64 {
-    const MASK: u64 = (1 << 20) - 1;
-    let op = ((ta == Trans::T) as u64) << 1 | (tb == Trans::T) as u64;
-    // the +1 on op keeps every real key nonzero even for degenerate shapes
-    (op + 1) << 60 | (m as u64).min(MASK) << 40 | (n as u64).min(MASK) << 20 | (k as u64).min(MASK)
+/// Which GEMM a tally counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// The f32 kernel, with its operands' orientations.
+    F32(Trans, Trans),
+    /// The int8 kernel (`a` as stored times the input-major weight).
+    I8,
 }
 
-fn unpack(key: u64) -> (Trans, Trans, usize, usize, usize) {
+impl Op {
+    fn code(self) -> u64 {
+        match self {
+            Op::F32(ta, tb) => ((ta == Trans::T) as u64) << 1 | (tb == Trans::T) as u64,
+            Op::I8 => 4,
+        }
+    }
+
+    fn from_code(code: u64) -> Self {
+        let t = |b: u64| if b != 0 { Trans::T } else { Trans::N };
+        if code == 4 {
+            Op::I8
+        } else {
+            Op::F32(t(code & 2), t(code & 1))
+        }
+    }
+}
+
+/// `op:4 | m:20 | n:20 | k:20`; dimensions above 2^20-1 clamp (tallied
+/// together, never miscounted).
+fn pack(op: Op, m: usize, n: usize, k: usize) -> u64 {
     const MASK: u64 = (1 << 20) - 1;
-    let op = (key >> 60) - 1;
-    let t = |b: u64| if b != 0 { Trans::T } else { Trans::N };
+    // the +1 on op keeps every real key nonzero even for degenerate shapes
+    (op.code() + 1) << 60
+        | (m as u64).min(MASK) << 40
+        | (n as u64).min(MASK) << 20
+        | (k as u64).min(MASK)
+}
+
+fn unpack(key: u64) -> (Op, usize, usize, usize) {
+    const MASK: u64 = (1 << 20) - 1;
     (
-        t(op & 2),
-        t(op & 1),
+        Op::from_code((key >> 60) - 1),
         (key >> 40 & MASK) as usize,
         (key >> 20 & MASK) as usize,
         (key & MASK) as usize,
     )
 }
 
-/// `true` while tallying is on; `gemm` checks this once per call.
+/// `true` while tallying is on; each GEMM checks this once per call.
 #[inline(always)]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -119,8 +147,8 @@ pub fn reset() {
 /// Adds one call of the given shape. Linear probing from a
 /// multiplicative hash; when all slots hold other shapes the call lands
 /// in the overflow counter instead of being lost.
-pub fn tally(ta: Trans, tb: Trans, m: usize, n: usize, k: usize, elapsed_ns: u64) {
-    let key = pack(ta, tb, m, n, k);
+pub fn tally(op: Op, m: usize, n: usize, k: usize, elapsed_ns: u64) {
+    let key = pack(op, m, n, k);
     let start = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % SLOTS;
     for probe in 0..SLOTS {
         let slot = &TABLE[(start + probe) % SLOTS];
@@ -147,10 +175,8 @@ pub fn tally(ta: Trans, tb: Trans, m: usize, n: usize, k: usize, elapsed_ns: u64
 /// The tally of one distinct GEMM shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GemmTally {
-    /// A-operand orientation.
-    pub ta: Trans,
-    /// B-operand orientation.
-    pub tb: Trans,
+    /// Which kernel, and for f32 the operand orientations.
+    pub op: Op,
     /// Output rows.
     pub m: usize,
     /// Output columns.
@@ -164,7 +190,8 @@ pub struct GemmTally {
 }
 
 impl GemmTally {
-    /// `2·m·n·k` multiply–accumulate FLOPs per call.
+    /// `2·m·n·k` multiply–accumulate operations per call (FLOPs for f32,
+    /// integer ops for int8).
     pub fn flops_per_call(&self) -> u64 {
         2 * self.m as u64 * self.n as u64 * self.k as u64
     }
@@ -183,10 +210,14 @@ impl GemmTally {
         }
     }
 
-    /// Stable label, e.g. `"nt.128x64x256"`.
+    /// Stable label, e.g. `"nt.128x64x256"` (f32) or `"i8.1x48x16"`.
     pub fn label(&self) -> String {
         let t = |t: Trans| if t == Trans::T { "t" } else { "n" };
-        format!("{}{}.{}x{}x{}", t(self.ta), t(self.tb), self.m, self.n, self.k)
+        let op = match self.op {
+            Op::F32(ta, tb) => format!("{}{}", t(ta), t(tb)),
+            Op::I8 => "i8".to_string(),
+        };
+        format!("{op}.{}x{}x{}", self.m, self.n, self.k)
     }
 }
 
@@ -200,12 +231,11 @@ pub fn snapshot() -> (Vec<GemmTally>, u64) {
             if key == 0 {
                 return None;
             }
-            let (ta, tb, m, n, k) = unpack(key);
+            let (op, m, n, k) = unpack(key);
             Some((
                 key,
                 GemmTally {
-                    ta,
-                    tb,
+                    op,
                     m,
                     n,
                     k,
@@ -251,14 +281,16 @@ mod tests {
 
     #[test]
     fn keys_round_trip_shapes() {
-        for (ta, tb, m, n, k) in [
-            (Trans::N, Trans::N, 1, 1, 1),
-            (Trans::T, Trans::N, 128, 64, 256),
-            (Trans::N, Trans::T, 7, 1000, 3),
-            (Trans::T, Trans::T, (1 << 20) - 1, 2, 9),
+        for (op, m, n, k) in [
+            (Op::F32(Trans::N, Trans::N), 1, 1, 1),
+            (Op::F32(Trans::T, Trans::N), 128, 64, 256),
+            (Op::F32(Trans::N, Trans::T), 7, 1000, 3),
+            (Op::F32(Trans::T, Trans::T), (1 << 20) - 1, 2, 9),
+            (Op::I8, 0, 0, 0),
+            (Op::I8, 8, 3072, 3072),
         ] {
-            assert_eq!(unpack(pack(ta, tb, m, n, k)), (ta, tb, m, n, k));
-            assert_ne!(pack(ta, tb, m, n, k), 0);
+            assert_eq!(unpack(pack(op, m, n, k)), (op, m, n, k));
+            assert_ne!(pack(op, m, n, k), 0);
         }
     }
 
@@ -299,12 +331,34 @@ mod tests {
     }
 
     #[test]
+    fn tallies_int8_gemm_under_its_own_tag() {
+        let _guard = PROFILE_LOCK.lock().unwrap();
+        reset();
+        enable(Clock::sim());
+        let w = crate::Int8Matrix::from_channel_rows(48, 16, vec![1; 48 * 16], vec![1.0; 48]);
+        let mut out = vec![0i32; 2 * 48];
+        w.gemm_into(2, &[1; 2 * 16], &mut out, false);
+        disable();
+        assert_eq!(out, vec![16; 2 * 48]);
+
+        let (tallies, overflow) = snapshot();
+        assert_eq!(overflow, 0);
+        let i8 = tallies.iter().find(|t| t.label() == "i8.2x48x16").expect("int8 shape");
+        assert_eq!((i8.op, i8.calls, i8.total_ns), (Op::I8, 1, 0));
+        assert_eq!(i8.flops_per_call(), 2 * 2 * 48 * 16);
+        let registry = MetricsRegistry::new();
+        export_into(&registry);
+        assert_eq!(registry.counter("kernel.gemm.i8.2x48x16.calls").get(), 1);
+        reset();
+    }
+
+    #[test]
     fn sim_clock_advance_during_profiling_is_attributed() {
         let _guard = PROFILE_LOCK.lock().unwrap();
         reset();
         enable(Clock::sim());
-        tally(Trans::N, Trans::N, 8, 8, 8, 123);
-        tally(Trans::N, Trans::N, 8, 8, 8, 7);
+        tally(Op::F32(Trans::N, Trans::N), 8, 8, 8, 123);
+        tally(Op::F32(Trans::N, Trans::N), 8, 8, 8, 7);
         let (tallies, _) = snapshot();
         assert_eq!(tallies.len(), 1);
         assert_eq!((tallies[0].calls, tallies[0].total_ns), (2, 130));
@@ -318,7 +372,7 @@ mod tests {
         let _guard = PROFILE_LOCK.lock().unwrap();
         reset();
         for m in 1..=SLOTS + 3 {
-            tally(Trans::N, Trans::N, m, 1, 1, 0);
+            tally(Op::F32(Trans::N, Trans::N), m, 1, 1, 0);
         }
         let (tallies, overflow) = snapshot();
         assert_eq!(tallies.len(), SLOTS);

@@ -142,26 +142,43 @@ mod proptests {
             prop_assert!(d.reconstruct().approx_eq(&a, 1e-2));
         }
 
+        // Row counts cross the `MR`-row tile split (and its tail); every
+        // case also runs at n = 48 (the GRU's 3 × 16), and the drawn n
+        // covers non-multiples of both vector widths. Activations are
+        // drawn at zero density 0 (with −128 in place of zeros), about ½
+        // (ReLU) or 1, with one whole zero row on top.
         #[test]
         fn int8_kernel_bitwise_matches_reference_on_arbitrary_shapes(
-            m in 1usize..16,
-            n in 1usize..40,
+            m in 1usize..=2 * crate::kernel::int8::MR + 1,
+            n in 1usize..=70,
             k in 0usize..80,
-            a_pool in prop::collection::vec((-128i32..=127).prop_map(|v| v as i8), 16 * 80),
-            b_pool in prop::collection::vec((-128i32..=127).prop_map(|v| v as i8), 40 * 80),
+            zero_density in 0u8..3,
+            zero_row in 0usize..9,
+            a_pool in prop::collection::vec((-128i32..=127).prop_map(|v| v as i8), 9 * 80),
+            w_pool in prop::collection::vec((-128i32..=127).prop_map(|v| v as i8), 80 * 70),
             acc in any::<bool>(),
         ) {
             use crate::kernel::int8::{gemm_i8, gemm_i8_ref, gemm_i8_scalar};
-            let a = &a_pool[..m * k];
-            let bt = &b_pool[..n * k];
-            let mut reference = vec![7i32; m * n];
-            let mut dispatched = vec![7i32; m * n];
-            let mut scalar = vec![7i32; m * n];
-            gemm_i8_ref(m, n, k, a, bt, &mut reference, acc);
-            gemm_i8(m, n, k, a, bt, &mut dispatched, acc);
-            gemm_i8_scalar(m, n, k, a, bt, &mut scalar, acc);
-            prop_assert_eq!(&dispatched, &reference, "dispatched != ref at {}x{}x{}", m, n, k);
-            prop_assert_eq!(&scalar, &reference, "scalar != ref at {}x{}x{}", m, n, k);
+            let mut a = a_pool[..m * k].to_vec();
+            match zero_density {
+                0 => a.iter_mut().for_each(|v| *v = if *v == 0 { -128 } else { *v }),
+                1 => a.iter_mut().for_each(|v| *v = (*v).max(0)),
+                _ => a.fill(0),
+            }
+            let r = zero_row % m;
+            a[r * k..(r + 1) * k].fill(0);
+            for n in [n, 48] {
+                let w = &w_pool[..k * n];
+                let init: Vec<i32> = (0..m * n).map(|i| i as i32 - 7).collect();
+                let mut reference = init.clone();
+                let mut dispatched = init.clone();
+                let mut scalar = init;
+                gemm_i8_ref(m, n, k, &a, w, &mut reference, acc);
+                gemm_i8(m, n, k, &a, w, &mut dispatched, acc);
+                gemm_i8_scalar(m, n, k, &a, w, &mut scalar, acc);
+                prop_assert_eq!(&dispatched, &reference, "dispatched != ref at {}x{}x{}", m, n, k);
+                prop_assert_eq!(&scalar, &reference, "scalar != ref at {}x{}x{}", m, n, k);
+            }
         }
 
         #[test]

@@ -13,10 +13,10 @@
 //! final rescale touches floating point. `-128` is excluded so negation
 //! never saturates asymmetrically.
 //!
-//! The quantized weight matrix is stored **transposed** relative to the
-//! f32 layer convention (`out × in`, one contiguous row per output
-//! channel) — exactly the `bt` layout [`crate::kernel::int8::gemm_i8`]
-//! streams over.
+//! The quantized weight matrix is stored **input-major** (`in × out`,
+//! one contiguous row of output channels per input) — the f32 layer
+//! convention and the layout [`crate::kernel::int8::gemm_i8`] reads: an
+//! exactly-zero activation skips one whole weight row.
 
 use crate::kernel::int8;
 use crate::Matrix;
@@ -67,45 +67,50 @@ pub fn quantize_slice(src: &[f32], dst: &mut [i8]) -> f32 {
 
 /// A per-output-channel symmetric int8 weight matrix.
 ///
-/// Logically the same `in × out` operand as the f32 layer weight it was
-/// quantized from, but stored channel-major (`out × in`) so each output
-/// channel is one contiguous byte row for the int8 GEMM.
+/// The same `in × out` operand as the f32 layer weight it was quantized
+/// from, in the same row-major layout.
 #[derive(Clone, Debug)]
 pub struct Int8Matrix {
     in_dim: usize,
     out_dim: usize,
-    /// `out_dim × in_dim` row-major: row `j` holds channel `j`.
+    /// `in_dim × out_dim` row-major: row `t` holds input `t`'s weight to
+    /// every channel.
     data: Vec<i8>,
     /// One symmetric scale per output channel (`len == out_dim`).
     scales: Vec<f32>,
 }
 
 impl Int8Matrix {
-    /// Quantizes an `in × out` f32 weight matrix per output channel.
+    /// Quantizes an `in × out` f32 weight matrix per output channel: one
+    /// row-major pass finds each channel's max-abs, a second writes the
+    /// bytes.
     pub fn quantize(w: &Matrix) -> Self {
         let (in_dim, out_dim) = w.shape();
         let src = w.as_slice();
-        let mut scales = vec![1.0f32; out_dim];
-        for (j, scale) in scales.iter_mut().enumerate() {
-            let mut max_abs = 0.0f32;
-            for i in 0..in_dim {
-                max_abs = max_abs.max(src[i * out_dim + j].abs());
+        let mut scales = vec![0.0f32; out_dim];
+        for row in src.chunks_exact(out_dim.max(1)) {
+            for (max_abs, &v) in scales.iter_mut().zip(row) {
+                *max_abs = max_abs.max(v.abs());
             }
-            *scale = symmetric_scale(max_abs);
+        }
+        for scale in &mut scales {
+            *scale = symmetric_scale(*scale);
         }
         let mut data = vec![0i8; in_dim * out_dim];
-        for (j, &scale) in scales.iter().enumerate() {
-            let row = &mut data[j * in_dim..(j + 1) * in_dim];
-            for (i, q) in row.iter_mut().enumerate() {
-                *q = quantize_value(src[i * out_dim + j], scale);
+        for (q_row, row) in
+            data.chunks_exact_mut(out_dim.max(1)).zip(src.chunks_exact(out_dim.max(1)))
+        {
+            for ((q, &v), &scale) in q_row.iter_mut().zip(row).zip(&scales) {
+                *q = quantize_value(v, scale);
             }
         }
         Self { in_dim, out_dim, data, scales }
     }
 
-    /// Builds directly from channel-major bytes and per-channel scales
-    /// (the `mdl-compress` artifact bridge, which never materializes an
-    /// f32 weight matrix).
+    /// Builds from channel-major bytes (`out_dim × in_dim`, one row per
+    /// output channel) and per-channel scales, transposing once into the
+    /// stored layout (the `mdl-compress` artifact bridge, which never
+    /// materializes an f32 weight matrix).
     ///
     /// # Panics
     ///
@@ -119,7 +124,13 @@ impl Int8Matrix {
     ) -> Self {
         assert_eq!(data.len(), out_dim * in_dim, "data must be out×in channel-major");
         assert_eq!(scales.len(), out_dim, "one scale per output channel");
-        Self { in_dim, out_dim, data, scales }
+        let mut input_major = vec![0i8; in_dim * out_dim];
+        for (j, channel) in data.chunks_exact(in_dim.max(1)).enumerate() {
+            for (t, &q) in channel.iter().enumerate() {
+                input_major[t * out_dim + j] = q;
+            }
+        }
+        Self { in_dim, out_dim, data: input_major, scales }
     }
 
     /// Input dimension (rows of the logical f32 operand).
@@ -137,12 +148,12 @@ impl Int8Matrix {
         &self.scales
     }
 
-    /// Channel-major quantized bytes (`out_dim × in_dim`).
+    /// Input-major quantized bytes (`in_dim × out_dim`).
     pub fn data(&self) -> &[i8] {
         &self.data
     }
 
-    /// `out[i·out + j] {=, +=} Σ_t x[i·in + t] · w_q[j][t]` over `m`
+    /// `out[i·out + j] {=, +=} Σ_t x[i·in + t] · w_q[t][j]` over `m`
     /// quantized input rows — the raw integer accumulators, to be scaled
     /// by `x_scale · scales()[j]` by the caller.
     ///
@@ -157,10 +168,12 @@ impl Int8Matrix {
     /// inference path never calls this).
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.in_dim, self.out_dim);
-        let dst = out.as_mut_slice();
-        for (j, &scale) in self.scales.iter().enumerate() {
-            for i in 0..self.in_dim {
-                dst[i * self.out_dim + j] = self.data[j * self.in_dim + i] as f32 * scale;
+        let width = self.out_dim.max(1);
+        for (row, q_row) in
+            out.as_mut_slice().chunks_exact_mut(width).zip(self.data.chunks_exact(width))
+        {
+            for ((v, &q), &scale) in row.iter_mut().zip(q_row).zip(&self.scales) {
+                *v = q as f32 * scale;
             }
         }
         out
@@ -195,7 +208,22 @@ mod tests {
         let w = Matrix::from_fn(4, 2, |i, j| if j == 0 { 0.0 } else { i as f32 });
         let q = Int8Matrix::quantize(&w);
         assert_eq!(q.scales()[0], 1.0);
-        assert!(q.data()[..4].iter().all(|&b| b == 0));
+        assert!(q.data().iter().step_by(2).all(|&b| b == 0));
+    }
+
+    #[test]
+    fn channel_rows_transpose_into_the_quantized_layout() {
+        let w = Matrix::from_fn(3, 5, |i, j| ((i * 5 + j) as f32 * 0.7).sin() - 0.2);
+        let q = Int8Matrix::quantize(&w);
+        let mut channel_major = vec![0i8; 5 * 3];
+        for (t, row) in q.data().chunks_exact(5).enumerate() {
+            for (j, &b) in row.iter().enumerate() {
+                channel_major[j * 3 + t] = b;
+            }
+        }
+        let back = Int8Matrix::from_channel_rows(5, 3, channel_major, q.scales().to_vec());
+        assert_eq!(back.data(), q.data());
+        assert_eq!(back.dequantize(), q.dequantize());
     }
 
     #[test]

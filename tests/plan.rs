@@ -159,7 +159,7 @@ fn naive_int8(parts: &DenseParts, x: &Matrix) -> Vec<f32> {
             for (j, (&b_j, &s_j)) in bias.iter().zip(w.scales()).enumerate() {
                 let mut acc = 0i32;
                 for t in 0..k {
-                    acc += i32::from(q[i * k + t]) * i32::from(w.data()[j * k + t]);
+                    acc += i32::from(q[i * k + t]) * i32::from(w.data()[t * w.out_dim() + j]);
                 }
                 let bq = (b_j / (scale * s_j)).round() as i32;
                 let v = act.apply(acc.saturating_add(bq) as f32 * scale * s_j);
