@@ -193,23 +193,26 @@ impl CompressedModel {
                 let (rows, cols) = layer.weights.shape();
                 let codebook = layer.weights.codebook();
                 let idx = layer.weights.indices();
-                let mut scales = vec![1.0f32; cols];
-                for (j, scale) in scales.iter_mut().enumerate() {
-                    let mut max_abs = 0.0f32;
-                    for i in 0..rows {
-                        max_abs = max_abs.max(codebook[idx[i * cols + j] as usize].abs());
-                    }
-                    *scale = symmetric_scale(max_abs);
-                }
-                // channel-major bytes, straight from codebook levels
-                let mut data = vec![0i8; rows * cols];
-                for (j, &scale) in scales.iter().enumerate() {
-                    for i in 0..rows {
-                        data[j * rows + i] =
-                            quantize_value(codebook[idx[i * cols + j] as usize], scale);
+                // input-major bytes, straight from codebook levels: one
+                // row-major pass for the channel scales, one for the bytes
+                let mut scales = vec![0.0f32; cols];
+                for row in idx.chunks_exact(cols.max(1)) {
+                    for (max_abs, &i) in scales.iter_mut().zip(row) {
+                        *max_abs = max_abs.max(codebook[i as usize].abs());
                     }
                 }
-                let w = Int8Matrix::from_channel_rows(cols, rows, data, scales);
+                for scale in &mut scales {
+                    *scale = symmetric_scale(*scale);
+                }
+                let mut data = Vec::with_capacity(rows * cols);
+                for row in idx.chunks_exact(cols.max(1)) {
+                    data.extend(
+                        row.iter()
+                            .zip(&scales)
+                            .map(|(&i, &s)| quantize_value(codebook[i as usize], s)),
+                    );
+                }
+                let w = Int8Matrix::from_input_rows(rows, cols, data, scales);
                 (w, layer.bias.as_slice().to_vec(), layer.activation)
             })
             .collect();
@@ -324,6 +327,13 @@ mod tests {
         assert!(
             int8_path.storage_bytes() < c.report.original_bytes as usize / 3,
             "int8 artifact must stay far below the f32 original"
+        );
+        // the bridge quantizes the codebook levels exactly as quantizing
+        // the decompressed f32 model would
+        let requantized = QuantizedModel::from_model(&f32_path).expect("a Dense stack quantizes");
+        assert_eq!(
+            int8_path.forward_eval(&test.x).as_slice(),
+            requantized.forward_eval(&test.x).as_slice()
         );
     }
 

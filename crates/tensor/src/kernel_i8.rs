@@ -537,8 +537,9 @@ mod tests {
     }
 
     /// The dispatched entry and every tier the host can run, against the
-    /// reference, on ReLU-style inputs (about half the activations zero)
-    /// across the tile split, ragged vector steps and column blocks.
+    /// reference, on full-range signed activations and on their ReLU-style
+    /// copy (about half zero), across the tile split, ragged vector steps
+    /// and column blocks.
     #[test]
     fn dispatched_matches_reference_on_odd_shapes() {
         for &(m, n, k) in &[
@@ -553,24 +554,28 @@ mod tests {
             (1, 3000, 40),
             (6, 1100, 20),
         ] {
-            let a: Vec<i8> = fill(m * k, 11 + k as u64).iter().map(|&v| v.max(0)).collect();
+            let signed = fill(m * k, 11 + k as u64);
+            let relu: Vec<i8> = signed.iter().map(|&v| v.max(0)).collect();
             let w = fill(k * n, 97 + m as u64);
-            let mut reference = vec![2i32; m * n];
-            gemm_i8_ref(m, n, k, &a, &w, &mut reference, false);
-            let mut reference_acc = reference.clone();
-            gemm_i8_ref(m, n, k, &a, &w, &mut reference_acc, true);
+            for (input, a) in [("signed", &signed), ("relu", &relu)] {
+                let mut reference = vec![2i32; m * n];
+                gemm_i8_ref(m, n, k, a, &w, &mut reference, false);
+                let mut reference_acc = reference.clone();
+                gemm_i8_ref(m, n, k, a, &w, &mut reference_acc, true);
 
-            let mut fast = vec![1i32; m * n];
-            gemm_i8(m, n, k, &a, &w, &mut fast, false);
-            assert_eq!(fast, reference, "dispatched != ref at {m}x{n}x{k}");
-            gemm_i8(m, n, k, &a, &w, &mut fast, true);
-            assert_eq!(fast, reference_acc, "acc mode diverged at {m}x{n}x{k}");
-            for tier in host_tiers() {
-                let mut out = vec![1i32; m * n];
-                run(tier, m, n, k, &a, &w, &mut out, false);
-                assert_eq!(out, reference, "{tier:?} != ref at {m}x{n}x{k}");
-                run(tier, m, n, k, &a, &w, &mut out, true);
-                assert_eq!(out, reference_acc, "{tier:?} acc mode diverged at {m}x{n}x{k}");
+                let at = format!("{input} {m}x{n}x{k}");
+                let mut fast = vec![1i32; m * n];
+                gemm_i8(m, n, k, a, &w, &mut fast, false);
+                assert_eq!(fast, reference, "dispatched != ref at {at}");
+                gemm_i8(m, n, k, a, &w, &mut fast, true);
+                assert_eq!(fast, reference_acc, "acc mode diverged at {at}");
+                for tier in host_tiers() {
+                    let mut out = vec![1i32; m * n];
+                    run(tier, m, n, k, a, &w, &mut out, false);
+                    assert_eq!(out, reference, "{tier:?} != ref at {at}");
+                    run(tier, m, n, k, a, &w, &mut out, true);
+                    assert_eq!(out, reference_acc, "{tier:?} acc mode diverged at {at}");
+                }
             }
         }
     }

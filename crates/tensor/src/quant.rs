@@ -107,10 +107,23 @@ impl Int8Matrix {
         Self { in_dim, out_dim, data, scales }
     }
 
+    /// Builds from input-major bytes (`in_dim × out_dim`, the stored
+    /// layout, taken as is) and per-channel scales — the `mdl-compress`
+    /// artifact bridge, which never materializes an f32 weight matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not `in_dim × out_dim` or `scales` is not
+    /// `out_dim` long.
+    pub fn from_input_rows(in_dim: usize, out_dim: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
+        assert_eq!(data.len(), in_dim * out_dim, "data must be in×out input-major");
+        assert_eq!(scales.len(), out_dim, "one scale per output channel");
+        Self { in_dim, out_dim, data, scales }
+    }
+
     /// Builds from channel-major bytes (`out_dim × in_dim`, one row per
     /// output channel) and per-channel scales, transposing once into the
-    /// stored layout (the `mdl-compress` artifact bridge, which never
-    /// materializes an f32 weight matrix).
+    /// stored layout.
     ///
     /// # Panics
     ///
@@ -130,7 +143,7 @@ impl Int8Matrix {
                 input_major[t * out_dim + j] = q;
             }
         }
-        Self { in_dim, out_dim, data: input_major, scales }
+        Self::from_input_rows(in_dim, out_dim, input_major, scales)
     }
 
     /// Input dimension (rows of the logical f32 operand).
