@@ -285,6 +285,25 @@ mod tests {
         assert!(restored.forward(&x).approx_eq(&before, 0.0));
     }
 
+    /// The loader's recurrent builds, before their weights are copied in:
+    /// all zeros (no forget-style bias), in the `visit_params` layout the
+    /// wire format's parameter vector follows. FNV-1a over `to_bits`.
+    #[test]
+    fn loader_builds_start_from_pinned_params() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let fnv = |v: &[f32]| {
+            v.iter()
+                .flat_map(|p| p.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        };
+        let mut gru = Gru::with_init(3, 5, Init::Zeros, &mut rng);
+        let mut bigru = BiGru::with_init(3, 5, Init::Zeros, &mut rng);
+        let got = [fnv(&gru.param_vector()), fnv(&bigru.param_vector())];
+        assert_eq!(got, [0x0e5e4752cb0929d5, 0xb00120a640893585], "Gru / BiGru: {got:#018x?}");
+    }
+
     #[test]
     fn dropout_is_not_saveable() {
         let mut rng = StdRng::seed_from_u64(602);

@@ -1,7 +1,7 @@
 //! Integration tests of the two applications (§IV) against the baseline
 //! family — the cross-crate orderings the paper's evaluation rests on.
 
-use mdl_core::deepmood::train_and_evaluate;
+use mdl_core::deepmood::{train_and_evaluate, EncoderKind};
 use mdl_core::prelude::*;
 
 #[test]
@@ -134,7 +134,8 @@ fn table_one_ordering_holds_on_a_medium_cohort() {
 
 /// Asking a model for an answer takes `&self`, so one trained model serves
 /// every thread of an app: the types are `Sync`, and four threads predicting
-/// at once on a shared `&DeepMood` reproduce the single-thread answers.
+/// at once on a shared `&DeepMood` reproduce the single-thread answers, with
+/// each encoder (GRU, BiGRU, LSTM) — `DeepMood` is one type over all three.
 #[test]
 fn trained_applications_answer_through_a_shared_reference() {
     fn assert_sync<T: Sync>() {}
@@ -155,24 +156,27 @@ fn trained_applications_answer_through_a_shared_reference() {
         .collect();
     let sessions: Vec<(Vec<&Matrix>, usize)> =
         data.iter().map(|(views, y)| (views.iter().collect(), *y)).collect();
-    let mut model =
-        DeepMood::new(&[2, 3], DeepMoodConfig { epochs: 2, ..Default::default() }, &mut rng);
-    let _ = model.train(&sessions, &mut rng);
+    for encoder in [EncoderKind::Gru, EncoderKind::BiGru, EncoderKind::Lstm] {
+        let config = DeepMoodConfig { encoder, epochs: 2, ..Default::default() };
+        let mut model = DeepMood::new(&[2, 3], config, &mut rng);
+        let _ = model.train(&sessions, &mut rng);
 
-    let model = &model;
-    let expected = model.predictions(&sessions);
-    let start = std::sync::Barrier::new(4);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                scope.spawn(|| {
-                    start.wait();
-                    sessions.iter().map(|(views, _)| model.predict(views)).collect::<Vec<_>>()
+        let model = &model;
+        let expected = model.predictions(&sessions);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        sessions.iter().map(|(views, _)| model.predict(views)).collect::<Vec<_>>()
+                    })
                 })
-            })
-            .collect();
-        for worker in workers {
-            assert_eq!(worker.join().expect("predicting thread panicked"), expected);
-        }
-    });
+                .collect();
+            for worker in workers {
+                let got = worker.join().expect("predicting thread panicked");
+                assert_eq!(got, expected, "{encoder:?} encoder");
+            }
+        });
+    }
 }
