@@ -38,14 +38,13 @@
 pub mod activation;
 pub mod conv;
 pub mod dense;
-pub mod gru;
 pub mod layer;
 pub mod loss;
-pub mod lstm;
 pub mod optim;
 pub mod plan;
 pub mod profile;
 pub mod quantized;
+mod recurrent;
 pub mod saved;
 pub mod sequential;
 pub mod trainer;
@@ -53,13 +52,12 @@ pub mod trainer;
 pub use activation::Activation;
 pub use conv::{AvgPool2d, Conv2d, ImageShape, SeparableConv2d};
 pub use dense::{Dense, Dropout};
-pub use gru::{BiGru, Gru};
 pub use layer::{Layer, LayerInfo, ParamVector};
-pub use lstm::Lstm;
 pub use optim::{AdaGrad, Adam, Optimizer, RmsProp, Sgd};
 pub use plan::{Plan, PlanCache, PlanError, PlanLookup, PlanModel, PlanOptions, PlanStats};
 pub use profile::LayerProfiler;
 pub use quantized::QuantizedModel;
+pub use recurrent::{BiGru, Gru, Lstm, Recurrent};
 pub use saved::{load_model, save_model, LoadModelError};
 pub use sequential::Sequential;
 pub use trainer::{clip_gradients, fit_batches, fit_classifier, EpochStats, TrainConfig};

@@ -16,11 +16,18 @@
 //!   into the op's `rows × out` `i32` accumulator, then one drain pass
 //!   that folds the bias, dequantizes, applies the activation and tracks
 //!   the max-abs the next layer's requantization needs;
-//! - recurrent layers scan through plan-owned pre-sliced workspaces;
+//! - a GRU or an LSTM is one *recurrent* op in either precision: it scans
+//!   through a plan-owned pre-sliced workspace, and the cell is the
+//!   layer's own business (its scan is monomorphised per cell in f32 and
+//!   matches on the cell once in int8);
 //! - any other f32 layer kind (BiGru, the conv family, a nested
 //!   `Sequential`, a custom layer) is one *generic* op: its input span is
 //!   staged into a plan-owned matrix, the layer's own `forward_eval` runs
 //!   once, and its checked result is copied on. Only that op may allocate.
+//!
+//! The f32 op kinds are thus `Dense`, `Recurrent`, `Generic` and `Copy`
+//! (a trailing eval-mode dropout); the int8 kinds are `Dense` and
+//! `Recurrent`.
 //!
 //! The plan is the only evaluator for both precisions:
 //! [`QuantizedModel::forward_eval`] and [`Sequential::forward_eval`]
@@ -51,13 +58,13 @@
 //! ```
 
 use crate::dense::{Dense, Dropout};
-use crate::gru::{Gru, GruCache};
 use crate::layer::LayerInfo;
-use crate::lstm::{Lstm, LstmCache};
 use crate::quantized::{Out, QLayer, QRecurrentWs, QuantizedModel};
+use crate::recurrent::{as_recurrent, Cache};
 use crate::sequential::Sequential;
 use mdl_tensor::quant::{quantize_value, symmetric_scale};
 use mdl_tensor::{Arena, ArenaBuilder, BufferId, Matrix};
+use std::any::Any;
 
 /// A borrowed model to compile against or execute with. The plan never
 /// owns the weights: the same plan serves every clone of a model version
@@ -156,10 +163,8 @@ struct Op<K> {
 enum KindF32 {
     /// `dst = act(src · W + b)`, one GEMM with the epilogue fused.
     Dense,
-    /// Whole-sequence GRU scan through a plan-owned cache.
-    Gru(GruCache),
-    /// Whole-sequence LSTM scan through a plan-owned cache.
-    Lstm(LstmCache),
+    /// Whole-sequence GRU or LSTM scan through a plan-owned cache.
+    Recurrent(Cache),
     /// Any other kind: `src` is staged into this plan-owned matrix and the
     /// layer's own `forward_eval` runs on it (and may allocate).
     Generic(Matrix),
@@ -284,10 +289,8 @@ impl Plan {
                 }
                 Some(if any.is_some_and(|a| a.is::<Dense>()) {
                     KindF32::Dense
-                } else if let Some(g) = any.and_then(|a| a.downcast_ref::<Gru>()) {
-                    KindF32::Gru(g.plan_cache(rows))
-                } else if let Some(l) = any.and_then(|a| a.downcast_ref::<Lstm>()) {
-                    KindF32::Lstm(l.plan_cache(rows))
+                } else if let Some(r) = any.and_then(as_recurrent) {
+                    KindF32::Recurrent(r.plan_cache(rows))
                 } else {
                     KindF32::Generic(Matrix::zeros(rows, layer.info().in_dim))
                 })
@@ -435,10 +438,16 @@ fn rw<'a>(
     }
 }
 
-fn expect_layer<'a, T: 'static>(seq: &'a Sequential, idx: usize, kind: &str) -> &'a T {
+/// Layer `idx` of `seq` as the kind its op was compiled for, through `cast`.
+fn expect_layer<'a, T: ?Sized>(
+    seq: &'a Sequential,
+    idx: usize,
+    kind: &str,
+    cast: impl FnOnce(&'a dyn Any) -> Option<&'a T>,
+) -> &'a T {
     seq.layers()[idx]
         .as_any()
-        .and_then(|any| any.downcast_ref::<T>())
+        .and_then(cast)
         .unwrap_or_else(|| panic!("plan expects layer {idx} to be {kind}"))
 }
 
@@ -456,15 +465,13 @@ fn run_f32(
         let (xs, os) = rw(arena, x.as_slice(), out.as_mut_slice(), op.src, op.dst);
         match &mut op.kind {
             KindF32::Dense => {
-                expect_layer::<Dense>(seq, op.layer, "dense").eval_slice_into(rows, xs, os);
+                let dense = expect_layer(seq, op.layer, "dense", |a| a.downcast_ref::<Dense>());
+                dense.eval_slice_into(rows, xs, os);
             }
-            KindF32::Gru(cache) => {
-                expect_layer::<Gru>(seq, op.layer, "gru").scan_slice_into(rows, xs, cache);
-                Gru::states_into(cache, os);
-            }
-            KindF32::Lstm(cache) => {
-                expect_layer::<Lstm>(seq, op.layer, "lstm").scan_slice_into(rows, xs, cache);
-                Lstm::states_into(cache, os);
+            KindF32::Recurrent(cache) => {
+                expect_layer(seq, op.layer, "recurrent", as_recurrent)
+                    .scan_slice_into(rows, xs, cache);
+                os.copy_from_slice(cache.states());
             }
             KindF32::Generic(staged) => {
                 staged.as_mut_slice().copy_from_slice(xs);

@@ -29,10 +29,9 @@
 
 use crate::activation::{sigmoid, Activation};
 use crate::dense::Dense;
-use crate::gru::Gru;
 use crate::layer::LayerInfo;
-use crate::lstm::Lstm;
 use crate::plan::{Plan, PlanModel};
+use crate::recurrent::{as_recurrent, CellKind};
 use crate::sequential::Sequential;
 use mdl_tensor::quant::{quantize_value, symmetric_scale, Int8Matrix};
 use mdl_tensor::stats::softmax_rows;
@@ -152,17 +151,6 @@ impl QDense {
     }
 }
 
-/// The cell a [`QRecurrent`] runs. Only the per-step gate math differs
-/// by cell, and a scan matches on it once.
-#[derive(Clone, Copy)]
-enum Cell {
-    /// Gates `[r, z, h̃]` (paper Eq. 1 conventions: the update gate keeps
-    /// the *previous* state).
-    Gru,
-    /// Gates `[i, f, o, g]`; the cell state stays f32.
-    Lstm,
-}
-
 /// Where a quantized layer writes its `rows × out` result: int8 for the
 /// next layer, or the model's f32 output when the layer is last.
 pub(crate) enum Out<'a> {
@@ -218,7 +206,7 @@ impl QRecurrentWs {
 /// Quantized GRU or LSTM: per gate an int8 input kernel, an int8
 /// recurrent kernel and an f32 bias, in the cell's gate order.
 pub(crate) struct QRecurrent {
-    cell: Cell,
+    cell: CellKind,
     wx: Vec<Int8Matrix>,
     u: Vec<Int8Matrix>,
     /// Gate biases (f32 — see module docs).
@@ -226,8 +214,8 @@ pub(crate) struct QRecurrent {
 }
 
 impl QRecurrent {
-    fn new(cell: Cell, wx: &[&Matrix], u: &[&Matrix], b: &[&Matrix]) -> Self {
-        let q = |ms: &[&Matrix]| ms.iter().map(|m| Int8Matrix::quantize(m)).collect();
+    fn new(cell: CellKind, [wx, u, b]: [&[Matrix]; 3]) -> Self {
+        let q = |ms: &[Matrix]| ms.iter().map(Int8Matrix::quantize).collect();
         Self { cell, wx: q(wx), u: q(u), b: b.iter().map(|b| b.as_slice().to_vec()).collect() }
     }
 
@@ -275,8 +263,8 @@ impl QRecurrent {
         }
 
         let step: fn(&Self, &[f32], &mut StepState) = match self.cell {
-            Cell::Gru => Self::gru_step,
-            Cell::Lstm => Self::lstm_step,
+            CellKind::Gru => Self::gru_step,
+            CellKind::Lstm => Self::lstm_step,
         };
         for (t, base) in a.chunks_exact(gates * h_dim).enumerate() {
             step(self, base, s);
@@ -333,17 +321,7 @@ impl QRecurrent {
     }
 
     fn info(&self) -> LayerInfo {
-        let (d, h, gates) = (self.wx[0].in_dim(), self.hidden_dim(), self.wx.len());
-        LayerInfo {
-            kind: match self.cell {
-                Cell::Gru => "gru",
-                Cell::Lstm => "lstm",
-            },
-            in_dim: d,
-            out_dim: h,
-            params: gates * (d * h + h * h + h),
-            macs: (gates * (d * h + h * h)) as u64,
-        }
+        self.cell.info(self.wx[0].in_dim(), self.hidden_dim())
     }
 
     fn storage_bytes(&self) -> usize {
@@ -407,12 +385,8 @@ impl QuantizedModel {
             let any = layer.as_any()?;
             if let Some(d) = any.downcast_ref::<Dense>() {
                 layers.push(QLayer::Dense(QDense::from_dense(d)));
-            } else if let Some(g) = any.downcast_ref::<Gru>() {
-                let (wx, u, b) = (g.input_kernels(), g.recurrent_kernels(), g.biases());
-                layers.push(QLayer::Recurrent(QRecurrent::new(Cell::Gru, &wx, &u, &b)));
-            } else if let Some(l) = any.downcast_ref::<Lstm>() {
-                let (wx, u, b) = (l.input_kernels(), l.recurrent_kernels(), l.biases());
-                layers.push(QLayer::Recurrent(QRecurrent::new(Cell::Lstm, &wx, &u, &b)));
+            } else if let Some(r) = as_recurrent(any) {
+                layers.push(QLayer::Recurrent(QRecurrent::new(r.cell(), r.kernels())));
             } else {
                 return None;
             }
@@ -520,6 +494,7 @@ mod tests {
     use super::*;
     use crate::dense::Dropout;
     use crate::layer::Layer;
+    use crate::recurrent::{Gru, Lstm};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

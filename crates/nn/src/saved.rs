@@ -16,8 +16,8 @@
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::gru::{BiGru, Gru};
 use crate::layer::{Layer, ParamVector};
+use crate::recurrent::{BiGru, CellKind, Gru};
 use crate::sequential::Sequential;
 use mdl_tensor::wire::{Reader, WireError};
 use mdl_tensor::Init;
@@ -170,7 +170,7 @@ impl From<WireError> for LoadModelError {
 /// trip fails if this ever disagrees with the built layer's `num_params`.
 fn entry_params(tag: u8, a: u32, b: u32) -> Option<u128> {
     let (a, b) = (a as u128, b as u128);
-    let gru = 3 * (a * b + b * b + b);
+    let gru = CellKind::Gru.params(a, b);
     match tag {
         0 => Some(a * b + b),
         1 => Some(gru),
