@@ -1,6 +1,7 @@
 //! Gated recurrent layers with full backpropagation through time: the
-//! paper's GRU (Eq. 1) and the LSTM it calls it "a simplified version of"
-//! (reference [42]), as two cells of one [`Recurrent`] layer.
+//! paper's GRU (Eq. 1), which it calls "a simplified version of" the LSTM
+//! of reference [42], and that LSTM, as two cells of one [`Recurrent`]
+//! layer.
 //!
 //! ```text
 //! GRU                                        LSTM
@@ -81,10 +82,8 @@ impl CellKind {
 /// and a plan op's workspace.
 #[derive(Clone, Default)]
 pub struct Cache {
-    /// Sequence length of the last scan. The plan path scans straight from
-    /// a borrowed slice without copying into `input`, so the length is
-    /// recorded here rather than read off `input.rows()`.
-    t_len: usize,
+    /// The input `forward` scanned; the plan path scans straight from a
+    /// borrowed slice and leaves it alone.
     input: Matrix,
     /// Hidden states including the initial zero state: `(T+1) × h`.
     hidden: Matrix,
@@ -100,7 +99,6 @@ impl Cache {
     /// Sizes every buffer for a `t_len`-step scan and zeroes the initial
     /// states; no heap work once the capacities fit.
     fn prepare(&mut self, gates: usize, t_len: usize, h: usize) {
-        self.t_len = t_len;
         self.gates.resize_with(gates, Matrix::default);
         for g in &mut self.gates {
             g.resize_to(t_len, h);
@@ -111,11 +109,10 @@ impl Cache {
         }
     }
 
-    /// Hidden states `1..=T`, contiguous in the `(T+1) × h` buffer: the
-    /// layer's `T × h` output.
+    /// Hidden states `1..=T` of the last scan, contiguous in the
+    /// `(T+1) × h` buffer: the layer's `T × h` output.
     pub(crate) fn states(&self) -> &[f32] {
-        let h = self.hidden.cols();
-        &self.hidden.as_slice()[h..(self.t_len + 1) * h]
+        &self.hidden.as_slice()[self.hidden.cols()..]
     }
 }
 
@@ -166,11 +163,11 @@ pub trait Cell: Clone + Send + Sync + 'static {
 }
 
 /// The GRU cell of the paper's Eq. (1).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone)]
 pub struct GruCell;
 
 /// The LSTM cell of reference [42].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone)]
 pub struct LstmCell;
 
 impl Cell for GruCell {
@@ -487,7 +484,7 @@ impl<C: Cell> Layer for Recurrent<C> {
         let mut cache = self.cache.take().unwrap_or_default();
         cache.input.copy_from(x);
         self.scan_slice_into(x.rows(), x.as_slice(), &mut cache);
-        let out = Matrix::from_vec(cache.t_len, self.hidden_dim(), cache.states().to_vec());
+        let out = Matrix::from_vec(x.rows(), self.hidden_dim(), cache.states().to_vec());
         self.cache = Some(cache);
         out
     }
@@ -496,15 +493,14 @@ impl<C: Cell> Layer for Recurrent<C> {
         // scan the borrowed input: only `backward` reads the copy `forward` keeps
         let mut cache = Cache::default();
         self.scan_slice_into(x.rows(), x.as_slice(), &mut cache);
-        Matrix::from_vec(cache.t_len, self.hidden_dim(), cache.states().to_vec())
+        Matrix::from_vec(x.rows(), self.hidden_dim(), cache.states().to_vec())
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let cache = self.cache.take().expect("backward called before forward");
         let mut s = std::mem::take(&mut self.scratch);
         let (t_len, d, h) = (cache.input.rows(), self.input_dim(), self.hidden_dim());
-        let kind = C::KIND.name();
-        assert_eq!(grad_out.shape(), (t_len, h), "{kind} grad shape mismatch");
+        assert_eq!(grad_out.shape(), (t_len, h), "{} grad shape mismatch", C::KIND.name());
 
         // The sequential sweep only resolves the recurrent couplings: it
         // fills the per-step pre-activation gradients dA and the carried
