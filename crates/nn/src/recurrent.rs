@@ -97,7 +97,8 @@ pub struct Cache {
 
 impl Cache {
     /// Sizes every buffer for a `t_len`-step scan and zeroes the initial
-    /// states; no heap work once the capacities fit.
+    /// states, row 0 of `hidden` and `aux`: a scan writes every later row
+    /// before it reads it. No heap work once the capacities fit.
     fn prepare(&mut self, gates: usize, t_len: usize, h: usize) {
         self.gates.resize_with(gates, Matrix::default);
         for g in &mut self.gates {
@@ -105,7 +106,7 @@ impl Cache {
         }
         for m in [&mut self.hidden, &mut self.aux] {
             m.resize_to(t_len + 1, h);
-            m.fill(0.0);
+            m.row_mut(0).fill(0.0);
         }
     }
 
