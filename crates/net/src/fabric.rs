@@ -5,12 +5,12 @@
 
 use crate::error::NetError;
 use crate::fault::FaultPlan;
-use crate::link::{Direction, Link, LinkConfig, LinkState, SendReceipt};
+use crate::link::{Direction, Link, LinkConfig, SendReceipt};
 use crate::metrics::TransportMetrics;
 use crate::retry::RetryPolicy;
 use mdl_obs::Obs;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Everything that shapes a fabric's behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,16 +189,6 @@ impl Fabric {
         !self.links[client].is_usable()
     }
 
-    /// Coarse health of `client`'s link right now.
-    pub fn link_state(&self, client: usize) -> LinkState {
-        self.links[client].state()
-    }
-
-    /// Per-link counters.
-    pub fn link_metrics(&self, client: usize) -> &TransportMetrics {
-        self.links[client].metrics()
-    }
-
     /// Client→server transfer of `bytes`.
     pub fn send_up(&mut self, client: usize, bytes: u64) -> Result<SendReceipt, NetError> {
         let retry = self.config.retry;
@@ -229,12 +219,6 @@ impl Fabric {
         total.rounds = self.rounds_completed;
         total.sim_clock_s = self.sim_clock_s;
         total
-    }
-
-    /// Draws a `u64` from the fabric RNG (for callers that need auxiliary
-    /// seeded randomness tied to the fabric's reproducibility domain).
-    pub fn gen_seed(&mut self) -> u64 {
-        self.rng.gen()
     }
 }
 

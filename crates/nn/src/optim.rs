@@ -110,11 +110,6 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
-
-    /// Custom betas.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        Self { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
 }
 
 impl Optimizer for Adam {

@@ -59,11 +59,6 @@ pub fn gaussian(rng: &mut impl Rng) -> f32 {
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
-/// Fills a buffer with i.i.d. Gaussian noise of the given standard deviation.
-pub fn gaussian_noise(len: usize, std: f64, rng: &mut impl Rng) -> Vec<f32> {
-    (0..len).map(|_| gaussian(rng) * std as f32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,11 +123,6 @@ impl Matrix {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// An `n × 1` column vector from a slice.
-    pub fn col_vector(values: &[f32]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -168,11 +163,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrow of row `r` as a slice.
