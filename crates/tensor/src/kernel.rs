@@ -28,16 +28,50 @@
 //! nest and microkernel are shared by `matmul`, `matmul_tn` and
 //! `matmul_nt`.
 //!
+//! # Skinny products: the row kernel
+//!
+//! Products with fewer than `SMALL_M` rows (batch-1 and micro-batched
+//! inference, RNN timesteps) or at most `SMALL_MACS` multiply–accumulates
+//! skip packing. With `B` as stored, those above `SMALL_MACS` run the
+//! zero-compacting row kernel: each output row collects the nonzero A
+//! entries of a 64-input chunk from a 64-bit mask and adds them
+//! `ROW_FUSE = 4` at a time, so one pass loads and stores the output row
+//! once and streams four weight rows concurrently. The axpy loop it
+//! replaced re-read and re-wrote the row for every input and branched on
+//! every zero. Products at or below `SMALL_MACS` (DeepMood's 1×10·10×10
+//! recurrences) keep that loop: there the gather costs more than it
+//! saves.
+//!
+//! Where the weight lives decides the gain. A 3072 × 3072 weight is
+//! 36 MiB; on a host whose last-level cache holds it, a batch-1 product
+//! streams it from L3 and the row kernel is 1.0–1.35× the axpy loop.
+//! Where it does not fit, every call streams the nonzero rows from DRAM,
+//! and fewer, longer concurrent streams make it 1.4–1.6× at m = 1 and
+//! 1.3–1.6× at m = 2–8 (`exp_kernels`' `f32_skinny` table times both
+//! regimes). Its one loss is dense (zero-free) rows about ten columns
+//! wide, up to 1.3× slower: the per-input gather outweighs so short a
+//! row.
+//!
+//! Each of the `m` rows still streams the whole weight. Reusing a weight
+//! block across rows (k-blocking, ROADMAP 4(a)) doubles m = 8 again, but
+//! waits on the closed-loop benchmark harness: it keeps bookkeeping for
+//! every answered request, ≈ 0.24 KB each, so its `peak_rss_mb` grows
+//! with throughput (≈ 43.3 + 0.0048 × req/s MB). At ≈ 2 100 req/s the
+//! extra ≈ 1 300 req/s of a k-blocked kernel read +10–13 % RSS, past the
+//! 10 % bound, from the harness alone.
+//!
 //! # SIMD tier
 //!
 //! The microkernel has two tiers fed by the same packed layouts: an
 //! explicit AVX2 one (eight `ymm` accumulators, x86_64 only, chosen when
 //! `is_x86_feature_detected!("avx2")` holds) and the portable loop the
-//! compiler vectorizes for the build target. `MDL_FORCE_SCALAR` /
-//! [`int8::set_force_scalar`] pins the portable tier, the same switch that
-//! pins the int8 kernel's scalar path. Ragged edge tiles are staged
-//! through a full-size stack tile, so both tiers only ever compute the
-//! full `MR × NR` shape.
+//! compiler vectorizes for the build target. The row kernel has the same
+//! two tiers, but its AVX2 one is the portable body compiled under
+//! `#[target_feature(enable = "avx2")]`. `MDL_FORCE_SCALAR` /
+//! [`int8::set_force_scalar`] pins the portable tier of both, the same
+//! switch that pins the int8 kernel's scalar path. Ragged edge tiles are
+//! staged through a full-size stack tile, so both microkernel tiers only
+//! ever compute the full `MR × NR` shape.
 //!
 //! # Determinism contract
 //!
@@ -59,6 +93,12 @@
 //! and fleet digest in `tests/` would have to be re-pinned, with the
 //! portable tier and the reference rewritten around `f32::mul_add` (a
 //! libm call where the target has no FMA) to follow it.
+//!
+//! The row kernel keeps the contract too. Fusing four inputs per pass
+//! changes only which loop holds the element between inputs: each one
+//! still takes `s += a·b` (two roundings, never FMA) once per nonzero
+//! input, in ascending k, on both tiers. The only difference from the
+//! loop it replaced is how long the partial sum stays in a register.
 //!
 //! One carve-out: the small path skips multiplications by exactly-zero A
 //! elements (the ReLU-sparsity shortcut inherited from the pre-kernel
@@ -111,6 +151,8 @@ const SMALL_M: usize = 32;
 /// Products with fewer multiply–accumulates than this run on one worker;
 /// below it, spawn overhead dominates any speedup.
 const PAR_MIN_MACS: usize = 1 << 20;
+/// Nonzero inputs the skinny row kernel adds per pass over an output row.
+const ROW_FUSE: usize = 4;
 
 /// A concretely-typed `None` for the generic `epi` parameter of
 /// [`gemm_bias_act`]: unfused call sites pass this so type inference has
@@ -336,7 +378,15 @@ pub fn gemm_naive(
 /// Allocation-free path for single rows and tiny products: row-major
 /// traversal with the same ascending-k accumulation order as the blocked
 /// kernel, so the dispatch choice never changes results. A fused
-/// epilogue, when given, runs on each row as soon as it completes.
+/// epilogue, when given, runs once every row is complete.
+///
+/// With `B` as stored, exact-zero A elements are skipped — on ReLU-sparse
+/// activations (the micro-batched inference hot path) that halves the
+/// work. A zero contribution is exactly `+0.0` per lane, so the skip is
+/// bit-transparent except for non-finite B or signed-zero accumulators
+/// (`-0.0 + 0.0` would round to `+0.0`). Above `SMALL_MACS` the row
+/// kernel ([`row_kernel`]) does the skipping; below it, where its
+/// gather costs more than it saves, a plain axpy loop does.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small<E: Fn(f32) -> f32 + Sync>(
     ta: Trans,
@@ -353,13 +403,10 @@ fn gemm_small<E: Fn(f32) -> f32 + Sync>(
     if !acc {
         out.fill(0.0);
     }
-    if tb == Trans::N {
-        // axpy form: the inner loop is contiguous in both B and out.
-        // Zero A elements are skipped — on ReLU-sparse activations (the
-        // micro-batched inference hot path) this roughly halves the work.
-        // A zero contribution is exactly `+0.0` per lane, so the skip is
-        // bit-transparent except for non-finite B or signed-zero
-        // accumulators (`-0.0 + 0.0` would round to `+0.0`).
+    if tb == Trans::N && m * n * k > SMALL_MACS {
+        row_kernel(ta, m, n, k, a, b, out);
+    } else if tb == Trans::N {
+        // axpy form: the inner loop is contiguous in both B and out
         for i in 0..m {
             let out_row = &mut out[i * n..(i + 1) * n];
             for kk in 0..k {
@@ -371,11 +418,6 @@ fn gemm_small<E: Fn(f32) -> f32 + Sync>(
                 for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += av * bv;
                 }
-            }
-        }
-        if let Some(f) = epi {
-            for v in out[..m * n].iter_mut() {
-                *v = f(*v);
             }
         }
     } else {
@@ -400,11 +442,135 @@ fn gemm_small<E: Fn(f32) -> f32 + Sync>(
                 out[i * n + j] = s;
             }
         }
-        if let Some(f) = epi {
-            for v in out[..m * n].iter_mut() {
-                *v = f(*v);
+    }
+    if let Some(f) = epi {
+        for v in out.iter_mut() {
+            *v = f(*v);
+        }
+    }
+}
+
+/// Whether the f32 kernels run their AVX2 tier: AVX2 detected at run
+/// time and the portable tier not pinned (`MDL_FORCE_SCALAR`).
+fn use_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2") && !int8::force_scalar();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The zero-compacting row kernel, `out += op(A)·B` with `op(A)` `m × k`
+/// and `B` stored `k × n`, on the dispatched tier. Exact-zero A elements
+/// are skipped.
+///
+/// Each output row collects its nonzero inputs from a 64-bit mask per
+/// 64-input chunk and adds them [`ROW_FUSE`] at a time (`fused_axpy`): a
+/// pass loads and stores the row once and streams that many weight rows
+/// together, where an axpy loop re-reads and re-writes the row for every
+/// input. Each element still takes `s += a·b` once per nonzero input, in
+/// ascending k, so the result is bit-identical to that loop's on either
+/// tier. The mask makes the skip branch-free, so a ReLU layer's
+/// unpredictable zeros cost no mispredictions.
+fn row_kernel(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    if use_avx2() {
+        // SAFETY: `use_avx2` holds only after AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            rows_avx2(ta, m, n, k, a, b, out)
+        };
+    } else {
+        rows_portable(ta, m, n, k, a, b, out);
+    }
+}
+
+/// The AVX2 tier of [`row_kernel`]: the portable body compiled for
+/// eight-lane `ymm` multiplies and adds. Never FMA: only AVX2 is enabled,
+/// and rustc does not contract `s + c * v` into a fused operation anyway.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Every slice access is bounds-checked; the
+/// shapes the body relies on are debug-asserted here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rows_avx2(
+    ta: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n);
+    rows_portable(ta, m, n, k, a, b, out);
+}
+
+/// The portable tier of [`row_kernel`], and the body of its AVX2 tier.
+#[inline(always)]
+fn rows_portable(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (i, row) in out.chunks_exact_mut(n).enumerate() {
+        let mut coef = [0.0f32; ROW_FUSE];
+        let mut idx = [0usize; ROW_FUSE];
+        let mut found = 0;
+        for base in (0..k).step_by(64) {
+            let mut pending = 0u64;
+            for t in 0..64.min(k - base) {
+                pending |= u64::from(a_at(a, ta, m, k, i, base + t) != 0.0) << t;
+            }
+            while pending != 0 {
+                let t = base + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                coef[found] = a_at(a, ta, m, k, i, t);
+                idx[found] = t;
+                found += 1;
+                if found == ROW_FUSE {
+                    fused_axpy(row, coef, idx, b);
+                    found = 0;
+                }
             }
         }
+        let ([c0, c1, c2, _], [t0, t1, t2, _]) = (coef, idx);
+        match found {
+            1 => fused_axpy(row, [c0], [t0], b),
+            2 => fused_axpy(row, [c0, c1], [t0, t1], b),
+            3 => fused_axpy(row, [c0, c1, c2], [t0, t1, t2], b),
+            _ => {}
+        }
+    }
+}
+
+/// `row[j] += coef[0]·b[idx[0]][j]`, then `+= coef[1]·b[idx[1]][j]`, … for
+/// every `j` (`b` stored `k × row.len()`), each element held in a register
+/// across the `R` inputs. Whole eight-lane blocks first, so a short row
+/// still vectorizes; the weight rows are sliced here, not by the caller,
+/// so the compiler sees they cannot alias `row`.
+#[inline(always)]
+fn fused_axpy<const R: usize>(row: &mut [f32], coef: [f32; R], idx: [usize; R], b: &[f32]) {
+    const LANES: usize = 8;
+    let n = row.len();
+    let mut rows = [&b[..0]; R];
+    for (r, &t) in rows.iter_mut().zip(&idx) {
+        *r = &b[t * n..][..n];
+    }
+    let whole = n - n % LANES;
+    let (body, tail) = row.split_at_mut(whole);
+    for (j0, o) in (0..whole).step_by(LANES).zip(body.chunks_exact_mut(LANES)) {
+        let mut s: [f32; LANES] = o.try_into().unwrap();
+        for (c, r) in coef.iter().zip(&rows) {
+            let r: &[f32; LANES] = r[j0..j0 + LANES].try_into().unwrap();
+            for (s, v) in s.iter_mut().zip(r) {
+                *s += c * v;
+            }
+        }
+        o.copy_from_slice(&s);
+    }
+    for (j, o) in (whole..n).zip(tail) {
+        let mut s = *o;
+        for (c, r) in coef.iter().zip(&rows) {
+            s += c * r[j];
+        }
+        *o = s;
     }
 }
 
@@ -491,6 +657,8 @@ fn pack_a_panel(ta: Trans, m: usize, k: usize, a: &[f32], i0: usize, ap: &mut [f
 #[target_feature(enable = "avx2")]
 unsafe fn tile_avx2(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], ldc: usize, first: bool) {
     use std::arch::x86_64::*;
+    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
     let mut acc = [_mm256_setzero_ps(); 2 * MR];
     if !first {
         for (r, pair) in acc.chunks_exact_mut(2).enumerate() {
@@ -504,6 +672,7 @@ unsafe fn tile_avx2(ap: &[f32], bp: &[f32], kc: usize, c: &mut [f32], ldc: usize
         }
     }
     for (av, bv) in ap[..kc * MR].chunks_exact(MR).zip(bp[..kc * NR].chunks_exact(NR)) {
+        debug_assert_eq!(bv.len(), NR);
         // SAFETY: `bv` is a chunk of exactly NR = 16 floats.
         let (b0, b1) =
             unsafe { (_mm256_loadu_ps(bv.as_ptr()), _mm256_loadu_ps(bv.as_ptr().add(8))) };
@@ -577,7 +746,7 @@ fn microkernel(
     assert!(ap.len() >= kc * MR && bp.len() >= kc * NR && t.len() >= (MR - 1) * ldc + NR);
     if simd {
         // SAFETY: `simd` is only set after AVX2 was detected (see
-        // `gemm_blocked`); the assert above is the length contract.
+        // `use_avx2`); the assert above is the length contract.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             tile_avx2(ap, bp, kc, t, ldc, first)
@@ -666,11 +835,7 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
 ) {
     let panels = m.div_ceil(MR);
     let nt = if m * n * k < PAR_MIN_MACS { 1 } else { threads().min(panels) };
-    // the AVX2 tier, unless the portable one is pinned (`MDL_FORCE_SCALAR`)
-    #[cfg(target_arch = "x86_64")]
-    let simd = is_x86_feature_detected!("avx2") && !int8::force_scalar();
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = false;
+    let simd = use_avx2();
     PACK_B.with_borrow_mut(|pb| {
         pack_b(tb, k, n, b, pb);
         let pb: &[f32] = pb;
@@ -810,6 +975,141 @@ mod tests {
             fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    /// The naive fold with the small path's zero-skip: `s += a·b` in
+    /// ascending k over exactly the nonzero A elements.
+    fn skip_fold(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = out[i * n + j];
+                for kk in 0..k {
+                    let av = a_at(a, ta, m, k, i, kk);
+                    if av != 0.0 {
+                        s += av * b[kk * n + j];
+                    }
+                }
+                out[i * n + j] = s;
+            }
+        }
+    }
+
+    /// An `m × k` activation (stored `k × m` for `ta = T`) where row `i`
+    /// has `nonzeros(i)` nonzero entries at scattered positions.
+    fn sparse_a(
+        ta: Trans,
+        m: usize,
+        k: usize,
+        seed: u64,
+        nonzeros: &dyn Fn(usize) -> usize,
+    ) -> Vec<f32> {
+        let vals = fill(m, k, seed);
+        let mut a = vec![0.0f32; m * k];
+        for i in 0..m {
+            // a stride coprime to every k swept visits each position once
+            let mut pos = (i * 7 + seed as usize) % k;
+            for q in 0..nonzeros(i) {
+                let v = vals[i * k + q];
+                let v = if v == 0.0 { 0.25 } else { v };
+                match ta {
+                    Trans::N => a[i * k + pos] = v,
+                    Trans::T => a[pos * m + i] = v,
+                }
+                pos = (pos + 37) % k;
+            }
+        }
+        a
+    }
+
+    /// One row-kernel product on both tiers against the skip-aware fold
+    /// and `gemm_naive`, bit for bit. Every operand is a `Vec` of exactly
+    /// its length, so a read past a slice end would leave the allocation.
+    fn check_rows(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], acc: bool, what: &str) {
+        let b = fill(k, n, (m + n + k) as u64);
+        let init = if acc { fill(m, n, 9) } else { vec![0.0; m * n] };
+        let mut skip = init.clone();
+        skip_fold(ta, m, n, k, a, &b, &mut skip);
+        let mut naive = init.clone();
+        gemm_naive(ta, Trans::N, m, n, k, a, &b, &mut naive, true);
+        let (fast, portable) = on_both_tiers(|| {
+            let mut out = init.clone();
+            row_kernel(ta, m, n, k, a, &b, &mut out);
+            bits(&out)
+        });
+        let what = format!("{m}x{n}x{k} ta={ta:?} acc={acc} {what}");
+        assert_eq!(fast, bits(&skip), "dispatched != skip fold for {what}");
+        assert_eq!(portable, bits(&skip), "portable != skip fold for {what}");
+        assert_eq!(fast, bits(&naive), "dispatched != naive for {what}");
+    }
+
+    /// The row kernel over row widths around the eight-lane blocks,
+    /// depths around the 64-input mask chunks, nonzero counts in every
+    /// residue mod `ROW_FUSE`, dense / half / all-zero rows, both A
+    /// orientations and `acc` both ways.
+    #[test]
+    fn row_kernel_matches_folds_bitwise() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap();
+        for n in [1, 7, 8, 9, 10, 15, 16, 17, 33, 70] {
+            for k in [63, 64, 65, 131] {
+                for m in [1, 2, 5, 31] {
+                    // zero density 0, ½ and 1; the ½ rows walk their
+                    // nonzero count through every residue mod ROW_FUSE
+                    let half = |i: usize| k / 2 - (k / 2) % ROW_FUSE + (i + n) % ROW_FUSE;
+                    let densities: [(&str, &dyn Fn(usize) -> usize); 3] =
+                        [("0", &|_| k), ("1/2", &half), ("1", &|_| 0)];
+                    for (density, nonzeros) in densities {
+                        for ta in [Trans::N, Trans::T] {
+                            let a = sparse_a(ta, m, k, (n * 1000 + k * 10 + m) as u64, nonzeros);
+                            for acc in [false, true] {
+                                check_rows(ta, m, n, k, &a, acc, &format!("zeros={density}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The zero-skip carve-out, pinned through `gemm` on a shape that takes
+    /// the row kernel: an all-zero A row leaves a `-0.0` accumulator
+    /// `-0.0` (the naive fold would round it to `+0.0`), and a non-finite
+    /// weight row under zero activations never reaches the output (the
+    /// naive fold would turn it into NaN).
+    #[test]
+    fn row_kernel_zero_skip_carve_out() {
+        let _guard = TEST_THREADS_LOCK.lock().unwrap();
+        let (m, n, k) = (2, 70, 131);
+        assert!(m * n * k > SMALL_MACS && m < SMALL_M);
+        // row 0 all zero over a -0.0 seed
+        let mut a = fill(m, k, 41);
+        a[..k].fill(0.0);
+        let b = fill(k, n, 42);
+        let (fast, portable) = on_both_tiers(|| {
+            let mut out = vec![-0.0f32; m * n];
+            gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, true);
+            bits(&out)
+        });
+        assert!(fast[..n].iter().all(|&v| v == (-0.0f32).to_bits()), "-0.0 seed lost its sign");
+        assert_eq!(portable, fast);
+        // inf and NaN weight rows where every activation is zero
+        let mut a = fill(m, k, 43);
+        let mut b = fill(k, n, 44);
+        for (t, bad) in [(5, f32::INFINITY), (64, f32::NAN), (130, f32::NEG_INFINITY)] {
+            b[t * n..(t + 1) * n].fill(bad);
+            for i in 0..m {
+                a[i * k + t] = 0.0;
+            }
+        }
+        let mut skip = vec![0.0f32; m * n];
+        skip_fold(Trans::N, m, n, k, &a, &b, &mut skip);
+        let (fast, portable) = on_both_tiers(|| {
+            let mut out = vec![f32::NAN; m * n];
+            gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, false);
+            out
+        });
+        assert!(fast.iter().all(|v| v.is_finite()), "a skipped non-finite weight leaked");
+        assert_eq!(bits(&fast), bits(&skip));
+        assert_eq!(bits(&portable), bits(&skip));
     }
 
     /// The fused bias-seed + epilogue entry must be bit-identical to the
