@@ -21,6 +21,17 @@
 //! `blocked_256_simd_over_portable`, the host-independent figure the gate
 //! floors.
 //!
+//! The f32 skinny sweep times the row kernel behind every product under
+//! 32 rows: ReLU-sparse `m × 3072` activations (m ∈ {1, 2, 4, 8}) against
+//! a 3072 × 3072 weight, on the dispatched and the pinned-portable tier
+//! (asserted bit-identical), in two regimes. L3-resident reuses one 36 MiB
+//! weight, so on a host whose last-level cache holds it every call after
+//! the first streams it from that cache; DRAM-resident rotates through at
+//! least 512 MiB of copies, so every call streams its weight from memory —
+//! the regime of a host whose L3 cannot hold the serving model. A probe
+//! that reuses one weight sees only the first regime on a host with a
+//! large L3.
+//!
 //! The int8 sweep measures the quantized microkernel (`kernel::int8`) at
 //! the same square shapes: dispatched (best available SIMD tier) and the
 //! pinned scalar path, each asserted bit-identical to the naive i32
@@ -142,6 +153,69 @@ fn bench_tiers(form: &str, m: usize, n: usize, k: usize, rng: &mut StdRng) -> Ti
         "f32 SIMD and portable tiers must agree bit for bit ({form} {m}x{n}x{k})"
     );
     TierResult { label: format!("{form} {m}x{n}x{k}"), simd, portable }
+}
+
+/// Width and depth of the skinny sweep's weight: the serving model's
+/// hidden layer.
+const SKINNY_DIM: usize = 3072;
+/// Bytes of weight copies the DRAM-resident regime rotates through.
+const SKINNY_DRAM_BYTES: usize = 512 << 20;
+
+/// One skinny row count: µs per product, (dispatched, portable) in each
+/// regime.
+struct SkinnyResult {
+    m: usize,
+    l3: (f64, f64),
+    dram: (f64, f64),
+}
+
+/// The f32 skinny sweep (see the module docs); returns the rows and the
+/// MiB the DRAM-resident regime rotated through.
+fn bench_skinny(rng: &mut StdRng) -> (Vec<SkinnyResult>, usize) {
+    let d = SKINNY_DIM;
+    let copies = SKINNY_DRAM_BYTES.div_ceil(d * d * 4);
+    let weights = vec![Init::Xavier.sample(d, d, rng); copies];
+    let reps = 2 * copies;
+    let mut results = Vec::new();
+    for m in [1, 2, 4, 8] {
+        let mut x = Init::Xavier.sample(m, d, rng);
+        x.map_mut(|v| v.max(0.0));
+        let mut out = Matrix::zeros(m, d);
+        // best-of-`reps` µs per product over `pick(rep)`'s weights, and the
+        // output bits of the last one
+        let mut run = |pick: &dyn Fn(usize) -> usize| {
+            x.matmul_into(&weights[pick(0)], &mut out);
+            let mut best = f64::INFINITY;
+            for rep in 0..reps {
+                let w = &weights[pick(rep)];
+                let t0 = Instant::now();
+                x.matmul_into(w, &mut out);
+                best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+                std::hint::black_box(&out);
+            }
+            (best, out.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+        };
+        let pinned = kernel::int8::force_scalar();
+        let mut tiers = Vec::new();
+        for portable in [false, true] {
+            kernel::int8::set_force_scalar(portable || pinned);
+            let (l3, l3_bits) = run(&|_| 0);
+            let (dram, dram_bits) = run(&|rep| (rep + 1) % copies);
+            assert_eq!(l3_bits, dram_bits, "weight copies must give one answer (m={m})");
+            tiers.push((l3, dram, l3_bits));
+        }
+        kernel::int8::set_force_scalar(pinned);
+        assert_eq!(
+            tiers[0].2, tiers[1].2,
+            "f32 skinny SIMD and portable tiers must agree bit for bit (m={m})"
+        );
+        results.push(SkinnyResult {
+            m,
+            l3: (tiers[0].0, tiers[1].0),
+            dram: (tiers[0].1, tiers[1].1),
+        });
+    }
+    (results, (copies * d * d * 4) >> 20)
 }
 
 struct Int8Result {
@@ -293,6 +367,30 @@ fn main() {
         &tier_rows,
     );
 
+    // f32 skinny sweep: the row kernel, cache- and memory-resident weights
+    let (skinny, skinny_mib) = bench_skinny(&mut rng);
+    let skinny_rows: Vec<Vec<String>> = skinny
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{}x{SKINNY_DIM}x{SKINNY_DIM}", r.m),
+                format!("{:.0}", r.l3.1),
+                format!("{:.0}", r.l3.0),
+                format!("{:.0}", r.dram.1),
+                format!("{:.0}", r.dram.0),
+                format!("{:.2}x", r.dram.0 / r.l3.0),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!(
+            "f32 skinny GEMM, ReLU-sparse rows, µs per product, t=1 (dispatch: {f32_level}; \
+             DRAM = {skinny_mib} MiB of rotated weights; bit-identical)"
+        ),
+        &["product", "L3 portable", "L3 dispatched", "DRAM portable", "DRAM dispatched", "DRAM/L3"],
+        &skinny_rows,
+    );
+
     // int8 microkernel sweep vs the f32 blocked kernel
     let simd_level = mdl_core::tensor::kernel::int8::simd_level();
     let int8 = bench_int8();
@@ -399,7 +497,19 @@ fn main() {
         );
         let _ = writeln!(json, "{}", if i + 1 < tiers.len() { "," } else { "" });
     }
+    json.push_str("  ],\n  \"f32_skinny\": [\n");
+    for (i, r) in skinny.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"m\": {}, \"l3_portable_us\": {:.1}, \"l3_simd_us\": {:.1}, \
+             \"dram_portable_us\": {:.1}, \"dram_simd_us\": {:.1}}}",
+            r.m, r.l3.1, r.l3.0, r.dram.1, r.dram.0
+        );
+        let _ = writeln!(json, "{}", if i + 1 < skinny.len() { "," } else { "" });
+    }
     json.push_str("  ],\n");
+    let _ = writeln!(json, "  \"f32_skinny_dram_mib\": {skinny_mib},");
+    let _ = writeln!(json, "  \"f32_skinny_bit_identical_simd_vs_portable\": true,");
     let _ = writeln!(json, "  \"f32_simd_level\": \"{f32_level}\",");
     let _ = writeln!(
         json,
