@@ -44,10 +44,10 @@
 //!
 //! Where the weight lives decides the gain. A 3072 × 3072 weight is
 //! 36 MiB; on a host whose last-level cache holds it, a batch-1 product
-//! streams it from L3 and the row kernel is 1.0–1.35× the axpy loop.
+//! streams it from L3 and the row kernel is 1.1–1.35× the axpy loop.
 //! Where it does not fit, every call streams the nonzero rows from DRAM,
-//! and fewer, longer concurrent streams make it 1.4–1.6× at m = 1 and
-//! 1.3–1.6× at m = 2–8 (`exp_kernels`' `f32_skinny` table times both
+//! and fewer, longer concurrent streams make it 1.3–1.5× at m = 1 and
+//! 1.2–1.45× at m = 2–8 (`exp_kernels`' `f32_skinny` table times both
 //! regimes). Its one loss is dense (zero-free) rows about ten columns
 //! wide, up to 1.3× slower: the per-input gather outweighs so short a
 //! row.
@@ -65,13 +65,15 @@
 //! The microkernel has two tiers fed by the same packed layouts: an
 //! explicit AVX2 one (eight `ymm` accumulators, x86_64 only, chosen when
 //! `is_x86_feature_detected!("avx2")` holds) and the portable loop the
-//! compiler vectorizes for the build target. The row kernel has the same
-//! two tiers, but its AVX2 one is the portable body compiled under
-//! `#[target_feature(enable = "avx2")]`. `MDL_FORCE_SCALAR` /
-//! [`int8::set_force_scalar`] pins the portable tier of both, the same
-//! switch that pins the int8 kernel's scalar path. Ragged edge tiles are
-//! staged through a full-size stack tile, so both microkernel tiers only
-//! ever compute the full `MR × NR` shape.
+//! compiler vectorizes for the build target. `MDL_FORCE_SCALAR` /
+//! [`int8::set_force_scalar`] pins the portable tier, the same switch that
+//! pins the int8 kernel's scalar path. Ragged edge tiles are staged
+//! through a full-size stack tile, so both microkernel tiers only ever
+//! compute the full `MR × NR` shape. The row kernel has one tier, the
+//! portable loop. Compiled for AVX2 it tied with the weight L3-resident
+//! and ran 1.1–1.35× faster at m = 1 with it DRAM-resident, in-process
+//! only; an AVX2 tier waits on an end-to-end run in that regime
+//! (ROADMAP 4(d)).
 //!
 //! # Determinism contract
 //!
@@ -97,8 +99,8 @@
 //! The row kernel keeps the contract too. Fusing four inputs per pass
 //! changes only which loop holds the element between inputs: each one
 //! still takes `s += a·b` (two roundings, never FMA) once per nonzero
-//! input, in ascending k, on both tiers. The only difference from the
-//! loop it replaced is how long the partial sum stays in a register.
+//! input, in ascending k. The only difference from the loop it replaced
+//! is how long the partial sum stays in a register.
 //!
 //! One carve-out: the small path skips multiplications by exactly-zero A
 //! elements (the ReLU-sparsity shortcut inherited from the pre-kernel
@@ -450,65 +452,18 @@ fn gemm_small<E: Fn(f32) -> f32 + Sync>(
     }
 }
 
-/// Whether the f32 kernels run their AVX2 tier: AVX2 detected at run
-/// time and the portable tier not pinned (`MDL_FORCE_SCALAR`).
-fn use_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return is_x86_feature_detected!("avx2") && !int8::force_scalar();
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 /// The zero-compacting row kernel, `out += op(A)·B` with `op(A)` `m × k`
-/// and `B` stored `k × n`, on the dispatched tier. Exact-zero A elements
-/// are skipped.
+/// and `B` stored `k × n`. Exact-zero A elements are skipped.
 ///
 /// Each output row collects its nonzero inputs from a 64-bit mask per
 /// 64-input chunk and adds them [`ROW_FUSE`] at a time (`fused_axpy`): a
 /// pass loads and stores the row once and streams that many weight rows
 /// together, where an axpy loop re-reads and re-writes the row for every
 /// input. Each element still takes `s += a·b` once per nonzero input, in
-/// ascending k, so the result is bit-identical to that loop's on either
-/// tier. The mask makes the skip branch-free, so a ReLU layer's
-/// unpredictable zeros cost no mispredictions.
+/// ascending k, so the result is bit-identical to that loop's. The mask
+/// makes the skip branch-free, so a ReLU layer's unpredictable zeros cost
+/// no mispredictions.
 fn row_kernel(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    if use_avx2() {
-        // SAFETY: `use_avx2` holds only after AVX2 was detected.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            rows_avx2(ta, m, n, k, a, b, out)
-        };
-    } else {
-        rows_portable(ta, m, n, k, a, b, out);
-    }
-}
-
-/// The AVX2 tier of [`row_kernel`]: the portable body compiled for
-/// eight-lane `ymm` multiplies and adds. Never FMA: only AVX2 is enabled,
-/// and rustc does not contract `s + c * v` into a fused operation anyway.
-///
-/// # Safety
-///
-/// The CPU must support AVX2. Every slice access is bounds-checked; the
-/// shapes the body relies on are debug-asserted here.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rows_avx2(
-    ta: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert!(a.len() == m * k && b.len() == k * n && out.len() == m * n);
-    rows_portable(ta, m, n, k, a, b, out);
-}
-
-/// The portable tier of [`row_kernel`], and the body of its AVX2 tier.
-#[inline(always)]
-fn rows_portable(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     for (i, row) in out.chunks_exact_mut(n).enumerate() {
         let mut coef = [0.0f32; ROW_FUSE];
         let mut idx = [0usize; ROW_FUSE];
@@ -530,12 +485,10 @@ fn rows_portable(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], 
                 }
             }
         }
-        let ([c0, c1, c2, _], [t0, t1, t2, _]) = (coef, idx);
-        match found {
-            1 => fused_axpy(row, [c0], [t0], b),
-            2 => fused_axpy(row, [c0, c1], [t0, t1], b),
-            3 => fused_axpy(row, [c0, c1, c2], [t0, t1, t2], b),
-            _ => {}
+        // the last 1–3 inputs one pass each: every element still takes
+        // them in ascending k
+        for q in 0..found {
+            fused_axpy(row, [coef[q]], [idx[q]], b);
         }
     }
 }
@@ -549,6 +502,7 @@ fn rows_portable(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], 
 fn fused_axpy<const R: usize>(row: &mut [f32], coef: [f32; R], idx: [usize; R], b: &[f32]) {
     const LANES: usize = 8;
     let n = row.len();
+    // a loop, not `idx.map(..)`: the map measured 1.2–1.3× slower
     let mut rows = [&b[..0]; R];
     for (r, &t) in rows.iter_mut().zip(&idx) {
         *r = &b[t * n..][..n];
@@ -746,7 +700,7 @@ fn microkernel(
     assert!(ap.len() >= kc * MR && bp.len() >= kc * NR && t.len() >= (MR - 1) * ldc + NR);
     if simd {
         // SAFETY: `simd` is only set after AVX2 was detected (see
-        // `use_avx2`); the assert above is the length contract.
+        // `gemm_blocked`); the assert above is the length contract.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             tile_avx2(ap, bp, kc, t, ldc, first)
@@ -835,7 +789,11 @@ fn gemm_blocked<E: Fn(f32) -> f32 + Sync>(
 ) {
     let panels = m.div_ceil(MR);
     let nt = if m * n * k < PAR_MIN_MACS { 1 } else { threads().min(panels) };
-    let simd = use_avx2();
+    // the AVX2 tier, unless the portable one is pinned (`MDL_FORCE_SCALAR`)
+    #[cfg(target_arch = "x86_64")]
+    let simd = is_x86_feature_detected!("avx2") && !int8::force_scalar();
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = false;
     PACK_B.with_borrow_mut(|pb| {
         pack_b(tb, k, n, b, pb);
         let pb: &[f32] = pb;
@@ -1021,9 +979,9 @@ mod tests {
         a
     }
 
-    /// One row-kernel product on both tiers against the skip-aware fold
-    /// and `gemm_naive`, bit for bit. Every operand is a `Vec` of exactly
-    /// its length, so a read past a slice end would leave the allocation.
+    /// One row-kernel product against the skip-aware fold and
+    /// `gemm_naive`, bit for bit. Every operand is a `Vec` of exactly its
+    /// length, so a read past a slice end would leave the allocation.
     fn check_rows(ta: Trans, m: usize, n: usize, k: usize, a: &[f32], acc: bool, what: &str) {
         let b = fill(k, n, (m + n + k) as u64);
         let init = if acc { fill(m, n, 9) } else { vec![0.0; m * n] };
@@ -1031,15 +989,11 @@ mod tests {
         skip_fold(ta, m, n, k, a, &b, &mut skip);
         let mut naive = init.clone();
         gemm_naive(ta, Trans::N, m, n, k, a, &b, &mut naive, true);
-        let (fast, portable) = on_both_tiers(|| {
-            let mut out = init.clone();
-            row_kernel(ta, m, n, k, a, &b, &mut out);
-            bits(&out)
-        });
+        let mut out = init;
+        row_kernel(ta, m, n, k, a, &b, &mut out);
         let what = format!("{m}x{n}x{k} ta={ta:?} acc={acc} {what}");
-        assert_eq!(fast, bits(&skip), "dispatched != skip fold for {what}");
-        assert_eq!(portable, bits(&skip), "portable != skip fold for {what}");
-        assert_eq!(fast, bits(&naive), "dispatched != naive for {what}");
+        assert_eq!(bits(&out), bits(&skip), "row kernel != skip fold for {what}");
+        assert_eq!(bits(&out), bits(&naive), "row kernel != naive for {what}");
     }
 
     /// The row kernel over row widths around the eight-lane blocks,
@@ -1048,7 +1002,6 @@ mod tests {
     /// orientations and `acc` both ways.
     #[test]
     fn row_kernel_matches_folds_bitwise() {
-        let _guard = TEST_THREADS_LOCK.lock().unwrap();
         for n in [1, 7, 8, 9, 10, 15, 16, 17, 33, 70] {
             for k in [63, 64, 65, 131] {
                 for m in [1, 2, 5, 31] {
@@ -1077,20 +1030,18 @@ mod tests {
     /// naive fold would turn it into NaN).
     #[test]
     fn row_kernel_zero_skip_carve_out() {
-        let _guard = TEST_THREADS_LOCK.lock().unwrap();
         let (m, n, k) = (2, 70, 131);
         assert!(m * n * k > SMALL_MACS && m < SMALL_M);
         // row 0 all zero over a -0.0 seed
         let mut a = fill(m, k, 41);
         a[..k].fill(0.0);
         let b = fill(k, n, 42);
-        let (fast, portable) = on_both_tiers(|| {
-            let mut out = vec![-0.0f32; m * n];
-            gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, true);
-            bits(&out)
-        });
-        assert!(fast[..n].iter().all(|&v| v == (-0.0f32).to_bits()), "-0.0 seed lost its sign");
-        assert_eq!(portable, fast);
+        let mut out = vec![-0.0f32; m * n];
+        gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, true);
+        assert!(
+            out[..n].iter().all(|v| v.to_bits() == (-0.0f32).to_bits()),
+            "-0.0 seed lost its sign"
+        );
         // inf and NaN weight rows where every activation is zero
         let mut a = fill(m, k, 43);
         let mut b = fill(k, n, 44);
@@ -1102,14 +1053,10 @@ mod tests {
         }
         let mut skip = vec![0.0f32; m * n];
         skip_fold(Trans::N, m, n, k, &a, &b, &mut skip);
-        let (fast, portable) = on_both_tiers(|| {
-            let mut out = vec![f32::NAN; m * n];
-            gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, false);
-            out
-        });
-        assert!(fast.iter().all(|v| v.is_finite()), "a skipped non-finite weight leaked");
-        assert_eq!(bits(&fast), bits(&skip));
-        assert_eq!(bits(&portable), bits(&skip));
+        let mut out = vec![f32::NAN; m * n];
+        gemm(Trans::N, Trans::N, m, n, k, &a, &b, &mut out, false);
+        assert!(out.iter().all(|v| v.is_finite()), "a skipped non-finite weight leaked");
+        assert_eq!(bits(&out), bits(&skip));
     }
 
     /// The fused bias-seed + epilogue entry must be bit-identical to the
