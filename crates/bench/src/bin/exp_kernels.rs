@@ -23,8 +23,8 @@
 //!
 //! The f32 skinny sweep times the row kernel behind every product under
 //! 32 rows: ReLU-sparse `m × 3072` activations (m ∈ {1, 2, 4, 8}) against
-//! a 3072 × 3072 weight, on the dispatched and the pinned-portable tier
-//! (asserted bit-identical), in two regimes. L3-resident reuses one 36 MiB
+//! a 3072 × 3072 weight, in two regimes (asserted bit-identical to each
+//! other; the row kernel has one tier). L3-resident reuses one 36 MiB
 //! weight, so on a host whose last-level cache holds it every call after
 //! the first streams it from that cache; DRAM-resident rotates through at
 //! least 512 MiB of copies, so every call streams its weight from memory —
@@ -105,7 +105,7 @@ fn bench_gemms(rng: &mut StdRng) -> Vec<SizeResult> {
 }
 
 /// The tier `gemm_blocked` dispatches to right now — the same rule as
-/// `kernel::use_avx2`, which is private.
+/// its own, which is private.
 fn f32_simd_level() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if !kernel::int8::force_scalar() && is_x86_feature_detected!("avx2") {
@@ -161,12 +161,11 @@ const SKINNY_DIM: usize = 3072;
 /// Bytes of weight copies the DRAM-resident regime rotates through.
 const SKINNY_DRAM_BYTES: usize = 512 << 20;
 
-/// One skinny row count: µs per product, (dispatched, portable) in each
-/// regime.
+/// One skinny row count: µs per product in each regime.
 struct SkinnyResult {
     m: usize,
-    l3: (f64, f64),
-    dram: (f64, f64),
+    l3: f64,
+    dram: f64,
 }
 
 /// The f32 skinny sweep (see the module docs); returns the rows and the
@@ -195,25 +194,10 @@ fn bench_skinny(rng: &mut StdRng) -> (Vec<SkinnyResult>, usize) {
             }
             (best, out.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
         };
-        let pinned = kernel::int8::force_scalar();
-        let mut tiers = Vec::new();
-        for portable in [false, true] {
-            kernel::int8::set_force_scalar(portable || pinned);
-            let (l3, l3_bits) = run(&|_| 0);
-            let (dram, dram_bits) = run(&|rep| (rep + 1) % copies);
-            assert_eq!(l3_bits, dram_bits, "weight copies must give one answer (m={m})");
-            tiers.push((l3, dram, l3_bits));
-        }
-        kernel::int8::set_force_scalar(pinned);
-        assert_eq!(
-            tiers[0].2, tiers[1].2,
-            "f32 skinny SIMD and portable tiers must agree bit for bit (m={m})"
-        );
-        results.push(SkinnyResult {
-            m,
-            l3: (tiers[0].0, tiers[1].0),
-            dram: (tiers[0].1, tiers[1].1),
-        });
+        let (l3, l3_bits) = run(&|_| 0);
+        let (dram, dram_bits) = run(&|rep| (rep + 1) % copies);
+        assert_eq!(l3_bits, dram_bits, "weight copies must give one answer (m={m})");
+        results.push(SkinnyResult { m, l3, dram });
     }
     (results, (copies * d * d * 4) >> 20)
 }
@@ -374,20 +358,18 @@ fn main() {
         .map(|r| {
             vec![
                 format!("{}x{SKINNY_DIM}x{SKINNY_DIM}", r.m),
-                format!("{:.0}", r.l3.1),
-                format!("{:.0}", r.l3.0),
-                format!("{:.0}", r.dram.1),
-                format!("{:.0}", r.dram.0),
-                format!("{:.2}x", r.dram.0 / r.l3.0),
+                format!("{:.0}", r.l3),
+                format!("{:.0}", r.dram),
+                format!("{:.2}x", r.dram / r.l3),
             ]
         })
         .collect();
     print_table(
         &format!(
-            "f32 skinny GEMM, ReLU-sparse rows, µs per product, t=1 (dispatch: {f32_level}; \
-             DRAM = {skinny_mib} MiB of rotated weights; bit-identical)"
+            "f32 skinny GEMM, ReLU-sparse rows, µs per product, t=1 \
+             (DRAM = {skinny_mib} MiB of rotated weights; bit-identical)"
         ),
-        &["product", "L3 portable", "L3 dispatched", "DRAM portable", "DRAM dispatched", "DRAM/L3"],
+        &["product", "L3-resident", "DRAM-resident", "DRAM/L3"],
         &skinny_rows,
     );
 
@@ -501,15 +483,13 @@ fn main() {
     for (i, r) in skinny.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"m\": {}, \"l3_portable_us\": {:.1}, \"l3_simd_us\": {:.1}, \
-             \"dram_portable_us\": {:.1}, \"dram_simd_us\": {:.1}}}",
-            r.m, r.l3.1, r.l3.0, r.dram.1, r.dram.0
+            "    {{\"m\": {}, \"l3_us\": {:.1}, \"dram_us\": {:.1}}}",
+            r.m, r.l3, r.dram
         );
         let _ = writeln!(json, "{}", if i + 1 < skinny.len() { "," } else { "" });
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"f32_skinny_dram_mib\": {skinny_mib},");
-    let _ = writeln!(json, "  \"f32_skinny_bit_identical_simd_vs_portable\": true,");
     let _ = writeln!(json, "  \"f32_simd_level\": \"{f32_level}\",");
     let _ = writeln!(
         json,
